@@ -6,14 +6,27 @@ children get ``src`` on PYTHONPATH):
     python3 perfbench/run.py --workload cli_closed_form --seed 1 --seconds 40 --trace 0
     python3 perfbench/run.py --workload all --seed 1 --seconds 40 --trace 1
 
-``--trace 0`` runs cycles of one fresh ``import blodyne.cli`` followed by
-one whole pass of the workload as CLI subprocesses, while the next cycle is
-expected to end within ``--seconds``. End-to-end metrics:
+``--trace 0`` runs cycles of one fresh ``import blodyne.cli`` and one whole
+pass of the workload as CLI subprocesses, while the next cycle is expected
+to end within ``--seconds``.
 
-    setup_s      median wall time of a fresh ``import blodyne.cli``, sampled
-                 before every pass (topped up to SETUP_MIN_SAMPLES at the end)
-    wall_s       median wall time of one complete pass
-    cmd_p50_s    median wall time of one CLI subprocess
+The host this benchmark was built on is a shared 2-vCPU VM whose speed
+changes by up to 1.9x, from second to second and over minutes, with no CPU
+steal reported (a fixed Python loop took 34 ms, then 65 ms ten minutes
+later with nothing else running). Raw wall times there tell more about the
+host at the moment of the run than about the program. So each timed
+subprocess runs right after a reference job that runs no blodyne code
+(REFERENCE_CODE), and is reported in reference seconds: its wall time over
+the reference job's, times REFERENCE_NOMINAL_S. A pass is taken against the
+mean reference of its commands. A program that does more work still reads
+slower; a slower host does not. Raw medians are printed beside them and
+kept with every sample in the full result. End-to-end metrics, all but
+peak RSS in reference seconds:
+
+    setup_s      median time of a fresh ``import blodyne.cli``, sampled
+                 once a cycle (topped up to SETUP_MIN_SAMPLES at the end)
+    wall_s       median time of one complete pass
+    cmd_p50_s    median time of one CLI subprocess
     peak_rss_mb  largest peak RSS of one CLI subprocess (from wait4)
     fail_share   failed over attempted operations; printed per workload,
                  and carried in the result line as ``attempted``/``failed``
@@ -56,6 +69,25 @@ from workloads import WORKLOADS, CheckFailed
 ROOT = Path(__file__).resolve().parent.parent
 CHILD = Path(__file__).with_name("child.py")
 SETUP_MIN_SAMPLES = 5
+# The reference job: no blodyne code, so no change to the program moves it.
+# It mixes what a pass spends its time on: interpreter start, an import from
+# the installed packages, numpy array work and plain Python. Sampled next to
+# each timed subprocess, it cut the spread of run medians over seeds from
+# 0.15-0.28 to 0.04-0.06 of the median on oracle_verify.
+REFERENCE_CODE = """
+import numpy as np
+x = np.random.default_rng(0).standard_normal(1 << 18)
+for _ in range(4):
+    y = np.abs(np.fft.rfft(x)) ** 2
+t = 0
+for i in range(100_000):
+    t += i * i
+"""
+# About the reference job's median wall time on a 2-vCPU Intel Xeon VM
+# (2 MB L2, 105 MB L3, Python 3.11, numpy 2.4), so that reference seconds
+# read about as wall seconds there. Any fixed value would do: it only sets
+# the scale, the same for every commit.
+REFERENCE_NOMINAL_S = 0.25
 IMPORT_SAMPLES = 3
 TRACE_PAIRS = 3
 CHILD_TIMEOUT_S = 60.0
@@ -143,11 +175,16 @@ class Runner:
         return Child(op, wall, usage.ru_maxrss / 1024.0, proc.returncode, stdout, stderr)
 
 
-def run_pass(runner: Runner, commands, traced: bool) -> dict:
-    """One pass of a workload: every command once, in order, each checked."""
+def run_pass(runner: Runner, commands, traced: bool, paired: bool = False) -> dict:
+    """One pass of a workload: every command once, in order, each checked.
+
+    ``paired`` takes a reference sample just before every command and keeps
+    it in the command's record; the pass wall time leaves those out."""
     records = []
-    start = time.perf_counter()
+    wall = 0.0
     for cmd in commands:
+        reference = reference_time(runner) if paired else None
+        start = time.perf_counter()
         spans_path = runner.work_dir / "spans.json"
         if traced:
             argv = [sys.executable, str(CHILD), "trace", str(spans_path), *cmd.cli_args]
@@ -155,7 +192,7 @@ def run_pass(runner: Runner, commands, traced: bool) -> dict:
             argv = [sys.executable, "-m", "blodyne.cli", *cmd.cli_args]
         child = runner.run(argv, cmd.label)
         record = {"op": child.op, "label": cmd.label, "command": cmd.command,
-                  "wall_s": child.wall_s, "rss_mb": child.rss_mb}
+                  "wall_s": child.wall_s, "rss_mb": child.rss_mb, "reference_s": reference}
         if child.returncode == 0:
             try:
                 cmd.check(child.stdout, cmd.out_dir)
@@ -167,12 +204,18 @@ def run_pass(runner: Runner, commands, traced: bool) -> dict:
                 record["spans"] = json.loads(spans_path.read_text(encoding="utf-8"))["spans"]
                 spans_path.unlink()
         records.append(record)
-    return {"wall_s": time.perf_counter() - start, "commands": records}
+        wall += time.perf_counter() - start
+    return {"wall_s": wall, "commands": records}
 
 
 def setup_time(runner: Runner) -> float:
     """Wall time of a fresh interpreter importing blodyne.cli."""
     return runner.run([sys.executable, "-c", "import blodyne.cli"], "setup").wall_s
+
+
+def reference_time(runner: Runner) -> float:
+    """Wall time of the reference job, which measures the host, not blodyne."""
+    return runner.run([sys.executable, "-c", REFERENCE_CODE], "reference").wall_s
 
 
 # ---------------------------------------------------------------------------
@@ -182,32 +225,44 @@ def setup_time(runner: Runner) -> float:
 
 def end_to_end(runner: Runner, workload: str, seed: int, seconds: float) -> dict:
     commands = workloads.build_commands(workload, seed, runner.work_dir / workload)
-    # A setup sample before every pass spreads the samples over the run as
-    # the passes are spread, so a slow minute of the host weighs on both
-    # alike. Whole cycles only, and only while the next one is expected to
-    # end within the measuring time, so a run's length does not depend on
-    # the pass length.
-    setup, passes, cycles = [], [], []
+    # A setup sample before every pass spreads the setup samples over the
+    # run as the passes are spread. Whole cycles only, and only while the
+    # next one is expected to end within the measuring time, so a run's
+    # length does not depend on the pass length.
+    setup, passes, cycles = [], [], []   # setup: (reference, wall) pairs
     start = time.perf_counter()
     while not cycles or time.perf_counter() - start + statistics.median(cycles) <= seconds:
         cycle_start = time.perf_counter()
-        setup.append(setup_time(runner))
-        passes.append(run_pass(runner, commands, traced=False))
+        setup.append((reference_time(runner), setup_time(runner)))
+        passes.append(run_pass(runner, commands, traced=False, paired=True))
         cycles.append(time.perf_counter() - cycle_start)
     while len(setup) < SETUP_MIN_SAMPLES:
-        setup.append(setup_time(runner))
-    cmd_walls = [c["wall_s"] for p in passes for c in p["commands"]]
-    metrics = {
-        "setup_s": statistics.median(setup),
-        "wall_s": statistics.median(p["wall_s"] for p in passes),
-        "cmd_p50_s": statistics.median(cmd_walls),
-        "peak_rss_mb": max(c["rss_mb"] for p in passes for c in p["commands"]),
+        setup.append((reference_time(runner), setup_time(runner)))
+    cmds = [c for p in passes for c in p["commands"]]
+    # Each sample in reference seconds: its wall time over that of the
+    # reference job run just before it, times the reference's nominal time.
+    # A pass is measured against the references of its commands.
+    ref_s = {
+        "setup_s": [wall / ref for ref, wall in setup],
+        "wall_s": [p["wall_s"] / statistics.mean(c["reference_s"] for c in p["commands"])
+                   for p in passes],
+        "cmd_p50_s": [c["wall_s"] / c["reference_s"] for c in cmds],
     }
-    samples = {"setup_s": len(setup), "wall_s": len(passes), "cmd_p50_s": len(cmd_walls),
-               "peak_rss_mb": len(cmd_walls)}
-    raw = {"setup_s": setup, "passes": [{"wall_s": p["wall_s"], "commands": p["commands"]}
-                                        for p in passes]}
-    return {"metrics": metrics, "samples": samples, "raw": raw}
+    metrics = {name: REFERENCE_NOMINAL_S * statistics.median(v) for name, v in ref_s.items()}
+    metrics["peak_rss_mb"] = max(c["rss_mb"] for c in cmds)
+    raw = {
+        "setup_s": statistics.median(wall for _, wall in setup),
+        "wall_s": statistics.median(p["wall_s"] for p in passes),
+        "cmd_p50_s": statistics.median(c["wall_s"] for c in cmds),
+    }
+    references = [ref for ref, _ in setup] + [c["reference_s"] for c in cmds]
+    samples = {"setup_s": len(setup), "wall_s": len(passes), "cmd_p50_s": len(cmds),
+               "peak_rss_mb": len(cmds), "reference": len(references)}
+    return {"metrics": metrics, "samples": samples, "raw_medians": raw,
+            "reference_s": statistics.median(references),
+            "raw": {"setup_s": setup,
+                    "passes": [{"wall_s": p["wall_s"], "commands": p["commands"]}
+                               for p in passes]}}
 
 
 # ---------------------------------------------------------------------------
@@ -470,9 +525,14 @@ def main(argv=None) -> int:
         res = results[name]
         print(f"[{name}] seed {args.seed}")
         for metric, value in res["metrics"].items():
-            stat = "max" if metric == "peak_rss_mb" else "median"
-            print(f"  {metric:<12} {value:12.6g} {END_TO_END_UNITS[metric]:<5} "
-                  f"{stat} of {res['samples'][metric]}")
+            if metric == "peak_rss_mb":
+                how = f"max of {res['samples'][metric]}"
+            else:
+                how = (f"median of {res['samples'][metric]}, reference s "
+                       f"(raw {res['raw_medians'][metric]:.6g} s)")
+            print(f"  {metric:<12} {value:12.6g} {END_TO_END_UNITS[metric]:<5} {how}")
+        print(f"  {'reference':<12} {res['reference_s']:12.6g} s     median of "
+              f"{res['samples']['reference']}, nominal {REFERENCE_NOMINAL_S:g} s")
         print(f"  {'fail_share':<12} {res['fail_share']:12.6g} share")
     if "layers" in results:
         print(f"[layers] seed {args.seed}, overhead measured on {names[0]}")
