@@ -1,6 +1,8 @@
 """Hot tensor kernels with a numba fast path and a pure-numpy fallback.
 
-Everything the Fock oracle does at scale funnels through three primitives:
+The state norms, the test-scale moment helpers and the explicit-unitary
+self-check route of :mod:`blodyne.fock` use three primitives (the grouped
+oracle works on per-factor inner products and needs none of them):
 
 * ``pair_ladder_acc``   accumulate  coeff * (raise one mode, lower another)
 * ``vdot``              conjugated inner product of two state tensors
@@ -10,7 +12,7 @@ The numba implementations are compiled lazily on first use and use
 compensated (Kahan) summation for the reductions, so results do not depend
 on any reduction reordering. Set ``BLODYNE_DISABLE_NUMBA=1`` to force the
 numpy implementations (numpy's pairwise ``sum``/BLAS ``vdot`` are used
-there instead); ``benchmarks/bench_kernels.py`` compares the two paths.
+there instead).
 """
 
 from __future__ import annotations

@@ -25,8 +25,8 @@ import sys
 import numpy as np
 
 from . import detection, fock, timeseries
-from .config import (FORMAT_VERSION, ConfigError, ExperimentConfig,
-                     canonical_config_json, load_config)
+from .config import (FORMAT_VERSION, ORACLE_DRAW_BETA_MIN, ConfigError,
+                     ExperimentConfig, canonical_config_json, load_config)
 from .detection import ImageBandCase, LoTone
 from .gaussian import SqueezeParams
 
@@ -222,7 +222,7 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: str | None, tolerance: float) -> 
     for _ in range(int(orc["draws"])):
         case = cases[int(rng.integers(0, 3))]
         s = float(rng.uniform(0.1, 0.75))
-        beta = float(np.exp(rng.uniform(np.log(5.0), np.log(caps[case]))))
+        beta = float(np.exp(rng.uniform(np.log(ORACLE_DRAW_BETA_MIN), np.log(caps[case]))))
         p = SqueezeParams(s=s, theta=float(rng.uniform(0.0, 2.0 * math.pi)))
         checks.append((p, beta, float(rng.uniform(0.0, 2.0 * math.pi)),
                        float(rng.uniform(0.0, 2.0 * math.pi)), case))
@@ -245,7 +245,7 @@ def tmss_oracle_feasible(s: float, max_cutoff: int = 64) -> bool:
     """Whether the squeezed-pair cutoff for the default leakage stays desk-sized."""
     if s <= 0.0:
         return True
-    return fock.tmss_cutoff_for_leakage(s, 1e-8) <= max_cutoff
+    return math.tanh(s) < 1.0 and fock.tmss_cutoff_for_leakage(s, 1e-8) <= max_cutoff
 
 
 def build_parser() -> argparse.ArgumentParser:

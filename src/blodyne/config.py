@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .detection import FrequencyPlan, ImageBandCase, LoTone, classify_image_band_case
@@ -44,7 +45,11 @@ def _require_keys(obj: dict, path: str, required, optional=()):
 def _number(obj, path: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {obj!r}")
-    return float(obj)
+    value = float(obj)
+    if not math.isfinite(value):
+        # json parses NaN, Infinity and out-of-range literals such as 1e400
+        raise ConfigError(f"{path}: expected a finite number, got {obj!r}")
+    return value
 
 
 def _integer(obj, path: str) -> int:
@@ -61,6 +66,13 @@ _SPECTRUM_DEFAULTS = {
     "segment_length": 2048,
     "overlap": 0.5,
 }
+
+# verify draws |beta| log-uniformly from this floor up to the case's cap
+ORACLE_DRAW_BETA_MIN = 5.0
+
+# exp(2s) is the largest squeeze factor the closed forms take (cosh 2s and
+# sinh^2 s stay below it); it overflows a float from here on.
+_MAX_TWO_S = math.log(sys.float_info.max)
 
 _ORACLE_DEFAULTS = {
     "draws": 12,
@@ -129,6 +141,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
         )
     except ValueError as exc:
         raise ConfigError(f"squeeze: {exc}") from exc
+    if 2.0 * squeeze.s >= _MAX_TWO_S:
+        raise ConfigError(
+            f"squeeze.s: {squeeze.s!r} overflows the squeeze factor exp(2s); "
+            f"must be below {0.5 * _MAX_TWO_S:.6g}"
+        )
 
     tones_raw = raw["lo_tones"]
     if not isinstance(tones_raw, list) or len(tones_raw) != len(plan.lo_frequencies):
@@ -200,6 +217,16 @@ def parse_config(raw: dict) -> ExperimentConfig:
             oracle[key] = _integer(value, f"oracle.{key}")
         else:
             oracle[key] = _number(value, f"oracle.{key}")
+    if oracle["draws"] < 0:
+        raise ConfigError("oracle.draws: must be >= 0")
+    for key in ("beta_cap_no_image", "beta_cap_shared", "beta_cap_two"):
+        if oracle[key] <= 0.0:
+            raise ConfigError(f"oracle.{key}: must be > 0")
+        if oracle["draws"] > 0 and oracle[key] < ORACLE_DRAW_BETA_MIN:
+            raise ConfigError(
+                f"oracle.{key}: {oracle[key]!r} is below the draw floor "
+                f"{ORACLE_DRAW_BETA_MIN:g} while oracle.draws > 0"
+            )
 
     output_dir = raw.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):

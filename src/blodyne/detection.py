@@ -172,8 +172,8 @@ class VarianceReport:
     lo_flux_ratio: float
 
     def __post_init__(self):
-        if not (self.variance >= 0.0):
-            raise ValueError(f"variance must be >= 0, got {self.variance!r}")
+        if not (0.0 <= self.variance < math.inf):
+            raise ValueError(f"variance must be finite and >= 0, got {self.variance!r}")
         for base, db in ((self.baseline, self.relative_db),
                          (self.case_baseline, self.case_relative_db)):
             if not base > 0.0:

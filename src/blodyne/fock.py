@@ -16,7 +16,11 @@ Two evaluation routes exist:
   pairs, each oscillating at its beat frequency. The measured (stationary)
   variance is obtained exactly by grouping terms of equal beat frequency
   and summing the folded power of every group; cross terms between groups
-  time-average to zero. This is the route that scales to strong tones.
+  time-average to zero. The input is the product signal (x) LO and every
+  term is one signal ladder operator times one LO ladder operator, so each
+  group power is a finite sum of products of two-point moments, each taken
+  on its own factor state. The joint tensor is never built; this is the
+  route that scales to strong tones.
 
 * :func:`oracle_difference_variance_unitary` applies the splitter as an
   explicit matrix exponential per frequency and evaluates the same grouped
@@ -24,7 +28,7 @@ Two evaluation routes exist:
   the reduction above (plus unitarity and photon conservation) and is only
   meant for small truncations.
 
-States are dense complex tensors; norm deficits from truncation are
+Each state is a dense complex tensor; norm deficits from truncation are
 reported as leakage and never silently renormalized.
 """
 
@@ -34,10 +38,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.sparse import diags, kron
-from scipy.sparse.linalg import expm_multiply
-from scipy.stats import poisson
 
 from . import _kernels
 from .detection import FrequencyPlan, ImageBandCase, classify_image_band_case
@@ -90,8 +90,9 @@ class FockStateVector:
 class TruncationPolicy:
     """How to pick cutoffs: an explicit N, or a target truncation leakage.
 
-    ``max_dimension`` caps the total amplitude count of any joint state the
-    oracle is asked to build.
+    ``max_dimension`` caps the amplitude count of each padded factor state
+    (the signal, and the LO product) the oracle works on. The oracle never
+    forms the product of the two factors, so the guard does not bound it.
     """
 
     cutoff: int | None = None
@@ -124,7 +125,7 @@ class TruncationPolicy:
         total = math.prod(int(d) for d in dims)
         if total > self.max_dimension:
             raise ValueError(
-                f"joint dimension {total} exceeds the guard {self.max_dimension}; "
+                f"state dimension {total} exceeds the guard {self.max_dimension}; "
                 "reduce the tone amplitude or raise max_dimension"
             )
 
@@ -136,6 +137,9 @@ def tmss_cutoff_for_leakage(s: float, eps: float) -> int:
     if s <= 0.0:
         return 1
     t2 = math.tanh(s) ** 2
+    if t2 >= 1.0:
+        raise ValueError(f"tanh(s) rounds to 1 at s = {s:g}; no finite cutoff reaches "
+                         "a leakage below 1")
     n = math.ceil(math.log(eps) / math.log(t2)) - 1
     return max(1, n)
 
@@ -148,6 +152,8 @@ def coherent_cutoff(amplitude: float) -> int:
 
 def coherent_leakage(amplitude: float, cutoff: int) -> float:
     """Exact Poissonian tail mass above the cutoff."""
+    from scipy.stats import poisson
+
     return float(poisson.sf(cutoff, abs(amplitude) ** 2))
 
 
@@ -188,6 +194,9 @@ def build_tmss_via_expm(p: SqueezeParams, cutoff: int) -> FockStateVector:
     """
     if cutoff < 1:
         raise ValueError("build_tmss_via_expm needs cutoff >= 1")
+    from scipy.sparse import diags, kron
+    from scipy.sparse.linalg import expm_multiply
+
     d = cutoff + 1
     ladder = np.sqrt(np.arange(1, d))
     ad = diags(ladder, -1)
@@ -433,17 +442,47 @@ def _cluster(values, tol: float):
 # ---------------------------------------------------------------------------
 
 
+def _ladder_gram(state: FockStateVector) -> np.ndarray:
+    """Inner products among a factor state and its single-ladder images.
+
+    Index 0 is the state, 1 + 2m its image under a_m and 2 + 2m its image
+    under a_m^dag. Every mode is padded by one unused level first, so the
+    raised images are exact.
+    """
+    padded = pad_amplitudes(state.amplitudes)
+    images = np.empty((1 + 2 * state.n_modes, padded.size), dtype=np.complex128)
+    images[0] = padded.reshape(-1)
+    for mode in range(state.n_modes):
+        images[1 + 2 * mode] = lowered(padded, mode).reshape(-1)
+        images[2 + 2 * mode] = raised(padded, mode).reshape(-1)
+    # pairwise vdot conjugates in place; images.conj() @ images.T would copy
+    # every image once more
+    gram = np.empty((len(images), len(images)), dtype=np.complex128)
+    for p in range(len(images)):
+        for q in range(p, len(images)):
+            gram[p, q] = np.vdot(images[p], images[q])
+            gram[q, p] = np.conj(gram[p, q])
+    return gram
+
+
 def oracle_difference_variance(signal: FockStateVector, lo: FockStateVector,
                                pairing: BeatPairing, fp: FrequencyPlan, *,
                                policy: TruncationPolicy | None = None) -> float:
     """Exact stationary variance of the balanced difference photocurrent.
 
-    Builds the dense joint state signal (x) LO, reduces the balanced
-    splitter to the interference observable, groups its terms by beat
-    frequency, and returns the sum of folded group powers: the time average
-    of the instantaneous variance, which is what a spectrum analyzer
-    accumulates across the beat notes. Inputs with truncation leakage above
-    1e-6 are rejected, since the variance would no longer be trustworthy.
+    Reduces the balanced splitter to the interference observable on the
+    product state psi = signal (x) LO, groups its terms by beat frequency,
+    and returns the sum of folded group powers: the time average of the
+    instantaneous variance, which is what a spectrum analyzer accumulates
+    across the beat notes. Each group is X = sum_t c_t A_t (x) B_t with one
+    ladder operator per factor, so
+
+        <X psi|X psi> = sum_{t,u} conj(c_t) c_u <A_t s|A_u s> <B_t l|B_u l>,
+        <psi|X psi>   = sum_t c_t <s|A_t s> <l|B_t l>,
+
+    and only the two factors' ladder inner products are ever computed.
+    Inputs with truncation leakage above 1e-6 are rejected, since the
+    variance would no longer be trustworthy.
     """
     policy = policy if policy is not None else TruncationPolicy()
     n_sig, n_lo = signal.n_modes, lo.n_modes
@@ -463,18 +502,11 @@ def oracle_difference_variance(signal: FockStateVector, lo: FockStateVector,
                 "raise the cutoff"
             )
 
-    in_dims = signal.dims + lo.dims
-    padded_dims = tuple(d + 1 for d in in_dims)
-    policy.check_dimension(padded_dims)
-
-    joint = np.zeros(padded_dims, dtype=np.complex128)
-    core = joint[tuple(slice(0, d) for d in in_dims)]
-    np.multiply(
-        signal.amplitudes.reshape(signal.dims + (1,) * n_lo),
-        lo.amplitudes,
-        out=core,
-    )
-    nrm = _kernels.norm_sq(joint)
+    for state in (signal, lo):
+        policy.check_dimension(d + 1 for d in state.dims)
+    g_sig = _ladder_gram(signal)
+    g_lo = _ladder_gram(lo)
+    nrm = (g_sig[0, 0] * g_lo[0, 0]).real
 
     beats = []
     for k in range(n_sig):
@@ -485,15 +517,14 @@ def oracle_difference_variance(signal: FockStateVector, lo: FockStateVector,
     clusters = _cluster([b[2] for b in beats], tol)
 
     def _component(pos, neg):
-        # C = sum_pos i a_k^dag b_j  +  sum_neg (-i) b_j^dag a_k, applied to joint
-        comp = np.zeros_like(joint)
-        for k, j, _ in pos:
-            _kernels.pair_ladder_acc(comp, joint, axis_up=k, axis_dn=n_sig + j,
-                                     coeff=1j)
-        for k, j, _ in neg:
-            _kernels.pair_ladder_acc(comp, joint, axis_up=n_sig + j, axis_dn=k,
-                                     coeff=-1j)
-        return comp
+        # C = sum_pos i a_k^dag b_j  +  sum_neg (-i) b_j^dag a_k; returns
+        # (<psi|C psi>, <C psi|C psi>) from the factors' ladder Gram matrices
+        coeff = np.array([1j] * len(pos) + [-1j] * len(neg))
+        i_sig = [2 + 2 * k for k, _, _ in pos] + [1 + 2 * k for k, _, _ in neg]
+        i_lo = [1 + 2 * j for _, j, _ in pos] + [2 + 2 * j for _, j, _ in neg]
+        mean = coeff @ (g_sig[0, i_sig] * g_lo[0, i_lo])
+        gram = g_sig[np.ix_(i_sig, i_sig)] * g_lo[np.ix_(i_lo, i_lo)]
+        return mean, (coeff.conj() @ gram @ coeff).real
 
     handled: list[float] = []
     variance = 0.0
@@ -502,10 +533,9 @@ def oracle_difference_variance(signal: FockStateVector, lo: FockStateVector,
             # Each DC pair contributes its term and the conjugate at the same
             # (zero) beat, so the component is Hermitian.
             dc = [beats[m] for m in members]
-            x = _component(dc, dc)
-            mean = (_kernels.vdot(joint, x) / nrm).real
-            variance += _kernels.norm_sq(x) / nrm - mean * mean
-            del x
+            mean_x, power_x = _component(dc, dc)
+            mean = (mean_x / nrm).real
+            variance += power_x / nrm - mean * mean
             continue
         mu = abs(nu)
         if any(abs(h - mu) <= tol for h in handled):
@@ -513,12 +543,10 @@ def oracle_difference_variance(signal: FockStateVector, lo: FockStateVector,
         handled.append(mu)
         plus = [beats[m] for c_nu, ms in clusters if abs(c_nu - mu) <= tol for m in ms]
         minus = [beats[m] for c_nu, ms in clusters if abs(c_nu + mu) <= tol for m in ms]
-        x = _component(plus, minus)
-        y = _component(minus, plus)
-        variance += (_kernels.norm_sq(x) + _kernels.norm_sq(y)) / nrm
-        variance -= (abs(_kernels.vdot(joint, x)) ** 2
-                     + abs(_kernels.vdot(joint, y)) ** 2) / nrm**2
-        del x, y
+        mean_x, power_x = _component(plus, minus)
+        mean_y, power_y = _component(minus, plus)
+        variance += (power_x + power_y) / nrm
+        variance -= (abs(mean_x) ** 2 + abs(mean_y) ** 2) / nrm**2
     return float(variance)
 
 
@@ -533,6 +561,8 @@ def balanced_bs_unitary(dim: int) -> np.ndarray:
     Realizes the mode map d1 = (a + i b)/sqrt(2), d2 = (i a + b)/sqrt(2),
     the same convention as gaussian.BeamSplitterSpec.balanced().
     """
+    from scipy.linalg import expm
+
     ladder = np.sqrt(np.arange(1.0, dim))
     ad = np.diag(ladder, -1)
     a = np.diag(ladder, 1)

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -78,6 +81,54 @@ class TestConfigParsing:
         path.write_text(json.dumps(bad))
         with pytest.raises(ConfigError, match="detunings"):
             load_config(str(path))
+
+
+class TestConfigValues:
+    """Out-of-range values exit 2 and name their key."""
+
+    @staticmethod
+    def expect_config_error(tmp_path, capsys, key, overrides=None, text=None):
+        path = write_config(tmp_path, overrides)
+        if text is not None:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        code, _, err = run(capsys, ["verify", "--config", path])
+        assert code == 2
+        assert "config error" in err and key in err
+
+    def test_nan_theta(self, tmp_path, capsys):
+        self.expect_config_error(tmp_path, capsys, "squeeze.theta",
+                                 {"squeeze": {"s": 0.5, "theta": float("nan")}})
+
+    def test_infinite_phase(self, tmp_path, capsys):
+        self.expect_config_error(tmp_path, capsys, "lo_tones[0].phase", {
+            "lo_tones": [{"amplitude": 2.0, "phase": float("inf")},
+                         {"amplitude": 2.0, "phase": 1.0}],
+        })
+
+    def test_out_of_range_literal(self, tmp_path, capsys):
+        text = json.dumps(BASE_CONFIG).replace('"amplitude": 2.0', '"amplitude": 1e400', 1)
+        self.expect_config_error(tmp_path, capsys, "lo_tones[0].amplitude", text=text)
+
+    def test_squeeze_overflow(self, tmp_path, capsys):
+        self.expect_config_error(tmp_path, capsys, "squeeze.s",
+                                 {"squeeze": {"s": 400.0, "theta": 0.0}})
+
+    def test_negative_draws(self, tmp_path, capsys):
+        self.expect_config_error(tmp_path, capsys, "oracle.draws", {"oracle": {"draws": -3}})
+
+    @pytest.mark.parametrize("cap", [0.0, -2.0])
+    def test_non_positive_cap(self, tmp_path, capsys, cap):
+        self.expect_config_error(tmp_path, capsys, "oracle.beta_cap_shared",
+                                 {"oracle": {"draws": 0, "beta_cap_shared": cap}})
+
+    def test_cap_below_draw_floor(self, tmp_path, capsys):
+        self.expect_config_error(tmp_path, capsys, "oracle.beta_cap_two",
+                                 {"oracle": {"draws": 2, "beta_cap_two": 1.0}})
+
+    def test_cap_below_floor_without_draws(self, tmp_path):
+        path = write_config(tmp_path, {"oracle": {"draws": 0, "beta_cap_two": 4.5}})
+        assert load_config(path).oracle["beta_cap_two"] == 4.5
 
 
 class TestExitCodes:
@@ -204,6 +255,21 @@ class TestOutputs:
         assert code == 0
         assert "max_relative_error" in out
 
+    def test_overflowing_variance_is_invariant_violation(self, tmp_path, capsys):
+        # every squeeze factor is finite, but 4 |beta|^2 exp(2s) is not
+        path = write_config(tmp_path, {"squeeze": {"s": 354.0, "theta": 0.3}})
+        code, out, err = run(capsys, ["variance", "--config", path])
+        assert code == 3
+        assert "finite" in err and "inf" not in out
+
+    def test_verify_beyond_tanh_precision(self, tmp_path, capsys):
+        # tanh(s) rounds to 1: the configured point is skipped, not a crash
+        path = write_config(tmp_path, {"squeeze": {"s": 20.0, "theta": 0.0},
+                                       "oracle": {"draws": 0}})
+        code, out, _ = run(capsys, ["verify", "--config", path])
+        assert code == 0
+        assert "max_relative_error: 0" in out
+
     def test_single_tone_config(self, tmp_path, capsys):
         path = write_config(tmp_path, {
             "frequency_plan": {
@@ -217,3 +283,13 @@ class TestOutputs:
         assert code == 0
         rows = [l for l in out.splitlines() if l.startswith("standard")]
         assert len(rows) == 1
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = "import sys, blodyne.cli; print('scipy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=env, check=True)
+    assert result.stdout.strip() == "False"

@@ -13,8 +13,9 @@ from blodyne.fock import (BeatPairing, FockStateVector, TruncationPolicy,
                           mean_photon, oracle_blo_run,
                           oracle_difference_variance,
                           oracle_difference_variance_unitary,
-                          oracle_standard_run, pair_annihilation_moment,
-                          reference_plan, tmss_cutoff_for_leakage)
+                          oracle_standard_run, pad_amplitudes,
+                          pair_annihilation_moment, reference_plan,
+                          tmss_cutoff_for_leakage)
 from blodyne.gaussian import (BeamSplitterSpec, ModeLabel, SqueezeParams,
                               apply_beam_splitter, apply_displacement,
                               apply_two_mode_squeeze, vacuum_state)
@@ -238,6 +239,77 @@ class TestOracle:
             value = oracle_blo_run(p, beta, chi1, chi2, case)
             assert value == pytest.approx(analytic_blo(p, beta, chi1, chi2, case),
                                           rel=1e-2)
+
+
+def dense_joint_variance(signal, lo, pairing, fp):
+    """Reference: the grouped observable applied to the dense joint tensor."""
+    n_sig, n_lo = signal.n_modes, lo.n_modes
+    joint = pad_amplitudes(np.multiply.outer(signal.amplitudes, lo.amplitudes))
+    nrm = _kernels.norm_sq(joint)
+    beats = [(k, j, pairing.signal_freqs[k] - pairing.lo_freqs[j])
+             for k in range(n_sig) for j in range(n_lo)]
+    tol = 1e-9 * max(fp.delta, max(abs(b[2]) for b in beats))
+
+    def applied(pos, neg):
+        comp = np.zeros_like(joint)
+        for k, j, _ in pos:
+            _kernels.pair_ladder_acc(comp, joint, axis_up=k, axis_dn=n_sig + j, coeff=1j)
+        for k, j, _ in neg:
+            _kernels.pair_ladder_acc(comp, joint, axis_up=n_sig + j, axis_dn=k, coeff=-1j)
+        return comp
+
+    mus = []
+    for b in beats:
+        if all(abs(abs(b[2]) - mu) > tol for mu in mus):
+            mus.append(abs(b[2]))
+    variance = 0.0
+    for mu in mus:
+        plus = [b for b in beats if abs(b[2] - mu) <= tol]
+        minus = [b for b in beats if abs(b[2] + mu) <= tol]
+        if mu <= tol:
+            x = applied(plus, plus)
+            mean = (_kernels.vdot(joint, x) / nrm).real
+            variance += _kernels.norm_sq(x) / nrm - mean * mean
+            continue
+        for x in (applied(plus, minus), applied(minus, plus)):
+            variance += _kernels.norm_sq(x) / nrm - abs(_kernels.vdot(joint, x)) ** 2 / nrm**2
+    return variance
+
+
+class TestFactorizedOracle:
+    @pytest.mark.parametrize("case", list(ImageBandCase))
+    def test_matches_dense_joint_reference(self, case):
+        p = SqueezeParams(s=0.4, theta=1.1)
+        plan = reference_plan(case)
+        signal = build_blo_signal_state(p, case, tmss_cutoff_for_leakage(0.4, 1e-8))
+        lo = build_coherent_product([(2.5, 0.3), (2.5, 2.0)], coherent_cutoff(2.5))
+        pairing = BeatPairing.for_blo(plan, case)
+        value = oracle_difference_variance(signal, lo, pairing, plan)
+        assert value == pytest.approx(dense_joint_variance(signal, lo, pairing, plan),
+                                      rel=1e-12)
+
+    def test_standard_matches_dense_joint_reference(self):
+        p = SqueezeParams(s=0.6, theta=0.2)
+        plan = reference_plan(None)
+        signal = build_tmss(p, tmss_cutoff_for_leakage(0.6, 1e-8))
+        lo = build_coherent_product([(4.0, 0.9)], coherent_cutoff(4.0))
+        pairing = BeatPairing.for_standard(plan)
+        value = oracle_difference_variance(signal, lo, pairing, plan)
+        assert value == pytest.approx(dense_joint_variance(signal, lo, pairing, plan),
+                                      rel=1e-12)
+
+    def test_guard_bounds_each_factor(self):
+        # padded signal 10 x 10 and LO 22 x 22: each fits, their product does not
+        plan = reference_plan(ImageBandCase.NO_IMAGE_BANDS)
+        signal = build_tmss(SqueezeParams(s=0.3), 8)
+        lo = build_coherent_product([(0.5, 0.0), (0.5, 0.0)], 20)
+        pairing = BeatPairing.for_blo(plan, ImageBandCase.NO_IMAGE_BANDS)
+        value = oracle_difference_variance(signal, lo, pairing, plan,
+                                           policy=TruncationPolicy(max_dimension=484))
+        assert value > 0.0
+        with pytest.raises(ValueError, match="guard"):
+            oracle_difference_variance(signal, lo, pairing, plan,
+                                       policy=TruncationPolicy(max_dimension=483))
 
 
 class TestUnitaryRoute:
