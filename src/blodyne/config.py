@@ -163,6 +163,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
             ))
         except ValueError as exc:
             raise ConfigError(f"lo_tones[{i}]: {exc}") from exc
+        amp = tones[-1].amplitude
+        # the closed forms scale by |beta|^2 and divide by it (lo_flux_ratio);
+        # an amplitude of 0 is left to them, and they reject it as a physics error
+        if amp != 0.0 and not sys.float_info.min <= amp * amp < math.inf:
+            raise ConfigError(
+                f"lo_tones[{i}].amplitude: {amp!r} squared is not a finite normal float"
+            )
 
     case_requested = raw.get("image_band_case", "auto")
     if case_requested not in _CASE_NAMES:
@@ -195,6 +202,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
     fractions = tuple(_number(f, f"imbalance.fractions[{i}]") for i, f in enumerate(fractions))
     if any(not -1.0 < f for f in fractions):
         raise ConfigError("imbalance.fractions: each fraction must exceed -1")
+    for i, f in enumerate(fractions):
+        if f * f == math.inf:
+            raise ConfigError(f"imbalance.fractions[{i}]: {f!r} squared overflows a float")
 
     spec_raw = raw.get("spectrum", {})
     _require_keys(spec_raw, "spectrum", required=[], optional=list(_SPECTRUM_DEFAULTS))

@@ -174,6 +174,8 @@ class VarianceReport:
     def __post_init__(self):
         if not (0.0 <= self.variance < math.inf):
             raise ValueError(f"variance must be finite and >= 0, got {self.variance!r}")
+        if not math.isfinite(self.lo_flux_ratio):
+            raise ValueError(f"lo_flux_ratio must be finite, got {self.lo_flux_ratio!r}")
         for base, db in ((self.baseline, self.relative_db),
                          (self.case_baseline, self.case_relative_db)):
             if not base > 0.0:

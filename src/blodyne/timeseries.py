@@ -306,16 +306,6 @@ def spectrum_csv_lines(est: SpectrumEstimate, header_lines=()):
     return lines
 
 
-def record_csv_lines(rec: PhotocurrentRecord, header_lines=()):
-    lines = [f"# {h}" for h in header_lines]
-    lines.append(f"# sample_rate_hz: {rec.sample_rate:.17g}")
-    lines.append(f"# seed: {rec.seed}")
-    lines.append("sample_index,difference_current")
-    for k, v in enumerate(rec.samples):
-        lines.append(f"{k},{v:.17g}")
-    return lines
-
-
 def spectrum_to_json_dict(est: SpectrumEstimate) -> dict:
     """JSON layout: schema name, scalars, then parallel frequency/psd arrays."""
     return {
@@ -326,12 +316,3 @@ def spectrum_to_json_dict(est: SpectrumEstimate) -> dict:
         "psd_variance_per_hz": [float(s) for s in est.psd],
     }
 
-
-def record_to_json_dict(rec: PhotocurrentRecord) -> dict:
-    return {
-        "schema": "blodyne.photocurrent_record/1",
-        "sample_rate_hz": rec.sample_rate,
-        "seed": rec.seed,
-        "n_samples": int(rec.samples.size),
-        "samples": [float(v) for v in rec.samples],
-    }

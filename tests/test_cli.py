@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blodyne.cli import main
 from blodyne.config import ConfigError, load_config, parse_config
@@ -129,6 +134,122 @@ class TestConfigValues:
     def test_cap_below_floor_without_draws(self, tmp_path):
         path = write_config(tmp_path, {"oracle": {"draws": 0, "beta_cap_two": 4.5}})
         assert load_config(path).oracle["beta_cap_two"] == 4.5
+
+
+def tone_pair(amplitude):
+    return [{"amplitude": amplitude, "phase": 0.2}, {"amplitude": amplitude, "phase": 1.0}]
+
+
+SINGLE_TONE_PLAN = {
+    "omega_plus_hz": 300.000005e12,
+    "omega_minus_hz": 299.999995e12,
+    "lo_hz": [300.0e12],
+}
+
+
+class TestSquaredMagnitudes:
+    """Amplitudes and fractions enter the closed forms squared: a square that
+    overflows, or falls below the normal float range, exits 2 naming its key;
+    a report whose lo_flux_ratio still overflows exits 3."""
+
+    @staticmethod
+    def expect_exit(tmp_path, capsys, cmd, code, key, overrides):
+        path = write_config(tmp_path, overrides)
+        got, out, err = run(capsys, [cmd, "--config", path])
+        assert got == code
+        assert key in err and "inf" not in out
+
+    @pytest.mark.parametrize("cmd", ["variance", "scan", "cases", "imbalance", "spectrum"])
+    def test_amplitude_square_overflows(self, tmp_path, capsys, cmd):
+        self.expect_exit(tmp_path, capsys, cmd, 2, "lo_tones[0].amplitude",
+                         {"lo_tones": tone_pair(1e200)})
+
+    @pytest.mark.parametrize("cmd", ["variance", "scan", "cases", "imbalance", "spectrum"])
+    def test_amplitude_square_underflows(self, tmp_path, capsys, cmd):
+        self.expect_exit(tmp_path, capsys, cmd, 2, "lo_tones[0].amplitude",
+                         {"lo_tones": tone_pair(1e-300)})
+
+    @pytest.mark.parametrize("cmd", ["variance", "scan"])
+    def test_single_tone_subnormal_square(self, tmp_path, capsys, cmd):
+        self.expect_exit(tmp_path, capsys, cmd, 2, "lo_tones[0].amplitude",
+                         {"frequency_plan": SINGLE_TONE_PLAN,
+                          "lo_tones": [{"amplitude": 1e-160}]})
+
+    @pytest.mark.parametrize("cmd", ["variance", "scan", "cases", "imbalance"])
+    def test_flux_ratio_overflow_is_invariant_violation(self, tmp_path, capsys, cmd):
+        # |beta|^2 is a normal float, but sinh^2(2) / |beta|^2 is not finite
+        self.expect_exit(tmp_path, capsys, cmd, 3, "lo_flux_ratio",
+                         {"squeeze": {"s": 2.0, "theta": 0.3},
+                          "lo_tones": tone_pair(1.5e-154)})
+
+    def test_fraction_square_overflows(self, tmp_path, capsys):
+        self.expect_exit(tmp_path, capsys, "imbalance", 2, "imbalance.fractions[1]",
+                         {"imbalance": {"fractions": [0.1, 1e200]}})
+
+
+# Every number a config holds stays in its working range, except for one or two
+# drawn anywhere in the finite floats; the edges of the float range are drawn
+# often there, since squares and ratios of them leave the range.
+FLOAT_EDGES = [0.0, -0.0, 5e-324, sys.float_info.min, 1e-300, 1e-160, 1.5e-154,
+               1e154, 1e200, sys.float_info.max, -sys.float_info.max]
+ANY_FINITE = st.one_of(st.sampled_from(FLOAT_EDGES),
+                       st.floats(allow_nan=False, allow_infinity=False))
+CONFIG_NUMBERS = ["omega_plus", "omega_minus", "lo0", "lo1", "amplitude0", "amplitude1",
+                  "phase0", "phase1", "s", "theta", "fraction"]
+
+
+@st.composite
+def generated_configs(draw):
+    """Configs around the canonical plan: modes 10 MHz apart at 300 THz."""
+    wild = draw(st.sets(st.sampled_from(CONFIG_NUMBERS), min_size=1, max_size=2))
+
+    def number(name, lo, hi):
+        return draw(ANY_FINITE if name in wild else st.floats(lo, hi))
+
+    n_tones = draw(st.sampled_from([1, 2]))
+    plus, minus = 300.000005e12, 299.999995e12
+    if n_tones == 1:
+        lo_hz = [number("lo0", minus + 1.0e6, plus - 1.0e6)]
+    else:
+        lo_hz = [number(f"lo{k}", f - 3.0e6, f + 3.0e6) for k, f in enumerate((minus, plus))]
+    amplitudes = [number(f"amplitude{k}", 0.0, 50.0) for k in range(n_tones)]
+    if draw(st.booleans()):
+        amplitudes = [amplitudes[0]] * n_tones
+    cfg = {
+        "frequency_plan": {
+            "omega_plus_hz": number("omega_plus", plus - 0.5e6, plus + 0.5e6),
+            "omega_minus_hz": number("omega_minus", minus - 0.5e6, minus + 0.5e6),
+            "lo_hz": lo_hz,
+        },
+        "squeeze": {"s": number("s", 0.0, 5.0), "theta": number("theta", -10.0, 10.0)},
+        "lo_tones": [{"amplitude": a, "phase": number(f"phase{k}", -10.0, 10.0)}
+                     for k, a in enumerate(amplitudes)],
+        "scan": {"n_points": 5},
+        "imbalance": {"fractions": [number("fraction", -0.99, 1.0),
+                                    draw(st.floats(-0.99, 1.0))]},
+    }
+    if n_tones == 2:
+        cfg["image_band_case"] = draw(st.sampled_from(["auto", "none", "shared", "two"]))
+    return cfg
+
+
+NON_FINITE = re.compile(r"(?<![a-z])(inf|nan)(?![a-z])")
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=generated_configs())
+def test_generated_configs_keep_the_exit_code_contract(tmp_path_factory, raw):
+    path = tmp_path_factory.getbasetemp() / "generated.json"
+    path.write_text(json.dumps(raw))
+    for cmd in ("variance", "scan", "cases", "imbalance"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([cmd, "--config", str(path)])
+        assert code in (0, 2, 3, 4), cmd
+        if code == 0:
+            assert not NON_FINITE.search(out.getvalue().lower()), cmd
+        elif code == 2:
+            assert err.getvalue().startswith("config error"), cmd
 
 
 class TestExitCodes:

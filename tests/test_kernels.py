@@ -47,38 +47,9 @@ def test_same_axis_rejected():
         _kernels.pair_ladder_acc(np.zeros_like(amp), amp, 1, 1, 1.0)
 
 
-def test_numba_and_numpy_paths_agree(monkeypatch):
-    amp = random_state((6, 7, 4, 8), seed=9)
-    coeff = 1.0 + 0.5j
-
-    def run():
-        out = np.zeros_like(amp)
-        _kernels.pair_ladder_acc(out, amp, 1, 3, coeff)
-        _kernels.pair_ladder_acc(out, amp, 2, 0, -coeff)
-        return out, _kernels.norm_sq(out), _kernels.vdot(amp, out)
-
-    if not _kernels.numba_enabled():
-        pytest.skip("numba unavailable; single path only")
-    monkeypatch.delenv(_kernels._ENV_FLAG, raising=False)
-    out_nb, nsq_nb, vd_nb = run()
-    monkeypatch.setenv(_kernels._ENV_FLAG, "1")
-    assert not _kernels.numba_enabled()
-    out_np, nsq_np, vd_np = run()
-    assert np.max(np.abs(out_nb - out_np)) < 1e-14
-    assert nsq_nb == pytest.approx(nsq_np, rel=1e-13)
-    assert abs(vd_nb - vd_np) <= 1e-13 * (1.0 + abs(vd_np))
-
-
 def test_reductions_against_numpy():
     x = random_state((50, 50), seed=2)
     y = random_state((50, 50), seed=3)
     assert _kernels.norm_sq(x) == pytest.approx(float(np.vdot(x, x).real), rel=1e-13)
     assert _kernels.vdot(x, y) == pytest.approx(complex(np.vdot(x, y)), rel=1e-13)
 
-
-def test_env_flag_disables_numba(monkeypatch):
-    monkeypatch.setenv(_kernels._ENV_FLAG, "true")
-    assert not _kernels.numba_enabled()
-    monkeypatch.setenv(_kernels._ENV_FLAG, "0")
-    if _kernels._NUMBA_IMPORTED:
-        assert _kernels.numba_enabled()

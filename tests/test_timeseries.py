@@ -8,8 +8,7 @@ from blodyne.detection import FrequencyPlan, ImageBandCase, LoTone
 from blodyne.gaussian import SqueezeParams
 from blodyne.timeseries import (PhotocurrentRecord, SpectralModel,
                                 SpectrumEstimate, estimate_psd,
-                                locate_squeezing_feature, record_csv_lines,
-                                record_to_json_dict, spectrum_csv_lines,
+                                locate_squeezing_feature, spectrum_csv_lines,
                                 spectrum_to_json_dict,
                                 synthesize_difference_current)
 
@@ -192,21 +191,12 @@ class TestEmission:
         header_idx = lines.index("frequency_hz,psd_variance_per_hz")
         assert len(lines) - header_idx - 1 == est.psd.size
 
-    def test_record_csv(self):
-        rec = synthesize_difference_current(flat_model(), 0.0005, FS_BLO, seed=1)
-        lines = record_csv_lines(rec)
-        assert "sample_index,difference_current" in lines
-        assert any(line.startswith("# sample_rate_hz:") for line in lines)
-
     def test_json_schemas_round_trip(self):
         rec = synthesize_difference_current(flat_model(), 0.0005, FS_BLO, seed=1)
         est = estimate_psd(rec, 256, 0.5)
         spec_doc = json.loads(json.dumps(spectrum_to_json_dict(est)))
         assert spec_doc["schema"] == "blodyne.spectrum_estimate/1"
         assert len(spec_doc["frequencies_hz"]) == len(spec_doc["psd_variance_per_hz"])
-        rec_doc = json.loads(json.dumps(record_to_json_dict(rec)))
-        assert rec_doc["schema"] == "blodyne.photocurrent_record/1"
-        assert rec_doc["n_samples"] == rec.samples.size
 
     def test_estimate_arrays_immutable(self):
         est = SpectrumEstimate(frequencies=np.arange(4.0), psd=np.ones(4),
