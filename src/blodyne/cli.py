@@ -74,6 +74,20 @@ def _report_lines(tag: str, rep: detection.VarianceReport):
     ]
 
 
+def _require_opposite_detunings(cfg: ExperimentConfig):
+    """The two-tone closed forms hold only for delta1 = -delta2; otherwise the
+    variance oscillates at (delta1 + delta2)/2pi."""
+    plan = cfg.plan
+    beat = plan.delta1 + plan.delta2
+    tol = detection.detuning_tolerance(plan)
+    if abs(beat) > tol:
+        raise ValueError(
+            f"frequency_plan.lo_hz: the two-tone formulas need delta1 = -delta2, but "
+            f"delta1 + delta2 = {beat:.6g} rad/s (tolerance {tol:.3g} rad/s), so the "
+            f"variance oscillates at {abs(beat) / (2.0 * math.pi):.6g} Hz"
+        )
+
+
 def cmd_variance(cfg: ExperimentConfig, out_dir: str | None) -> int:
     lines = ["scheme,case,variance,baseline,db_vs_baseline,case_baseline,"
              "db_vs_case_baseline,lo_flux_ratio"]
@@ -276,6 +290,8 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     out_dir = args.output_dir if args.output_dir is not None else cfg.resolved.get("output_dir")
     try:
+        if cfg.two_tone and args.command != "verify":
+            _require_opposite_detunings(cfg)
         if args.command == "variance":
             return cmd_variance(cfg, out_dir)
         if args.command == "scan":

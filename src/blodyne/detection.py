@@ -216,6 +216,15 @@ def standard_heterodyne_variance(p: SqueezeParams, lo: LoTone) -> VarianceReport
     return _make_report(variance, baseline, None, baseline, ratio)
 
 
+def detuning_tolerance(fp: FrequencyPlan) -> float:
+    """Absolute tolerance (rad/s) for comparing a plan's detunings.
+
+    1e-9 * delta, with a floor of a few carrier ulps: at optical carriers,
+    double precision cannot resolve detunings below roughly eps * omega_plus.
+    """
+    return max(1e-9 * fp.delta, 32.0 * np.finfo(float).eps * fp.omega_plus)
+
+
 def classify_image_band_case(fp: FrequencyPlan, tol: float | None = None) -> ImageBandCase:
     """Classify a two-tone plan by where its image bands fall.
 
@@ -223,13 +232,11 @@ def classify_image_band_case(fp: FrequencyPlan, tol: float | None = None) -> Ima
     when delta1 = -delta2 = delta/4 (both images coincide at the center
     frequency); two distinct image bands otherwise. ``tol`` is absolute in
     rad/s since exact equality of user-supplied frequencies is meaningless;
-    it defaults to 1e-9 * delta with a floor of a few carrier ulps (at
-    optical carriers, double precision cannot resolve detunings below
-    roughly eps * omega_plus, so a tolerance under that floor would
-    misclassify configurations that differ only by rounding).
+    it defaults to :func:`detuning_tolerance` (a tolerance under its floor
+    would misclassify configurations that differ only by rounding).
     """
     if tol is None:
-        tol = max(1e-9 * fp.delta, 32.0 * np.finfo(float).eps * fp.omega_plus)
+        tol = detuning_tolerance(fp)
     if tol <= 0.0:
         raise ValueError("classification tolerance must be positive")
     d1, d2, quarter = fp.delta1, fp.delta2, 0.25 * fp.delta

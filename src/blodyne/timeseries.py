@@ -141,6 +141,9 @@ class SpectrumEstimate:
 
 _MAX_SAMPLES = 1 << 26
 
+# Welch windows this many samples at once, whatever the record length
+_WELCH_BLOCK_SAMPLES = 1 << 18
+
 
 def synthesize_difference_current(model: SpectralModel, duration: float,
                                   sample_rate: float, seed: int) -> PhotocurrentRecord:
@@ -163,19 +166,29 @@ def synthesize_difference_current(model: SpectralModel, duration: float,
     n = 1 << max(1, math.ceil(math.log2(duration * sample_rate)))
     if n > _MAX_SAMPLES:
         raise ValueError(f"record of {n} samples exceeds the memory guard {_MAX_SAMPLES}")
-    freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate)
-    target = model.psd(freqs)
-    rng = np.random.default_rng(seed)
-    re = rng.standard_normal(freqs.size)
-    im = rng.standard_normal(freqs.size)
+    scale = model.psd(np.fft.rfftfreq(n, d=1.0 / sample_rate))
     # Interior bins carry complex amplitude with E|Z|^2 = n * fs * S / 2
     # (per-component std sqrt(n fs S / 4)); the real DC and Nyquist bins
     # carry E Z^2 = n * fs * S. This makes the record variance equal the
-    # integral of the one-sided target.
-    scale = np.sqrt(n * sample_rate * target / 4.0)
-    z = (re + 1j * im) * scale
-    z[0] = re[0] * math.sqrt(n * sample_rate * target[0])
-    z[-1] = re[-1] * math.sqrt(n * sample_rate * target[-1])
+    # integral of the one-sided target. The target becomes the scale in
+    # place, and both draws share one buffer, so the irfft's own output and
+    # scratch are all that join z at the peak.
+    scale *= n * sample_rate
+    dc_power, nyquist_power = scale[0], scale[-1]
+    scale /= 4.0
+    np.sqrt(scale, out=scale)
+    rng = np.random.default_rng(seed)
+    draw = np.empty(scale.size)
+    z = np.empty(scale.size, dtype=complex)
+    rng.standard_normal(out=draw)
+    dc = draw[0] * math.sqrt(dc_power)
+    nyquist = draw[-1] * math.sqrt(nyquist_power)
+    np.multiply(draw, scale, out=z.real)
+    rng.standard_normal(out=draw)
+    np.multiply(draw, scale, out=z.imag)
+    del draw, scale
+    z[0] = dc
+    z[-1] = nyquist
     samples = np.fft.irfft(z, n=n)
     return PhotocurrentRecord(samples=samples, sample_rate=sample_rate, seed=seed,
                               model=model)
@@ -187,6 +200,13 @@ def estimate_psd(rec: PhotocurrentRecord, segment_length: int,
 
     The window power is compensated so densities are unbiased; integrating
     the estimate across a pure tone's peak returns the tone power A^2/2.
+
+    Segments are strided views of the record, transformed a block at a time
+    (``_WELCH_BLOCK_SAMPLES`` samples per block, at least one segment), so
+    the working set stays fixed as the record grows. The periodograms are
+    summed strictly in segment order, each added to the running sum in turn
+    (never pairwise), which makes the estimate bit-identical to a
+    segment-by-segment loop.
     """
     n = rec.samples.size
     if segment_length < 4 or (segment_length & (segment_length - 1)) != 0:
@@ -198,13 +218,20 @@ def estimate_psd(rec: PhotocurrentRecord, segment_length: int,
     step = max(1, int(round(segment_length * (1.0 - overlap_fraction))))
     window = 0.5 - 0.5 * np.cos(2.0 * math.pi * np.arange(segment_length) / segment_length)
     win_power = float(np.sum(window**2))
-    starts = range(0, n - segment_length + 1, step)
+    segments = np.lib.stride_tricks.sliding_window_view(rec.samples, segment_length)[::step]
+    count = segments.shape[0]
+    rows = max(1, _WELCH_BLOCK_SAMPLES // segment_length)
     acc = np.zeros(segment_length // 2 + 1)
-    count = 0
-    for start in starts:
-        seg = rec.samples[start : start + segment_length] * window
-        acc += np.abs(np.fft.rfft(seg)) ** 2
-        count += 1
+    # row 0 carries the running sum, so each reduce over axis 0 adds the
+    # block's periodograms to it one after another, in segment order
+    power = np.empty((min(rows, count) + 1, acc.size))
+    for first in range(0, count, rows):
+        block = segments[first : first + rows]
+        k = block.shape[0]
+        np.abs(np.fft.rfft(block * window), out=power[1 : k + 1])
+        power[1 : k + 1] **= 2
+        power[0] = acc
+        np.add.reduce(power[: k + 1], axis=0, out=acc)
     acc /= count
     psd = 2.0 * acc / (rec.sample_rate * win_power)
     psd[0] /= 2.0

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -208,17 +209,23 @@ def generated_configs(draw):
 
     n_tones = draw(st.sampled_from([1, 2]))
     plus, minus = 300.000005e12, 299.999995e12
+    omega_plus = number("omega_plus", plus - 0.5e6, plus + 0.5e6)
+    omega_minus = number("omega_minus", minus - 0.5e6, minus + 0.5e6)
     if n_tones == 1:
         lo_hz = [number("lo0", minus + 1.0e6, plus - 1.0e6)]
     else:
         lo_hz = [number(f"lo{k}", f - 3.0e6, f + 3.0e6) for k, f in enumerate((minus, plus))]
+        # opposite detunings half the time, since only those reach the
+        # two-tone formulas (any other plan exits 3)
+        if "lo1" not in wild and draw(st.booleans()):
+            lo_hz[1] = omega_plus + omega_minus - lo_hz[0]
     amplitudes = [number(f"amplitude{k}", 0.0, 50.0) for k in range(n_tones)]
     if draw(st.booleans()):
         amplitudes = [amplitudes[0]] * n_tones
     cfg = {
         "frequency_plan": {
-            "omega_plus_hz": number("omega_plus", plus - 0.5e6, plus + 0.5e6),
-            "omega_minus_hz": number("omega_minus", minus - 0.5e6, minus + 0.5e6),
+            "omega_plus_hz": omega_plus,
+            "omega_minus_hz": omega_minus,
             "lo_hz": lo_hz,
         },
         "squeeze": {"s": number("s", 0.0, 5.0), "theta": number("theta", -10.0, 10.0)},
@@ -404,6 +411,59 @@ class TestOutputs:
         assert code == 0
         rows = [l for l in out.splitlines() if l.startswith("standard")]
         assert len(rows) == 1
+
+
+# 100 kHz detunings, opposite: the beat feature sits inside the default band
+PLAN_100KHZ = {
+    "omega_plus_hz": 300.000005e12,
+    "omega_minus_hz": 299.999995e12,
+    "lo_hz": [299.9999951e12, 300.0000049e12],
+}
+
+# SHA-256 of the spectrum outputs for GOLDEN_SPECTRUM: a change to any byte
+# of them, from record synthesis through Welch estimation to emission, fails
+# here.
+GOLDEN_SPECTRUM = {
+    "frequency_plan": PLAN_100KHZ,
+    "squeeze": {"s": 0.8, "theta": 0.3},
+    "lo_tones": [{"amplitude": 6.0, "phase": 1.9}, {"amplitude": 6.0, "phase": 1.6}],
+    "seed": 29,
+    "spectrum": {"duration_s": 0.03125, "segment_length": 1024, "overlap": 0.5},
+}
+GOLDEN_SPECTRUM_SHA256 = {
+    "stdout": "8e92ae62e2df55c7d20877a48496261941667fddfedbfb45d37ece41f2e5461a",
+    "spectrum.csv": "b261de483e9e40c4782d17e86a6fc69b646bd3e8f3b67f810d6f979dec793fe5",
+    "spectrum.json": "e2fbc725933fa750dc24358d8ad6319684548e544605980c0640534b01588d3c",
+    # the summary file holds exactly what stdout printed
+    "spectrum_summary.txt": "8e92ae62e2df55c7d20877a48496261941667fddfedbfb45d37ece41f2e5461a",
+}
+
+
+def test_spectrum_output_bytes_are_pinned(tmp_path, capsys):
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps(GOLDEN_SPECTRUM))
+    out_dir = tmp_path / "out"
+    code, out, _ = run(capsys, ["spectrum", "--config", str(path), "--output-dir", str(out_dir)])
+    assert code == 0
+    digests = {"stdout": hashlib.sha256(out.encode("utf-8")).hexdigest()}
+    for name in ("spectrum.csv", "spectrum.json", "spectrum_summary.txt"):
+        digests[name] = hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+    assert digests == GOLDEN_SPECTRUM_SHA256
+
+
+class TestAsymmetricDetunings:
+    """The two-tone closed forms assume delta1 = -delta2; any other plan makes
+    the variance oscillate at (delta1 + delta2)/2pi, so it exits 3."""
+
+    @pytest.mark.parametrize("cmd", ["variance", "scan", "cases", "imbalance", "spectrum"])
+    def test_exits_3_naming_the_plan(self, tmp_path, capsys, cmd):
+        # delta1 = +100 kHz, delta2 = -90 kHz: delta1 + delta2 = 2pi * 10 kHz
+        plan = dict(PLAN_100KHZ, lo_hz=[299.9999951e12, 300.00000491e12])
+        path = write_config(tmp_path, {"frequency_plan": plan})
+        code, out, err = run(capsys, [cmd, "--config", path])
+        assert code == 3
+        assert out == ""
+        assert "frequency_plan.lo_hz" in err and "delta1 + delta2 = 62831" in err
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -50,6 +50,8 @@ def test_same_axis_rejected():
 def test_reductions_against_numpy():
     x = random_state((50, 50), seed=2)
     y = random_state((50, 50), seed=3)
-    assert _kernels.norm_sq(x) == pytest.approx(float(np.vdot(x, x).real), rel=1e-13)
-    assert _kernels.vdot(x, y) == pytest.approx(complex(np.vdot(x, y)), rel=1e-13)
+    assert _kernels.norm_sq(x) == pytest.approx(float(np.sum(np.conj(x) * x).real), rel=1e-13)
+    assert _kernels.vdot(x, y) == pytest.approx(complex(np.sum(np.conj(x) * y)), rel=1e-13)
+    # the first argument is the one conjugated
+    assert _kernels.vdot(y, x) == pytest.approx(complex(np.sum(np.conj(y) * x)), rel=1e-13)
 

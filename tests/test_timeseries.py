@@ -1,13 +1,14 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from blodyne.detection import FrequencyPlan, ImageBandCase, LoTone
 from blodyne.gaussian import SqueezeParams
-from blodyne.timeseries import (PhotocurrentRecord, SpectralModel,
-                                SpectrumEstimate, estimate_psd,
+from blodyne.timeseries import (_WELCH_BLOCK_SAMPLES, PhotocurrentRecord,
+                                SpectralModel, SpectrumEstimate, estimate_psd,
                                 locate_squeezing_feature, spectrum_csv_lines,
                                 spectrum_to_json_dict,
                                 synthesize_difference_current)
@@ -203,3 +204,118 @@ class TestEmission:
                                resolution=1.0, n_averages=1)
         with pytest.raises(ValueError):
             est.psd[0] = 2.0
+
+
+# References: the straightforward forms of synthesis and Welch estimation,
+# which the allocation-lean versions must reproduce bit for bit.
+
+
+def reference_samples(model, n, sample_rate, seed):
+    """Synthesis with whole-array temporaries for the draws, scale and bins."""
+    freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate)
+    target = model.psd(freqs)
+    rng = np.random.default_rng(seed)
+    re = rng.standard_normal(freqs.size)
+    im = rng.standard_normal(freqs.size)
+    scale = np.sqrt(n * sample_rate * target / 4.0)
+    z = (re + 1j * im) * scale
+    z[0] = re[0] * math.sqrt(n * sample_rate * target[0])
+    z[-1] = re[-1] * math.sqrt(n * sample_rate * target[-1])
+    return np.fft.irfft(z, n=n)
+
+
+def reference_welch_psd(samples, sample_rate, segment_length, overlap_fraction):
+    """Welch estimate with one periodogram per loop iteration."""
+    n = samples.size
+    step = max(1, int(round(segment_length * (1.0 - overlap_fraction))))
+    window = 0.5 - 0.5 * np.cos(2.0 * math.pi * np.arange(segment_length) / segment_length)
+    win_power = float(np.sum(window**2))
+    acc = np.zeros(segment_length // 2 + 1)
+    count = 0
+    for start in range(0, n - segment_length + 1, step):
+        seg = samples[start : start + segment_length] * window
+        acc += np.abs(np.fft.rfft(seg)) ** 2
+        count += 1
+    acc /= count
+    psd = 2.0 * acc / (sample_rate * win_power)
+    psd[0] /= 2.0
+    psd[-1] /= 2.0
+    return psd, count
+
+
+def dip_model(profile):
+    return SpectralModel(center_frequency=1e5, squeezing_bandwidth=5e4, noise_floor=8.0,
+                         dip_or_peak_level=3.0, profile=profile)
+
+
+class TestBitIdentity:
+    @pytest.mark.parametrize("profile", ["lorentzian", "flat_top"])
+    @pytest.mark.parametrize("n", [2, 4, 1 << 16])
+    def test_synthesis_matches_reference(self, profile, n):
+        model = dip_model(profile)
+        rec = synthesize_difference_current(model, n / FS_BLO, FS_BLO, seed=17)
+        assert rec.samples.size == n
+        assert np.array_equal(rec.samples, reference_samples(model, n, FS_BLO, 17))
+
+    @pytest.mark.parametrize("segment_length,overlap", [
+        (1024, 0.0),
+        (2048, 0.5),   # 255 segments: the last block is partial
+        (256, 0.9),    # 10 073 segments over ten blocks, the last partial
+        (4, 0.5),      # three bins a periodogram
+    ])
+    def test_welch_matches_reference(self, segment_length, overlap):
+        rec = synthesize_difference_current(dip_model("lorentzian"), (1 << 18) / FS_BLO,
+                                            FS_BLO, seed=5)
+        est = estimate_psd(rec, segment_length, overlap)
+        psd, count = reference_welch_psd(rec.samples, FS_BLO, segment_length, overlap)
+        assert est.n_averages == count
+        assert np.array_equal(est.psd, psd)
+
+    def test_welch_segment_count_not_a_block_multiple(self):
+        segment_length = 2048
+        rows = _WELCH_BLOCK_SAMPLES // segment_length
+        rec = synthesize_difference_current(dip_model("flat_top"), (1 << 18) / FS_BLO,
+                                            FS_BLO, seed=6)
+        est = estimate_psd(rec, segment_length, 0.5)
+        assert est.n_averages > rows and est.n_averages % rows != 0
+        psd, _ = reference_welch_psd(rec.samples, FS_BLO, segment_length, 0.5)
+        assert np.array_equal(est.psd, psd)
+
+    def test_welch_single_segment(self):
+        rec = synthesize_difference_current(dip_model("lorentzian"), 4096 / FS_BLO,
+                                            FS_BLO, seed=8)
+        est = estimate_psd(rec, 4096, 0.9)
+        psd, count = reference_welch_psd(rec.samples, FS_BLO, 4096, 0.9)
+        assert est.n_averages == count == 1
+        assert np.array_equal(est.psd, psd)
+
+
+def traced_peak(fn, *args):
+    """Peak bytes traced by tracemalloc while fn runs, and fn's result."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    N = 1 << 20
+
+    def test_synthesis_peak_near_two_records(self):
+        # z and the irfft output are one record each; the scale and the draw
+        # buffer are half a record each and are gone before the irfft
+        peak, rec = traced_peak(synthesize_difference_current, dip_model("lorentzian"),
+                                self.N / FS_BLO, FS_BLO, 3)
+        assert rec.samples.size == self.N
+        assert peak <= 2.5 * rec.samples.nbytes
+
+    @pytest.mark.parametrize("segment_length,overlap", [(2048, 0.5), (256, 0.9)])
+    def test_welch_peak_is_fixed(self, segment_length, overlap):
+        rec = synthesize_difference_current(dip_model("lorentzian"), self.N / FS_BLO,
+                                            FS_BLO, seed=3)
+        peak, _ = traced_peak(estimate_psd, rec, segment_length, overlap)
+        # a few block-sized arrays, whatever the record length; windowing
+        # every segment of this record at once would take 17 to 83 MB
+        assert peak < 8 << 20
