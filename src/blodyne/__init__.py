@@ -17,7 +17,7 @@ from .fock import (BeatPairing, FockStateVector, TruncationPolicy,
 from .gaussian import (BeamSplitterSpec, GaussianState, ModeLabel,
                        SqueezeParams, apply_beam_splitter, apply_displacement,
                        apply_two_mode_squeeze, mean_photon, quadrature_variance,
-                       tmss_moments, vacuum_state)
+                       vacuum_state)
 from .timeseries import (PhotocurrentRecord, SpectralModel, SpectrumEstimate,
                          estimate_psd, locate_squeezing_feature,
                          synthesize_difference_current)
@@ -35,5 +35,5 @@ __all__ = [
     "estimate_psd", "lo_quantization_correction", "locate_squeezing_feature",
     "mean_photon", "oracle_difference_variance", "phase_scan",
     "quadrature_variance", "standard_heterodyne_variance",
-    "synthesize_difference_current", "tmss_moments", "vacuum_state",
+    "synthesize_difference_current", "vacuum_state",
 ]

@@ -1,9 +1,9 @@
 """The three tensor primitives behind the Fock state norms and self-checks.
 
-The state norms, the test-scale moment helpers and the explicit-unitary
-self-check route of :mod:`blodyne.fock` use them (the grouped oracle works
-on per-factor inner products and needs none of them), and the benchmark
-probes them by these names, so they live in one small module:
+The state norms and the explicit-unitary self-check route of
+:mod:`blodyne.fock` use them (the grouped oracle and the moment helpers
+work on per-factor ladder Gram matrices and need none of them), and the
+benchmark probes them by these names, so they live in one small module:
 
 * ``pair_ladder_acc``   accumulate  coeff * (raise one mode, lower another)
 * ``vdot``              conjugated inner product of two state tensors

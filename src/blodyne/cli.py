@@ -255,11 +255,19 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: str | None, tolerance: float) -> 
     return EXIT_OK
 
 
-def tmss_oracle_feasible(s: float, max_cutoff: int = 64) -> bool:
-    """Whether the squeezed-pair cutoff for the default leakage stays desk-sized."""
+def tmss_oracle_feasible(s: float) -> bool:
+    """Whether the squeezed-pair cutoff at the default leakage stays desk-sized (<= 64)."""
     if s <= 0.0:
         return True
-    return math.tanh(s) < 1.0 and fock.tmss_cutoff_for_leakage(s, 1e-8) <= max_cutoff
+    return math.tanh(s) < 1.0 and fock.tmss_cutoff_for_leakage(s, 1e-8) <= 64
+
+
+def positive_float(text: str) -> float:
+    """argparse type: a finite number > 0 (nan or inf would pass any error)."""
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -276,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--output-dir", default=None,
                         help="directory for output artifacts (default: config output_dir, "
                              "else stdout only)")
-    parser.add_argument("--tolerance", type=float, default=0.01,
+    parser.add_argument("--tolerance", type=positive_float, default=0.01,
                         help="verify: maximum allowed oracle-to-analytic relative error")
     return parser
 

@@ -92,7 +92,6 @@ class ExperimentConfig:
     squeeze: SqueezeParams
     tones: tuple[LoTone, ...]
     case: ImageBandCase | None      # None means single-tone only
-    case_requested: str
     seed: int
     scan_points: int
     imbalance_fractions: tuple[float, ...]
@@ -218,6 +217,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
             spectrum[key] = _integer(value, f"spectrum.{key}")
         else:
             spectrum[key] = _number(value, f"spectrum.{key}")
+    seg = spectrum["segment_length"]
+    if seg < 4 or seg & (seg - 1):
+        raise ConfigError(f"spectrum.segment_length: {seg!r} is not a power of two >= 4")
+    if not 0.0 <= spectrum["overlap"] <= 0.9:
+        raise ConfigError(f"spectrum.overlap: {spectrum['overlap']!r} is outside [0, 0.9]")
+    for key in ("squeezing_bandwidth_hz", "sample_rate_hz", "duration_s"):
+        if spectrum[key] <= 0.0:
+            raise ConfigError(f"spectrum.{key}: must be > 0")
 
     oracle_raw = raw.get("oracle", {})
     _require_keys(oracle_raw, "oracle", required=[], optional=list(_ORACLE_DEFAULTS))
@@ -229,6 +236,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
             oracle[key] = _number(value, f"oracle.{key}")
     if oracle["draws"] < 0:
         raise ConfigError("oracle.draws: must be >= 0")
+    if oracle["max_dimension"] < 1:
+        raise ConfigError("oracle.max_dimension: must be >= 1")
+    if not 0.0 < oracle["target_leakage"] < 1.0:
+        raise ConfigError(
+            f"oracle.target_leakage: {oracle['target_leakage']!r} is outside (0, 1)"
+        )
     for key in ("beta_cap_no_image", "beta_cap_shared", "beta_cap_two"):
         if oracle[key] <= 0.0:
             raise ConfigError(f"oracle.{key}: must be > 0")
@@ -266,7 +279,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
         squeeze=squeeze,
         tones=tuple(tones),
         case=case,
-        case_requested=case_requested,
         seed=seed,
         scan_points=scan_points,
         imbalance_fractions=fractions,

@@ -225,20 +225,16 @@ def detuning_tolerance(fp: FrequencyPlan) -> float:
     return max(1e-9 * fp.delta, 32.0 * np.finfo(float).eps * fp.omega_plus)
 
 
-def classify_image_band_case(fp: FrequencyPlan, tol: float | None = None) -> ImageBandCase:
+def classify_image_band_case(fp: FrequencyPlan) -> ImageBandCase:
     """Classify a two-tone plan by where its image bands fall.
 
     No image bands when both detunings vanish; a single shared image band
     when delta1 = -delta2 = delta/4 (both images coincide at the center
-    frequency); two distinct image bands otherwise. ``tol`` is absolute in
-    rad/s since exact equality of user-supplied frequencies is meaningless;
-    it defaults to :func:`detuning_tolerance` (a tolerance under its floor
-    would misclassify configurations that differ only by rounding).
+    frequency); two distinct image bands otherwise. Detunings are compared
+    within :func:`detuning_tolerance`, since exact equality of user-supplied
+    frequencies is meaningless.
     """
-    if tol is None:
-        tol = detuning_tolerance(fp)
-    if tol <= 0.0:
-        raise ValueError("classification tolerance must be positive")
+    tol = detuning_tolerance(fp)
     d1, d2, quarter = fp.delta1, fp.delta2, 0.25 * fp.delta
     if abs(d1) <= tol and abs(d2) <= tol:
         return ImageBandCase.NO_IMAGE_BANDS
@@ -248,7 +244,7 @@ def classify_image_band_case(fp: FrequencyPlan, tol: float | None = None) -> Ima
 
 
 def blo_variance_general(p: SqueezeParams, lo1: LoTone, lo2: LoTone,
-                         fp: FrequencyPlan, t: float, tol: float | None = None) -> float:
+                         fp: FrequencyPlan, t: float) -> float:
     """Two-tone variance at time t, before imposing time independence.
 
     Keeps the interference terms oscillating at delta1 + delta2; terms at the
@@ -262,7 +258,7 @@ def blo_variance_general(p: SqueezeParams, lo1: LoTone, lo2: LoTone,
     """
     if lo1.amplitude <= 0.0 or lo2.amplitude <= 0.0:
         raise ValueError("both LO tone amplitudes must be > 0")
-    units = IMAGE_VACUUM_UNITS[classify_image_band_case(fp, tol)]
+    units = IMAGE_VACUUM_UNITS[classify_image_band_case(fp)]
     b1, b2 = lo1.amplitude, lo2.amplitude
     sc = math.sinh(p.s) * math.cosh(p.s)
     flux = (b1**2 + b2**2) * (4.0 * math.sinh(p.s) ** 2 + 2.0 + units)

@@ -88,38 +88,22 @@ class FockStateVector:
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """How to pick cutoffs: an explicit N, or a target truncation leakage.
+    """How to pick cutoffs: a target truncation leakage for the squeezed
+    pair, the coherent-state rule for the LO tones.
 
     ``max_dimension`` caps the amplitude count of each padded factor state
     (the signal, and the LO product) the oracle works on. The oracle never
     forms the product of the two factors, so the guard does not bound it.
     """
 
-    cutoff: int | None = None
     target_leakage: float = 1e-8
     max_dimension: int = 100_000_000
 
     def tmss_cutoff(self, s: float) -> int:
-        required = tmss_cutoff_for_leakage(s, self.target_leakage)
-        if self.cutoff is not None:
-            if self.cutoff < required:
-                raise ValueError(
-                    f"cutoff {self.cutoff} cannot reach leakage {self.target_leakage:g} "
-                    f"at s = {s:g}; need at least {required}"
-                )
-            return self.cutoff
-        return required
+        return tmss_cutoff_for_leakage(s, self.target_leakage)
 
     def coherent_cutoff(self, amplitude: float) -> int:
-        required = coherent_cutoff(amplitude)
-        if self.cutoff is not None:
-            if self.cutoff < required:
-                raise ValueError(
-                    f"cutoff {self.cutoff} is below the coherent-state rule {required} "
-                    f"for |beta| = {amplitude:g}"
-                )
-            return self.cutoff
-        return required
+        return coherent_cutoff(amplitude)
 
     def check_dimension(self, dims) -> None:
         total = math.prod(int(d) for d in dims)
@@ -245,36 +229,24 @@ def build_coherent_product(tones, cutoff) -> FockStateVector:
     return FockStateVector(amp)
 
 
-def vacuum_fock(n_modes: int) -> FockStateVector:
-    """n_modes-fold vacuum at cutoff 0 (a single retained level per mode)."""
-    amp = np.zeros((1,) * n_modes, dtype=np.complex128)
-    amp[(0,) * n_modes] = 1.0
-    return FockStateVector(amp)
-
-
-def tensor(a: FockStateVector, b: FockStateVector) -> FockStateVector:
-    return FockStateVector(np.multiply.outer(a.amplitudes, b.amplitudes))
-
-
 def build_blo_signal_state(p: SqueezeParams, case: ImageBandCase,
                            cutoff: int) -> FockStateVector:
     """Signal-side state for the two-tone scheme: squeezed pair plus the
     explicit image-band vacua the configuration calls for.
 
     Mode order matches :meth:`BeatPairing.for_blo`: (lower squeezed mode,
-    upper squeezed mode, then image modes).
+    upper squeezed mode, then image modes). Each image vacuum is a size-1
+    axis (cutoff 0).
     """
-    state = build_tmss(p, cutoff)
+    amp = build_tmss(p, cutoff).amplitudes
     n_images = {ImageBandCase.NO_IMAGE_BANDS: 0,
                 ImageBandCase.SHARED_IMAGE_BAND: 1,
                 ImageBandCase.TWO_IMAGE_BANDS: 2}[case]
-    if n_images:
-        state = tensor(state, vacuum_fock(n_images))
-    return state
+    return FockStateVector(amp.reshape(amp.shape + (1,) * n_images))
 
 
 # ---------------------------------------------------------------------------
-# low-level mode operators (test-scale helpers; dense numpy throughout)
+# mode operators and ladder moments (dense numpy throughout)
 # ---------------------------------------------------------------------------
 
 
@@ -316,49 +288,64 @@ def _number_acc(out: np.ndarray, amp: np.ndarray, axis: int, coeff: complex) -> 
     out += coeff * amp * _axis_coeff(np.arange(amp.shape[axis], dtype=float), axis, amp.ndim)
 
 
-def pad_amplitudes(amp: np.ndarray, extra: int = 1) -> np.ndarray:
-    """Copy with ``extra`` unused zero levels appended to every mode."""
-    padded = np.zeros(tuple(d + extra for d in amp.shape), dtype=np.complex128)
+def pad_amplitudes(amp: np.ndarray) -> np.ndarray:
+    """Copy with one unused zero level appended to every mode."""
+    padded = np.zeros(tuple(d + 1 for d in amp.shape), dtype=np.complex128)
     padded[tuple(slice(0, d) for d in amp.shape)] = amp
     return padded
 
 
+def _ladder_gram(state: FockStateVector) -> np.ndarray:
+    """Inner products among a factor state and its single-ladder images.
+
+    Index 0 is the state, 1 + 2m its image under a_m and 2 + 2m its image
+    under a_m^dag. Every mode is padded by one unused level first, so the
+    raised images are exact.
+    """
+    padded = pad_amplitudes(state.amplitudes)
+    images = np.empty((1 + 2 * state.n_modes, padded.size), dtype=np.complex128)
+    images[0] = padded.reshape(-1)
+    for mode in range(state.n_modes):
+        images[1 + 2 * mode] = lowered(padded, mode).reshape(-1)
+        images[2 + 2 * mode] = raised(padded, mode).reshape(-1)
+    # pairwise vdot conjugates in place; images.conj() @ images.T would copy
+    # every image once more
+    gram = np.empty((len(images), len(images)), dtype=np.complex128)
+    for p in range(len(images)):
+        for q in range(p, len(images)):
+            gram[p, q] = np.vdot(images[p], images[q])
+            gram[q, p] = np.conj(gram[p, q])
+    return gram
+
+
 def mean_photon(state: FockStateVector, mode: int) -> float:
-    """Occupation expectation of one mode (unnormalized state as is)."""
-    prob = np.abs(state.amplitudes) ** 2
-    axes = tuple(k for k in range(state.n_modes) if k != mode)
-    dist = prob.sum(axis=axes) if axes else prob
-    return float(np.dot(np.arange(dist.size), dist))
+    """Occupation expectation <a_m psi|a_m psi> (unnormalized state as is)."""
+    return float(_ladder_gram(state)[1 + 2 * mode, 1 + 2 * mode].real)
 
 
 def pair_annihilation_moment(state: FockStateVector, mode_a: int, mode_b: int) -> complex:
-    """<a_{mode_a} a_{mode_b}> on the (unnormalized) state."""
-    amp = state.amplitudes
-    low = lowered(lowered(amp, mode_a), mode_b)
-    return _kernels.vdot(amp, low)
+    """<a_{mode_a} a_{mode_b}> = <a_{mode_a}^dag psi|a_{mode_b} psi> (unnormalized)."""
+    return complex(_ladder_gram(state)[2 + 2 * mode_a, 1 + 2 * mode_b])
 
 
 def covariance_matrix(state: FockStateVector):
     """Quadrature mean and covariance in the (x1, p1, x2, p2, ...) convention.
 
-    Normalizes by the state's squared norm, so small truncation leakage
-    enters only at second order. Intended for test-scale states.
+    x_m = (a_m + a_m^dag)/2 and p_m = -i (a_m - a_m^dag)/2 are fixed
+    combinations C of the ladder images, so mean = Re(G[0] C) / n and
+    cov = Re(C^dag G C) / n - mean mean^T for the Gram matrix G and
+    n = G[0, 0]. Normalizing by the state's squared norm leaves small
+    truncation leakage only at second order.
     """
-    padded = pad_amplitudes(state.amplitudes)
-    nrm = _kernels.norm_sq(padded)
-    vectors = []
-    for mode in range(state.n_modes):
-        low = lowered(padded, mode)
-        rai = raised(padded, mode)
-        vectors.append(0.5 * (low + rai))            # x
-        vectors.append(-0.5j * (low - rai))          # p
-    n2 = len(vectors)
-    mean = np.array([(_kernels.vdot(padded, v) / nrm).real for v in vectors])
-    cov = np.zeros((n2, n2))
-    for i in range(n2):
-        for j in range(i, n2):
-            sym = (_kernels.vdot(vectors[i], vectors[j]) / nrm).real
-            cov[i, j] = cov[j, i] = sym - mean[i] * mean[j]
+    gram = _ladder_gram(state)
+    comb = np.zeros((len(gram), 2 * state.n_modes), dtype=np.complex128)
+    for m in range(state.n_modes):
+        comb[1 + 2 * m, 2 * m] = comb[2 + 2 * m, 2 * m] = 0.5
+        comb[1 + 2 * m, 2 * m + 1] = -0.5j
+        comb[2 + 2 * m, 2 * m + 1] = 0.5j
+    nrm = gram[0, 0].real
+    mean = (gram[0] @ comb).real / nrm
+    cov = (comb.conj().T @ gram @ comb).real / nrm - np.outer(mean, mean)
     return mean, cov
 
 
@@ -394,8 +381,7 @@ class BeatPairing:
                    lo_freqs=(fp.lo_frequencies[0] - fp.omega_minus,))
 
     @classmethod
-    def for_blo(cls, fp: FrequencyPlan, case: ImageBandCase,
-                tol: float | None = None) -> "BeatPairing":
+    def for_blo(cls, fp: FrequencyPlan, case: ImageBandCase) -> "BeatPairing":
         """Two-tone scheme with the image modes the configuration requires.
 
         Signal mode order is (minus, plus, images...). Frequencies are
@@ -403,7 +389,7 @@ class BeatPairing:
         the degenerate configurations are absorbed into exact values so that
         coincident beats group exactly.
         """
-        found = classify_image_band_case(fp, tol)
+        found = classify_image_band_case(fp)
         if found is not case:
             raise ValueError(
                 f"frequency plan classifies as {found.value}, not {case.value}"
@@ -440,29 +426,6 @@ def _cluster(values, tol: float):
 # ---------------------------------------------------------------------------
 # the oracle
 # ---------------------------------------------------------------------------
-
-
-def _ladder_gram(state: FockStateVector) -> np.ndarray:
-    """Inner products among a factor state and its single-ladder images.
-
-    Index 0 is the state, 1 + 2m its image under a_m and 2 + 2m its image
-    under a_m^dag. Every mode is padded by one unused level first, so the
-    raised images are exact.
-    """
-    padded = pad_amplitudes(state.amplitudes)
-    images = np.empty((1 + 2 * state.n_modes, padded.size), dtype=np.complex128)
-    images[0] = padded.reshape(-1)
-    for mode in range(state.n_modes):
-        images[1 + 2 * mode] = lowered(padded, mode).reshape(-1)
-        images[2 + 2 * mode] = raised(padded, mode).reshape(-1)
-    # pairwise vdot conjugates in place; images.conj() @ images.T would copy
-    # every image once more
-    gram = np.empty((len(images), len(images)), dtype=np.complex128)
-    for p in range(len(images)):
-        for q in range(p, len(images)):
-            gram[p, q] = np.vdot(images[p], images[q])
-            gram[q, p] = np.conj(gram[p, q])
-    return gram
 
 
 def oracle_difference_variance(signal: FockStateVector, lo: FockStateVector,
@@ -742,15 +705,16 @@ def oracle_difference_variance_unitary(signal: FockStateVector, lo: FockStateVec
 # ---------------------------------------------------------------------------
 
 
-def reference_plan(case: ImageBandCase | None, *, omega_minus: float = 2.0e15,
-                   delta: float = 2.0 * math.pi * 10.0e6,
-                   two_band_detuning_fraction: float = 0.125) -> FrequencyPlan:
+def reference_plan(case: ImageBandCase | None) -> FrequencyPlan:
     """A concrete frequency plan realizing a detection configuration.
 
-    ``case=None`` gives the single-tone plan with the tone centered between
-    the signal modes. The two-image-band plan uses opposite detunings of
-    ``two_band_detuning_fraction * delta``.
+    The lower signal mode sits at 2e15 rad/s and the modes are 2pi * 10 MHz
+    apart. ``case=None`` gives the single-tone plan with the tone centered
+    between the signal modes. The two-image-band plan uses opposite
+    detunings of delta/8.
     """
+    omega_minus = 2.0e15
+    delta = 2.0 * math.pi * 10.0e6
     omega_plus = omega_minus + delta
     if case is None:
         return FrequencyPlan(omega_plus=omega_plus, omega_minus=omega_minus,
@@ -760,21 +724,17 @@ def reference_plan(case: ImageBandCase | None, *, omega_minus: float = 2.0e15,
     elif case is ImageBandCase.SHARED_IMAGE_BAND:
         lo = (omega_minus + 0.25 * delta, omega_plus - 0.25 * delta)
     else:
-        if not 0.0 < two_band_detuning_fraction < 0.5:
-            raise ValueError("two_band_detuning_fraction must lie in (0, 0.5)")
-        if two_band_detuning_fraction == 0.25:
-            raise ValueError("a 0.25 fraction collapses to the shared-image configuration")
-        d1 = two_band_detuning_fraction * delta
-        lo = (omega_minus + d1, omega_plus - d1)
+        lo = (omega_minus + 0.125 * delta, omega_plus - 0.125 * delta)
     return FrequencyPlan(omega_plus=omega_plus, omega_minus=omega_minus, lo_frequencies=lo)
 
 
 def oracle_blo_run(p: SqueezeParams, beta: float, chi1: float, chi2: float,
-                   case: ImageBandCase, *, policy: TruncationPolicy | None = None,
-                   plan: FrequencyPlan | None = None) -> float:
-    """Build states for a two-tone configuration and run the oracle."""
+                   case: ImageBandCase, *,
+                   policy: TruncationPolicy | None = None) -> float:
+    """Build states for a two-tone configuration and run the oracle on the
+    case's reference plan."""
     policy = policy if policy is not None else TruncationPolicy()
-    plan = plan if plan is not None else reference_plan(case)
+    plan = reference_plan(case)
     signal = build_blo_signal_state(p, case, policy.tmss_cutoff(p.s))
     lo = build_coherent_product([(beta, chi1), (beta, chi2)], policy.coherent_cutoff(beta))
     pairing = BeatPairing.for_blo(plan, case)
@@ -782,11 +742,11 @@ def oracle_blo_run(p: SqueezeParams, beta: float, chi1: float, chi2: float,
 
 
 def oracle_standard_run(p: SqueezeParams, beta: float, chi: float, *,
-                        policy: TruncationPolicy | None = None,
-                        plan: FrequencyPlan | None = None) -> float:
-    """Build states for the single-tone configuration and run the oracle."""
+                        policy: TruncationPolicy | None = None) -> float:
+    """Build states for the single-tone configuration and run the oracle on
+    the single-tone reference plan."""
     policy = policy if policy is not None else TruncationPolicy()
-    plan = plan if plan is not None else reference_plan(None)
+    plan = reference_plan(None)
     signal = build_tmss(p, policy.tmss_cutoff(p.s))
     lo = build_coherent_product([(beta, chi)], policy.coherent_cutoff(beta))
     pairing = BeatPairing.for_standard(plan)

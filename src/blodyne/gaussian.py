@@ -268,38 +268,3 @@ def mean_photon(state: GaussianState, m: ModeLabel) -> float:
     sub = state.cov[2 * i : 2 * i + 2, 2 * i : 2 * i + 2]
     mu = state.mean[2 * i : 2 * i + 2]
     return float(sub[0, 0] + sub[1, 1] + mu @ mu - 0.5)
-
-
-@dataclass(frozen=True)
-class TmssMoments:
-    """Second moments of the two-mode squeezed envelope field.
-
-    ``envelope_sq`` is the <(Delta E)^2> prefactor -2 e^{i theta} sinh s cosh s
-    (``envelope_sq_conj`` its conjugate), and ``flux_base`` the squeezed part
-    4 sinh^2 s + 2 of the symmetric-ordered photon-flux term. Image-band
-    vacuum contributions are not baked in: ``image_slot_count`` says how many
-    unit slots the flux term carries, and callers substitute per detection
-    configuration via :meth:`number_term`.
-    """
-
-    envelope_sq: complex
-    envelope_sq_conj: complex
-    flux_base: float
-    mean_photon_per_mode: float
-    image_slot_count: int = 2
-
-    def number_term(self, image_unit_sum: float) -> float:
-        """Photon-flux term with a concrete image-band vacuum contribution."""
-        return self.flux_base + image_unit_sum
-
-
-def tmss_moments(p: SqueezeParams) -> TmssMoments:
-    """Envelope and flux moments of the two-mode squeezed state at (s, theta)."""
-    sc = math.sinh(p.s) * math.cosh(p.s)
-    env = -2.0 * cmath.exp(1j * p.theta) * sc
-    return TmssMoments(
-        envelope_sq=env,
-        envelope_sq_conj=env.conjugate(),
-        flux_base=4.0 * math.sinh(p.s) ** 2 + 2.0,
-        mean_photon_per_mode=math.sinh(p.s) ** 2,
-    )

@@ -253,8 +253,8 @@ class SqueezingFeature:
     depth_db: float
 
 
-def locate_squeezing_feature(spec: SpectrumEstimate, floor_estimate: float,
-                             smooth_bins: int | None = None) -> SqueezingFeature | None:
+def locate_squeezing_feature(spec: SpectrumEstimate,
+                             floor_estimate: float) -> SqueezingFeature | None:
     """Locate the extremum of the deviation from the floor.
 
     The deviation is smoothed with a boundary-corrected moving average to
@@ -270,9 +270,7 @@ def locate_squeezing_feature(spec: SpectrumEstimate, floor_estimate: float,
     if floor_estimate <= 0.0:
         raise ValueError("floor_estimate must be positive")
     psd = spec.psd
-    if smooth_bins is None:
-        smooth_bins = max(3, psd.size // 512)
-    smooth_bins = min(smooth_bins, psd.size)
+    smooth_bins = max(3, psd.size // 512)
     kernel = np.ones(smooth_bins)
     smoothed = np.convolve(psd, kernel, mode="same") / np.convolve(
         np.ones(psd.size), kernel, mode="same"

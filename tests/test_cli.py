@@ -136,6 +136,28 @@ class TestConfigValues:
         path = write_config(tmp_path, {"oracle": {"draws": 0, "beta_cap_two": 4.5}})
         assert load_config(path).oracle["beta_cap_two"] == 4.5
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("oracle", "target_leakage", 0.0),
+        ("oracle", "target_leakage", 1.0),
+        ("oracle", "target_leakage", -1e-8),
+        ("oracle", "max_dimension", 0),
+        ("spectrum", "segment_length", 2),
+        ("spectrum", "segment_length", 1000),
+        ("spectrum", "overlap", -0.1),
+        ("spectrum", "overlap", 0.95),
+        ("spectrum", "squeezing_bandwidth_hz", 0.0),
+        ("spectrum", "sample_rate_hz", -1.0),
+        ("spectrum", "duration_s", 0.0),
+    ])
+    def test_out_of_range_run_setting(self, tmp_path, capsys, section, key, value):
+        path = write_config(tmp_path, {"frequency_plan": PLAN_100KHZ,
+                                       section: {key: value}})
+        cmd = "verify" if section == "oracle" else "spectrum"
+        code, out, err = run(capsys, [cmd, "--config", path])
+        assert code == 2
+        assert out == ""
+        assert "config error" in err and f"{section}.{key}" in err
+
 
 def tone_pair(amplitude):
     return [{"amplitude": amplitude, "phase": 0.2}, {"amplitude": amplitude, "phase": 1.0}]
@@ -282,6 +304,15 @@ class TestExitCodes:
         code, _, err = run(capsys, ["verify", "--config", path, "--tolerance", "1e-12"])
         assert code == 4
         assert "oracle mismatch" in err
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1"])
+    def test_tolerance_must_be_finite_and_positive(self, tmp_path, capsys, tolerance):
+        # nan and inf would pass any error, 0 and -1 none
+        path = write_config(tmp_path, {"oracle": {"draws": 0}})
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--config", path, "--tolerance", tolerance])
+        assert exc.value.code == 2
+        assert "--tolerance" in capsys.readouterr().err
 
 
 class TestOutputs:
@@ -466,11 +497,30 @@ class TestAsymmetricDetunings:
         assert "frequency_plan.lo_hz" in err and "delta1 + delta2 = 62831" in err
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def src_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def test_cli_import_leaves_scipy_unloaded():
     probe = "import sys, blodyne.cli; print('scipy' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                            env=env, check=True)
+                            env=src_env(), check=True)
     assert result.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("cmd", ["variance", "scan", "cases", "imbalance", "spectrum",
+                                 "verify"])
+def test_subcommands_run_without_scipy(tmp_path, cmd):
+    # numpy is the only runtime dependency: every subcommand runs with scipy
+    # made unimportable
+    path = write_config(tmp_path, {"frequency_plan": PLAN_100KHZ,
+                                   "spectrum": {"duration_s": 0.03125},
+                                   "oracle": {"draws": 0}})
+    probe = ("import sys; sys.modules['scipy'] = None; from blodyne.cli import main; "
+             "sys.exit(main(sys.argv[1:]))")
+    result = subprocess.run([sys.executable, "-c", probe, cmd, "--config", path],
+                            capture_output=True, text=True, env=src_env())
+    assert result.returncode == 0, result.stderr

@@ -77,11 +77,6 @@ class TestTmssBuilder:
 
 
 class TestTruncationPolicy:
-    def test_explicit_cutoff_too_small(self):
-        policy = TruncationPolicy(cutoff=3, target_leakage=1e-8)
-        with pytest.raises(ValueError, match="need at least"):
-            policy.tmss_cutoff(0.75)
-
     def test_leakage_rule(self):
         n = tmss_cutoff_for_leakage(0.5, 1e-8)
         assert math.tanh(0.5) ** (2 * (n + 1)) <= 1e-8
@@ -125,15 +120,19 @@ class TestGaussianEquivalence:
     """Every second moment of the Gaussian module matches the Fock route."""
 
     def test_tmss_covariance(self):
-        m1, m2 = ModeLabel("a", 2.0e15), ModeLabel("b", 2.1e15)
-        for s, theta in [(0.3, 0.0), (0.7, 1.2), (1.0, 4.0)]:
-            fockside = build_tmss(SqueezeParams(s=s, theta=theta),
-                                  tmss_cutoff_for_leakage(s, 1e-12))
-            mean_f, cov_f = covariance_matrix(fockside)
-            gauss = apply_two_mode_squeeze(vacuum_state([m1, m2]), m1, m2,
-                                           SqueezeParams(s=s, theta=theta))
-            assert np.max(np.abs(mean_f - gauss.mean)) < 1e-10
-            assert np.max(np.abs(cov_f - gauss.cov)) < 1e-9
+        # the squeezed pair alone, then with one and two image vacua appended
+        modes = [ModeLabel("a", 2.0e15), ModeLabel("b", 2.1e15),
+                 ModeLabel("image1", 2.05e15), ModeLabel("image2", 2.15e15)]
+        m1, m2 = modes[:2]
+        for case in ImageBandCase:
+            for s, theta in [(0.3, 0.0), (0.7, 1.2), (1.0, 4.0)]:
+                p = SqueezeParams(s=s, theta=theta)
+                fockside = build_blo_signal_state(p, case, tmss_cutoff_for_leakage(s, 1e-12))
+                mean_f, cov_f = covariance_matrix(fockside)
+                gauss = apply_two_mode_squeeze(vacuum_state(modes[:fockside.n_modes]),
+                                               m1, m2, p)
+                assert np.max(np.abs(mean_f - gauss.mean)) < 1e-10
+                assert np.max(np.abs(cov_f - gauss.cov)) < 1e-9
 
     def test_displaced_state_moments(self):
         beta = 1.0 + 1.5j  # |beta| < 3 keeps the truncation tiny

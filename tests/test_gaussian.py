@@ -10,7 +10,7 @@ from blodyne.gaussian import (BeamSplitterSpec, GaussianState, ModeLabel,
                               apply_beam_splitter, apply_displacement,
                               apply_two_mode_squeeze, mean_photon,
                               quadrature_variance, symplectic_form,
-                              tmss_moments, vacuum_state)
+                              vacuum_state)
 
 M1 = ModeLabel("plus", 2.0e15 + 5.0e7)
 M2 = ModeLabel("minus", 2.0e15 - 5.0e7)
@@ -156,24 +156,6 @@ class TestQuadratureVariance:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             quadrature_variance(vacuum_state([M1, M2]), (M1, M3), 0.0)
-
-
-class TestTmssMoments:
-    def test_zero_squeeze(self):
-        mom = tmss_moments(SqueezeParams(s=0.0, theta=0.4))
-        assert mom.envelope_sq == 0.0
-        assert mom.number_term(2.0) == pytest.approx(4.0)
-
-    def test_envelope_values(self):
-        mom = tmss_moments(SqueezeParams(s=1.0, theta=0.0))
-        assert mom.envelope_sq == pytest.approx(-2.0 * math.sinh(1.0) * math.cosh(1.0),
-                                                rel=1e-12)
-        mom2 = tmss_moments(SqueezeParams(s=0.5, theta=math.pi))
-        assert mom2.envelope_sq.real == pytest.approx(
-            2.0 * math.sinh(0.5) * math.cosh(0.5), rel=1e-12)
-
-    def test_image_slots(self):
-        assert tmss_moments(SqueezeParams(s=0.3)).image_slot_count == 2
 
 
 @settings(max_examples=60, deadline=None)
