@@ -74,6 +74,10 @@ ORACLE_DRAW_BETA_MIN = 5.0
 # sinh^2 s stay below it); it overflows a float from here on.
 _MAX_TWO_S = math.log(sys.float_info.max)
 
+# a phase scan evaluates and prints every point; far more than any plot needs,
+# and small enough that the point arrays never exhaust memory
+_MAX_SCAN_POINTS = 1 << 20
+
 _ORACLE_DEFAULTS = {
     "draws": 12,
     "max_dimension": 100_000_000,
@@ -190,8 +194,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     scan_raw = raw.get("scan", {})
     _require_keys(scan_raw, "scan", required=[], optional=["n_points"])
     scan_points = _integer(scan_raw.get("n_points", 72), "scan.n_points")
-    if scan_points < 2:
-        raise ConfigError("scan.n_points: must be >= 2")
+    if not 2 <= scan_points <= _MAX_SCAN_POINTS:
+        raise ConfigError(f"scan.n_points: must lie in [2, {_MAX_SCAN_POINTS}]")
 
     imb_raw = raw.get("imbalance", {})
     _require_keys(imb_raw, "imbalance", required=[], optional=["fractions"])

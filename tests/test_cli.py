@@ -148,6 +148,7 @@ class TestConfigValues:
         ("spectrum", "squeezing_bandwidth_hz", 0.0),
         ("spectrum", "sample_rate_hz", -1.0),
         ("spectrum", "duration_s", 0.0),
+        ("scan", "n_points", 2**36),
     ])
     def test_out_of_range_run_setting(self, tmp_path, capsys, section, key, value):
         path = write_config(tmp_path, {"frequency_plan": PLAN_100KHZ,

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,10 +9,10 @@ import pytest
 from blodyne import detection
 from blodyne.detection import ImageBandCase, LoTone
 from blodyne.fock import (BeatPairing, FockStateVector, TruncationPolicy,
-                          apply_balanced_bs, build_blo_signal_state,
-                          build_coherent_product, build_tmss,
-                          build_tmss_via_expm, coherent_cutoff,
-                          coherent_leakage, covariance_matrix, lowered,
+                          apply_balanced_bs, balanced_bs_unitary,
+                          build_blo_signal_state, build_coherent_product,
+                          build_tmss, build_tmss_via_expm, coherent_cutoff,
+                          covariance_matrix, lowered,
                           mean_photon, oracle_blo_run,
                           oracle_difference_variance,
                           oracle_difference_variance_unitary,
@@ -113,7 +116,8 @@ class TestCoherentBuilder:
 
     def test_cutoff_rule_leakage(self):
         for beta in (1.0, 5.0, 10.0):
-            assert coherent_leakage(beta, coherent_cutoff(beta)) < 1e-8
+            state = build_coherent_product([(beta, 0.0)], coherent_cutoff(beta))
+            assert state.leakage < 1e-8
 
 
 class TestGaussianEquivalence:
@@ -344,10 +348,21 @@ class TestUnitaryRoute:
         lo = build_coherent_product([(0.35, 0.2), (0.35, 1.0)], 4)
         pairing = BeatPairing.for_blo(plan, case)
         grouped = oracle_difference_variance(signal, lo, pairing, plan)
-        unitary = oracle_difference_variance_unitary(signal, lo, pairing, plan,
-                                                     max_total_dimension=10_000_000)
+        unitary = oracle_difference_variance_unitary(signal, lo, pairing, plan)
         assert grouped == pytest.approx(unitary.variance, rel=1e-10)
         assert unitary.photons_out == pytest.approx(unitary.photons_in, abs=1e-10)
+
+    @pytest.mark.parametrize("dim", [2, 3, 6])
+    def test_splitter_matches_dense_generator_exponential(self, dim):
+        # reference: one eigendecomposition of the whole dim^2 x dim^2
+        # generator, no photon-number blocks
+        ladder = np.sqrt(np.arange(1.0, dim))
+        ad, a = np.diag(ladder, -1), np.diag(ladder, 1)
+        w, v = np.linalg.eigh(np.kron(ad, a) + np.kron(a, ad))
+        reference = (v * np.exp(1j * (math.pi / 4.0) * w)) @ v.T
+        u = balanced_bs_unitary(dim)
+        assert np.max(np.abs(u - reference)) <= 1e-13
+        assert np.max(np.abs(u.conj().T @ u - np.eye(dim * dim))) <= 1e-13
 
     def test_single_pair_splitter_photon_split(self):
         state = build_coherent_product([(1.2, 0.3)], 18)
@@ -364,3 +379,30 @@ def test_norm_above_one_rejected():
     amp = np.ones((2, 2), dtype=complex)
     with pytest.raises(ValueError, match="norm"):
         FockStateVector(amp)
+
+
+def test_self_check_routes_run_without_scipy():
+    # the self-check routes need numpy only: they run with scipy made
+    # unimportable
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = """
+import sys
+sys.modules['scipy'] = None
+from blodyne import ImageBandCase
+from blodyne.fock import (BeatPairing, apply_balanced_bs, build_blo_signal_state,
+                          build_coherent_product, build_tmss_via_expm,
+                          oracle_difference_variance_unitary, reference_plan)
+from blodyne.gaussian import SqueezeParams
+p = SqueezeParams(s=0.3, theta=0.8)
+apply_balanced_bs(build_tmss_via_expm(p, 4), 0, 1)
+case = ImageBandCase.NO_IMAGE_BANDS
+plan = reference_plan(case)
+oracle_difference_variance_unitary(
+    build_blo_signal_state(p, case, 3), build_coherent_product([(0.5, 0.2), (0.5, 1.0)], 4),
+    BeatPairing.for_blo(plan, case), plan)
+"""
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=env)
+    assert result.returncode == 0, result.stderr
