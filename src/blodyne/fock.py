@@ -30,7 +30,10 @@ Two evaluation routes exist:
   meant for small truncations.
 
 Each state is a dense complex tensor; norm deficits from truncation are
-reported as leakage and never silently renormalized.
+reported as leakage and never silently renormalized. Both routes apply
+ladder operators through :mod:`blodyne._kernels`, the one module that knows
+how they act on a tensor axis; ``lowered`` and ``raised`` are re-exported
+here.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from ._kernels import lowered, raised
 from .detection import FrequencyPlan, ImageBandCase, classify_image_band_case
 from .gaussian import SqueezeParams
 
@@ -184,40 +188,40 @@ def build_tmss_via_expm(p: SqueezeParams, cutoff: int) -> FockStateVector:
     return FockStateVector(np.diag(diag))
 
 
-def build_coherent_product(tones, cutoff) -> FockStateVector:
+def build_coherent_product(tones, cutoff: int) -> FockStateVector:
     """Product of truncated coherent states, one mode per (amplitude, phase).
 
-    ``cutoff`` is a single shared cutoff or a per-tone sequence. Amplitudes
-    follow the Poissonian e^{-|b|^2/2} b^n / sqrt(n!) with b = |b| e^{i chi}.
+    Every tone shares the one ``cutoff``. Amplitudes follow the Poissonian
+    e^{-|b|^2/2} b^n / sqrt(n!) with b = |b| e^{i chi}.
     """
     tones = list(tones)
     if not tones:
         raise ValueError("build_coherent_product needs at least one tone")
-    if isinstance(cutoff, (int, np.integer)):
-        cutoffs = [int(cutoff)] * len(tones)
-    else:
-        cutoffs = [int(c) for c in cutoff]
-        if len(cutoffs) != len(tones):
-            raise ValueError("one cutoff per tone is required")
+    if cutoff < 0:
+        raise ValueError("cutoff must be >= 0")
+    n = np.arange(cutoff + 1)
+    half_log_fact = 0.5 * np.array([math.lgamma(k + 1.0) for k in n])
     vecs = []
-    for (amplitude, phase), n_max in zip(tones, cutoffs):
+    for amplitude, phase in tones:
         if amplitude < 0.0:
             raise ValueError("tone amplitudes must be >= 0")
-        if n_max < 0:
-            raise ValueError("cutoffs must be >= 0")
-        n = np.arange(n_max + 1)
         if amplitude == 0.0:
-            vec = np.zeros(n_max + 1, dtype=np.complex128)
+            vec = np.zeros(cutoff + 1, dtype=np.complex128)
             vec[0] = 1.0
         else:
             log_mag = -0.5 * amplitude**2 + n * math.log(amplitude)
-            log_mag -= 0.5 * np.array([math.lgamma(k + 1.0) for k in n])
+            log_mag -= half_log_fact
             vec = np.exp(log_mag + 1j * n * phase)
         vecs.append(vec)
     amp = vecs[0]
     for vec in vecs[1:]:
         amp = np.multiply.outer(amp, vec)
     return FockStateVector(amp)
+
+
+_N_IMAGES = {ImageBandCase.NO_IMAGE_BANDS: 0,
+             ImageBandCase.SHARED_IMAGE_BAND: 1,
+             ImageBandCase.TWO_IMAGE_BANDS: 2}
 
 
 def build_blo_signal_state(p: SqueezeParams, case: ImageBandCase,
@@ -230,10 +234,7 @@ def build_blo_signal_state(p: SqueezeParams, case: ImageBandCase,
     axis (cutoff 0).
     """
     amp = build_tmss(p, cutoff).amplitudes
-    n_images = {ImageBandCase.NO_IMAGE_BANDS: 0,
-                ImageBandCase.SHARED_IMAGE_BAND: 1,
-                ImageBandCase.TWO_IMAGE_BANDS: 2}[case]
-    return FockStateVector(amp.reshape(amp.shape + (1,) * n_images))
+    return FockStateVector(amp.reshape(amp.shape + (1,) * _N_IMAGES[case]))
 
 
 # ---------------------------------------------------------------------------
@@ -241,49 +242,9 @@ def build_blo_signal_state(p: SqueezeParams, case: ImageBandCase,
 # ---------------------------------------------------------------------------
 
 
-def _axis_coeff(values: np.ndarray, axis: int, ndim: int) -> np.ndarray:
-    shape = [1] * ndim
-    shape[axis] = values.size
-    return values.reshape(shape)
-
-
-def lowered(amp: np.ndarray, axis: int) -> np.ndarray:
-    """Apply the annihilation operator along one axis (shape preserved)."""
-    d = amp.shape[axis]
-    out = np.zeros_like(amp)
-    src = [slice(None)] * amp.ndim
-    dst = [slice(None)] * amp.ndim
-    src[axis] = slice(1, d)
-    dst[axis] = slice(0, d - 1)
-    out[tuple(dst)] = amp[tuple(src)] * _axis_coeff(np.sqrt(np.arange(1.0, d)), axis, amp.ndim)
-    return out
-
-
-def raised(amp: np.ndarray, axis: int) -> np.ndarray:
-    """Apply the creation operator along one axis.
-
-    The top level is dropped, so callers must pad the axis with an unused
-    zero level first for the result to be exact.
-    """
-    d = amp.shape[axis]
-    out = np.zeros_like(amp)
-    src = [slice(None)] * amp.ndim
-    dst = [slice(None)] * amp.ndim
-    src[axis] = slice(0, d - 1)
-    dst[axis] = slice(1, d)
-    out[tuple(dst)] = amp[tuple(src)] * _axis_coeff(np.sqrt(np.arange(1.0, d)), axis, amp.ndim)
-    return out
-
-
-def _number_acc(out: np.ndarray, amp: np.ndarray, axis: int, coeff: complex) -> None:
-    out += coeff * amp * _axis_coeff(np.arange(amp.shape[axis], dtype=float), axis, amp.ndim)
-
-
 def pad_amplitudes(amp: np.ndarray) -> np.ndarray:
     """Copy with one unused zero level appended to every mode."""
-    padded = np.zeros(tuple(d + 1 for d in amp.shape), dtype=np.complex128)
-    padded[tuple(slice(0, d) for d in amp.shape)] = amp
-    return padded
+    return np.pad(amp, [(0, 1)] * amp.ndim)
 
 
 def _ladder_gram(state: FockStateVector) -> np.ndarray:
@@ -419,6 +380,13 @@ def _cluster(values, tol: float):
 # ---------------------------------------------------------------------------
 
 
+def _check_factor_dims(policy: TruncationPolicy, *factor_dims) -> None:
+    """Apply the guard to each factor state padded by one level per mode, as
+    the oracle holds it."""
+    for dims in factor_dims:
+        policy.check_dimension(d + 1 for d in dims)
+
+
 def oracle_difference_variance(signal: FockStateVector, lo: FockStateVector,
                                pairing: BeatPairing, fp: FrequencyPlan, *,
                                policy: TruncationPolicy | None = None) -> float:
@@ -456,8 +424,7 @@ def oracle_difference_variance(signal: FockStateVector, lo: FockStateVector,
                 "raise the cutoff"
             )
 
-    for state in (signal, lo):
-        policy.check_dimension(d + 1 for d in state.dims)
+    _check_factor_dims(policy, signal.dims, lo.dims)
     g_sig = _ladder_gram(signal)
     g_lo = _ladder_gram(lo)
     nrm = (g_sig[0, 0] * g_lo[0, 0]).real
@@ -537,12 +504,11 @@ def apply_balanced_bs(state: FockStateVector, mode_a: int, mode_b: int) -> FockS
     if mode_a == mode_b:
         raise ValueError("beam splitter needs two distinct modes")
     amp = state.amplitudes
+    pad = [(0, 0)] * amp.ndim
+    pad[mode_a] = (0, amp.shape[mode_b] - 1)
+    pad[mode_b] = (0, amp.shape[mode_a] - 1)
     d_new = amp.shape[mode_a] + amp.shape[mode_b] - 1
-    dims = list(amp.shape)
-    dims[mode_a] = dims[mode_b] = d_new
-    big = np.zeros(tuple(dims), dtype=np.complex128)
-    big[tuple(slice(0, d) for d in amp.shape)] = amp
-    out = _apply_pair_unitary(big, balanced_bs_unitary(d_new), mode_a, mode_b)
+    out = _apply_pair_unitary(np.pad(amp, pad), balanced_bs_unitary(d_new), mode_a, mode_b)
     return FockStateVector(out)
 
 
@@ -594,11 +560,15 @@ def oracle_difference_variance_unitary(signal: FockStateVector, lo: FockStateVec
         freq_entries.append((freq, sig_idx[0] if sig_idx else None,
                              lo_idx[0] if lo_idx else None))
 
-    dims = []
+    # Port order (a_f0, b_f0, a_f1, b_f1, ...): the input axes in that order,
+    # a size-1 axis for each silent port
+    axes, port_dims, dims = [], [], []
     for _, si, li in freq_entries:
         da = signal.dims[si] if si is not None else 1
         db = lo.dims[li] if li is not None else 1
-        dims.extend([da + db, da + db])  # da + db - 1 occupied plus one headroom level
+        axes += ([si] if si is not None else []) + ([n_sig + li] if li is not None else [])
+        port_dims += [da, db]
+        dims += [da + db, da + db]  # da + db - 1 occupied plus one headroom level
     total = math.prod(dims)
     if total > _UNITARY_MAX_DIMENSION:
         raise ValueError(
@@ -606,27 +576,11 @@ def oracle_difference_variance_unitary(signal: FockStateVector, lo: FockStateVec
             "this route is for small self-checks"
         )
 
-    # Embed the input product state: axis order (a_f0, b_f0, a_f1, b_f1, ...).
-    core = np.multiply.outer(signal.amplitudes, lo.amplitudes)
-    perm = []
-    for _, si, li in freq_entries:
-        perm.append(si if si is not None else None)
-        perm.append(n_sig + li if li is not None else None)
-    present_axes = [p for p in perm if p is not None]
-    core = np.transpose(core, axes=present_axes)
-    joint = np.zeros(tuple(dims), dtype=np.complex128)
-    corner = [slice(0, 1)] * len(dims)
-    it = iter(core.shape)
-    for pos, p in enumerate(perm):
-        if p is not None:
-            corner[pos] = slice(0, next(it))
-    joint[tuple(corner)] = core.reshape(tuple(s.stop for s in corner))
+    core = np.multiply.outer(signal.amplitudes, lo.amplitudes).transpose(axes)
+    joint = np.pad(core.reshape(port_dims), [(0, d - p) for d, p in zip(dims, port_dims)])
 
     def _total_photons(arr):
-        probe = np.zeros_like(arr)
-        for axis in range(arr.ndim):
-            _number_acc(probe, arr, axis, 1.0)
-        return (_kernels.vdot(arr, probe)).real
+        return sum(_kernels.norm_sq(lowered(arr, axis)) for axis in range(arr.ndim))
 
     norm_before = _kernels.norm_sq(joint)
     photons_in = _total_photons(joint) / norm_before
@@ -655,14 +609,10 @@ def oracle_difference_variance_unitary(signal: FockStateVector, lo: FockStateVec
     def _component(members):
         comp = np.zeros_like(joint)
         for i, j, _ in members:
-            if i == j:
-                _number_acc(comp, joint, 2 * i, 1.0)       # d1 port
-                _number_acc(comp, joint, 2 * i + 1, -1.0)  # d2 port
-            else:
-                _kernels.pair_ladder_acc(comp, joint, axis_up=2 * i, axis_dn=2 * j,
-                                         coeff=1.0)
-                _kernels.pair_ladder_acc(comp, joint, axis_up=2 * i + 1,
-                                         axis_dn=2 * j + 1, coeff=-1.0)
+            _kernels.pair_ladder_acc(comp, joint, axis_up=2 * i, axis_dn=2 * j,
+                                     coeff=1.0)  # d1 port
+            _kernels.pair_ladder_acc(comp, joint, axis_up=2 * i + 1, axis_dn=2 * j + 1,
+                                     coeff=-1.0)  # d2 port
         return comp
 
     handled: list[float] = []
@@ -726,11 +676,14 @@ def oracle_blo_run(p: SqueezeParams, beta: float, chi1: float, chi2: float,
                    case: ImageBandCase, *,
                    policy: TruncationPolicy | None = None) -> float:
     """Build states for a two-tone configuration and run the oracle on the
-    case's reference plan."""
+    case's reference plan. The guard refuses oversized states before any is
+    built."""
     policy = policy if policy is not None else TruncationPolicy()
     plan = reference_plan(case)
-    signal = build_blo_signal_state(p, case, policy.tmss_cutoff(p.s))
-    lo = build_coherent_product([(beta, chi1), (beta, chi2)], policy.coherent_cutoff(beta))
+    n_sig, n_lo = policy.tmss_cutoff(p.s), policy.coherent_cutoff(beta)
+    _check_factor_dims(policy, (n_sig + 1,) * 2 + (1,) * _N_IMAGES[case], (n_lo + 1,) * 2)
+    signal = build_blo_signal_state(p, case, n_sig)
+    lo = build_coherent_product([(beta, chi1), (beta, chi2)], n_lo)
     pairing = BeatPairing.for_blo(plan, case)
     return oracle_difference_variance(signal, lo, pairing, plan, policy=policy)
 
@@ -738,10 +691,13 @@ def oracle_blo_run(p: SqueezeParams, beta: float, chi1: float, chi2: float,
 def oracle_standard_run(p: SqueezeParams, beta: float, chi: float, *,
                         policy: TruncationPolicy | None = None) -> float:
     """Build states for the single-tone configuration and run the oracle on
-    the single-tone reference plan."""
+    the single-tone reference plan. The guard refuses oversized states
+    before any is built."""
     policy = policy if policy is not None else TruncationPolicy()
     plan = reference_plan(None)
-    signal = build_tmss(p, policy.tmss_cutoff(p.s))
-    lo = build_coherent_product([(beta, chi)], policy.coherent_cutoff(beta))
+    n_sig, n_lo = policy.tmss_cutoff(p.s), policy.coherent_cutoff(beta)
+    _check_factor_dims(policy, (n_sig + 1,) * 2, (n_lo + 1,))
+    signal = build_tmss(p, n_sig)
+    lo = build_coherent_product([(beta, chi)], n_lo)
     pairing = BeatPairing.for_standard(plan)
     return oracle_difference_variance(signal, lo, pairing, plan, policy=policy)

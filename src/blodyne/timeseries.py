@@ -153,7 +153,9 @@ def synthesize_difference_current(model: SpectralModel, duration: float,
     inverse-transformed, so the target holds exactly in expectation and the
     record is fully determined by the seed. The sample count is the smallest
     power of two covering the requested duration. Rejects sample rates that
-    would alias the feature (needs sample_rate > 2 * (center + 5 * bandwidth)).
+    would alias the feature (needs sample_rate > 2 * (center + 5 * bandwidth)),
+    records above ``_MAX_SAMPLES``, and PSD levels whose bin scale
+    n * sample_rate * S overflows.
     """
     if duration <= 0.0 or sample_rate <= 0.0:
         raise ValueError("duration and sample_rate must be positive")
@@ -163,9 +165,20 @@ def synthesize_difference_current(model: SpectralModel, duration: float,
             f"sample_rate {sample_rate:g} Hz aliases the feature; "
             f"need more than {nyquist_need:g} Hz"
         )
-    n = 1 << max(1, math.ceil(math.log2(duration * sample_rate)))
-    if n > _MAX_SAMPLES:
-        raise ValueError(f"record of {n} samples exceeds the memory guard {_MAX_SAMPLES}")
+    requested = duration * sample_rate
+    exponent = math.log2(max(requested, 2.0))
+    if exponent > math.log2(_MAX_SAMPLES):
+        raise ValueError(
+            f"record of {requested:g} samples exceeds the memory guard {_MAX_SAMPLES}"
+        )
+    n = 1 << math.ceil(exponent)
+    # the target PSD never exceeds the larger of its two levels
+    level = max(model.noise_floor, model.dip_or_peak_level)
+    if not math.isfinite(level * (n * sample_rate)):
+        raise ValueError(
+            f"PSD level {level:g} times n * sample_rate = {n * sample_rate:g} overflows; "
+            "the record cannot be colored"
+        )
     scale = model.psd(np.fft.rfftfreq(n, d=1.0 / sample_rate))
     # Interior bins carry complex amplitude with E|Z|^2 = n * fs * S / 2
     # (per-component std sqrt(n fs S / 4)); the real DC and Nyquist bins

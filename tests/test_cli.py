@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -257,6 +258,11 @@ def generated_configs(draw):
         "scan": {"n_points": 5},
         "imbalance": {"fractions": [number("fraction", -0.99, 1.0),
                                     draw(st.floats(-0.99, 1.0))]},
+        # 2^12 samples at 2^25 Hz, fast enough to clear every generated plan's
+        # Nyquist need; verify checks the configured point only
+        "spectrum": {"sample_rate_hz": 2.0**25, "duration_s": 2.0**-13,
+                     "segment_length": 256},
+        "oracle": {"draws": 0},
     }
     if n_tones == 2:
         cfg["image_band_case"] = draw(st.sampled_from(["auto", "none", "shared", "two"]))
@@ -271,7 +277,7 @@ NON_FINITE = re.compile(r"(?<![a-z])(inf|nan)(?![a-z])")
 def test_generated_configs_keep_the_exit_code_contract(tmp_path_factory, raw):
     path = tmp_path_factory.getbasetemp() / "generated.json"
     path.write_text(json.dumps(raw))
-    for cmd in ("variance", "scan", "cases", "imbalance"):
+    for cmd in ("variance", "scan", "cases", "imbalance", "spectrum", "verify"):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([cmd, "--config", str(path)])
@@ -421,6 +427,38 @@ class TestOutputs:
         code, out, err = run(capsys, ["variance", "--config", path])
         assert code == 3
         assert "finite" in err and "inf" not in out
+
+    def test_verify_guard_runs_before_any_state_is_built(self, tmp_path):
+        # the LO at |beta| = 200 is 41611^2 amplitudes (26 GB): the guard
+        # refuses it before allocating, so a 3 GiB address-space limit holds
+        path = write_config(tmp_path, {"lo_tones": tone_pair(200.0),
+                                       "oracle": {"draws": 0, "beta_cap_no_image": 200.0,
+                                                  "beta_cap_shared": 200.0,
+                                                  "beta_cap_two": 200.0}})
+        probe = ("import resource, sys; "
+                 "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)); "
+                 "from blodyne.cli import main; sys.exit(main(sys.argv[1:]))")
+        # one BLAS thread keeps the interpreter's own reservations small
+        env = dict(src_env(), OPENBLAS_NUM_THREADS="1")
+        result = subprocess.run([sys.executable, "-c", probe, "verify", "--config", path],
+                                capture_output=True, text=True, env=env)
+        assert result.returncode == 3, result.stderr
+        assert "guard" in result.stderr
+
+    @pytest.mark.parametrize("overrides,reason", [
+        # 1e600 requested samples: the count is compared before any power of two
+        ({"spectrum": {"duration_s": 1e300, "sample_rate_hz": 1e300}}, "memory guard"),
+        # the dip level ~1e300 is finite, its product with n * fs is not
+        ({"squeeze": {"s": 345.0, "theta": 0.3}, "lo_tones": tone_pair(1.0)}, "overflows"),
+    ])
+    def test_spectrum_overflow_is_invariant_violation(self, tmp_path, capsys, overrides,
+                                                      reason):
+        path = write_config(tmp_path, dict(overrides, frequency_plan=PLAN_100KHZ))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["spectrum", "--config", path])
+        assert code == 3
+        assert out == "" and reason in err
 
     def test_verify_beyond_tanh_precision(self, tmp_path, capsys):
         # tanh(s) rounds to 1: the configured point is skipped, not a crash

@@ -109,8 +109,8 @@ class TestCoherentBuilder:
         assert mean_a == pytest.approx(2.0 * np.exp(1j * chi), abs=1e-9)
 
     def test_product_of_tones(self):
-        state = build_coherent_product([(1.0, 0.1), (2.0, 0.2)], cutoff=[20, 40])
-        assert state.dims == (21, 41)
+        state = build_coherent_product([(1.0, 0.1), (2.0, 0.2)], cutoff=40)
+        assert state.dims == (41, 41)
         assert mean_photon(state, 0) == pytest.approx(1.0, abs=1e-9)
         assert mean_photon(state, 1) == pytest.approx(4.0, abs=1e-9)
 

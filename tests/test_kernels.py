@@ -41,10 +41,22 @@ def test_pair_ladder_accumulates():
     assert np.max(np.abs(out - ref)) < 1e-14
 
 
-def test_same_axis_rejected():
-    amp = random_state((3, 3), seed=1)
-    with pytest.raises(ValueError):
-        _kernels.pair_ladder_acc(np.zeros_like(amp), amp, 1, 1, 1.0)
+def test_same_axis_is_number_operator():
+    # a^dag a on one axis is diagonal: exact without headroom
+    amp = random_state((3, 4, 5), seed=1)
+    out = np.zeros_like(amp)
+    _kernels.pair_ladder_acc(out, amp, 1, 1, 1.0)
+    assert np.max(np.abs(out - np.arange(4.0).reshape(1, 4, 1) * amp)) < 1e-15
+
+
+@pytest.mark.parametrize("axis", range(4))
+def test_single_ladders_match_dense_matrices(axis):
+    amp = random_state((4, 5, 3, 6), seed=11 + axis)
+    d = amp.shape[axis]
+    lower_m = np.diag(np.sqrt(np.arange(1.0, d)), 1)
+    for op, matrix in ((_kernels.lowered, lower_m), (_kernels.raised, lower_m.T)):
+        ref = np.moveaxis(np.tensordot(matrix, amp, axes=(1, axis)), 0, axis)
+        assert np.max(np.abs(op(amp, axis) - ref)) < 1e-14
 
 
 def test_reductions_against_numpy():
