@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 from .detection import FrequencyPlan, ImageBandCase, LoTone, classify_image_band_case
 from .gaussian import SqueezeParams
+from .timeseries import PROFILES
 
 FORMAT_VERSION = "blodyne-output/1"
 
@@ -214,8 +215,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
     spectrum = dict(_SPECTRUM_DEFAULTS)
     for key, value in spec_raw.items():
         if key == "profile":
-            if value not in ("lorentzian", "flat_top"):
-                raise ConfigError("spectrum.profile: expected 'lorentzian' or 'flat_top'")
+            if value not in PROFILES:
+                raise ConfigError(
+                    f"spectrum.profile: expected {' or '.join(map(repr, PROFILES))}")
             spectrum[key] = value
         elif key == "segment_length":
             spectrum[key] = _integer(value, f"spectrum.{key}")
@@ -229,6 +231,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
     for key in ("squeezing_bandwidth_hz", "sample_rate_hz", "duration_s"):
         if spectrum[key] <= 0.0:
             raise ConfigError(f"spectrum.{key}: must be > 0")
+    # the lorentzian profile squares the half width, as the closed forms
+    # square tone amplitudes
+    half = 0.5 * spectrum["squeezing_bandwidth_hz"]
+    if spectrum["profile"] == "lorentzian" and not sys.float_info.min <= half * half < math.inf:
+        raise ConfigError(
+            f"spectrum.squeezing_bandwidth_hz: {spectrum['squeezing_bandwidth_hz']!r} halved "
+            "and squared is not a finite normal float (lorentzian profile)"
+        )
 
     oracle_raw = raw.get("oracle", {})
     _require_keys(oracle_raw, "oracle", required=[], optional=list(_ORACLE_DEFAULTS))

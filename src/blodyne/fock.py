@@ -429,13 +429,9 @@ def oracle_difference_variance(signal: FockStateVector, lo: FockStateVector,
     g_lo = _ladder_gram(lo)
     nrm = (g_sig[0, 0] * g_lo[0, 0]).real
 
-    beats = []
-    for k in range(n_sig):
-        for j in range(n_lo):
-            beats.append((k, j, pairing.signal_freqs[k] - pairing.lo_freqs[j]))
+    beats = [(k, j, pairing.signal_freqs[k] - pairing.lo_freqs[j])
+             for k in range(n_sig) for j in range(n_lo)]
     tol = 1e-9 * max(fp.delta, max(abs(b[2]) for b in beats))
-
-    clusters = _cluster([b[2] for b in beats], tol)
 
     def _component(pos, neg):
         # C = sum_pos i a_k^dag b_j  +  sum_neg (-i) b_j^dag a_k; returns
@@ -447,23 +443,21 @@ def oracle_difference_variance(signal: FockStateVector, lo: FockStateVector,
         gram = g_sig[np.ix_(i_sig, i_sig)] * g_lo[np.ix_(i_lo, i_lo)]
         return mean, (coeff.conj() @ gram @ coeff).real
 
-    handled: list[float] = []
+    # One note per cluster of |beat|, its terms in signed-beat order; the
+    # notes are summed in order of their lowest signed beat.
+    notes = [(mu <= tol, sorted((beats[m] for m in members), key=lambda b: b[2]))
+             for mu, members in _cluster([abs(b[2]) for b in beats], tol)]
     variance = 0.0
-    for nu, members in clusters:
-        if abs(nu) <= tol:
+    for is_dc, terms in sorted(notes, key=lambda note: note[1][0][2]):
+        if is_dc:
             # Each DC pair contributes its term and the conjugate at the same
             # (zero) beat, so the component is Hermitian.
-            dc = [beats[m] for m in members]
-            mean_x, power_x = _component(dc, dc)
+            mean_x, power_x = _component(terms, terms)
             mean = (mean_x / nrm).real
             variance += power_x / nrm - mean * mean
             continue
-        mu = abs(nu)
-        if any(abs(h - mu) <= tol for h in handled):
-            continue
-        handled.append(mu)
-        plus = [beats[m] for c_nu, ms in clusters if abs(c_nu - mu) <= tol for m in ms]
-        minus = [beats[m] for c_nu, ms in clusters if abs(c_nu + mu) <= tol for m in ms]
+        plus = [b for b in terms if b[2] > 0.0]
+        minus = [b for b in terms if b[2] <= 0.0]
         mean_x, power_x = _component(plus, minus)
         mean_y, power_y = _component(minus, plus)
         variance += (power_x + power_y) / nrm
@@ -504,23 +498,13 @@ def apply_balanced_bs(state: FockStateVector, mode_a: int, mode_b: int) -> FockS
     if mode_a == mode_b:
         raise ValueError("beam splitter needs two distinct modes")
     amp = state.amplitudes
+    d = amp.shape[mode_a] + amp.shape[mode_b] - 1
     pad = [(0, 0)] * amp.ndim
-    pad[mode_a] = (0, amp.shape[mode_b] - 1)
-    pad[mode_b] = (0, amp.shape[mode_a] - 1)
-    d_new = amp.shape[mode_a] + amp.shape[mode_b] - 1
-    out = _apply_pair_unitary(np.pad(amp, pad), balanced_bs_unitary(d_new), mode_a, mode_b)
-    return FockStateVector(out)
-
-
-def _apply_pair_unitary(amp: np.ndarray, u: np.ndarray, axis_a: int, axis_b: int) -> np.ndarray:
-    d = amp.shape[axis_a]
-    if amp.shape[axis_b] != d or u.shape != (d * d, d * d):
-        raise ValueError("unitary does not match the axis dimensions")
-    moved = np.moveaxis(amp, (axis_a, axis_b), (0, 1))
-    rest = moved.shape[2:]
-    flat = moved.reshape(d * d, -1)
-    mixed = (u @ flat).reshape((d, d) + rest)
-    return np.ascontiguousarray(np.moveaxis(mixed, (0, 1), (axis_a, axis_b)))
+    pad[mode_a] = (0, d - amp.shape[mode_a])
+    pad[mode_b] = (0, d - amp.shape[mode_b])
+    moved = np.moveaxis(np.pad(amp, pad), (mode_a, mode_b), (0, 1))
+    mixed = (balanced_bs_unitary(d) @ moved.reshape(d * d, -1)).reshape(moved.shape)
+    return FockStateVector(np.moveaxis(mixed, (0, 1), (mode_a, mode_b)))
 
 
 @dataclass(frozen=True)
@@ -548,7 +532,7 @@ def oracle_difference_variance_unitary(signal: FockStateVector, lo: FockStateVec
         raise ValueError("pairing does not match the state mode counts")
 
     all_freqs = list(pairing.signal_freqs) + list(pairing.lo_freqs)
-    tol = 1e-9 * max(fp.delta, max(abs(f - g) for f in all_freqs for g in all_freqs) or fp.delta)
+    tol = 1e-9 * max(fp.delta, max(abs(f - g) for f in all_freqs for g in all_freqs))
     clusters = _cluster(all_freqs, tol)
 
     freq_entries = []  # (frequency, signal mode index or None, lo mode index or None)
@@ -562,32 +546,31 @@ def oracle_difference_variance_unitary(signal: FockStateVector, lo: FockStateVec
 
     # Port order (a_f0, b_f0, a_f1, b_f1, ...): the input axes in that order,
     # a size-1 axis for each silent port
-    axes, port_dims, dims = [], [], []
+    axes, port_dims = [], []
     for _, si, li in freq_entries:
-        da = signal.dims[si] if si is not None else 1
-        db = lo.dims[li] if li is not None else 1
         axes += ([si] if si is not None else []) + ([n_sig + li] if li is not None else [])
-        port_dims += [da, db]
-        dims += [da + db, da + db]  # da + db - 1 occupied plus one headroom level
-    total = math.prod(dims)
+        port_dims += [signal.dims[si] if si is not None else 1,
+                      lo.dims[li] if li is not None else 1]
+    # each mixed port holds da + db - 1 levels plus one headroom level
+    total = math.prod((da + db) ** 2 for da, db in zip(port_dims[::2], port_dims[1::2]))
     if total > _UNITARY_MAX_DIMENSION:
         raise ValueError(
             f"unitary-route dimension {total} exceeds {_UNITARY_MAX_DIMENSION}; "
             "this route is for small self-checks"
         )
 
-    core = np.multiply.outer(signal.amplitudes, lo.amplitudes).transpose(axes)
-    joint = np.pad(core.reshape(port_dims), [(0, d - p) for d, p in zip(dims, port_dims)])
+    ports = FockStateVector(np.multiply.outer(signal.amplitudes, lo.amplitudes)
+                            .transpose(axes).reshape(port_dims))
 
     def _total_photons(arr):
         return sum(_kernels.norm_sq(lowered(arr, axis)) for axis in range(arr.ndim))
 
-    norm_before = _kernels.norm_sq(joint)
-    photons_in = _total_photons(joint) / norm_before
+    norm_before = ports.norm_sq
+    photons_in = _total_photons(ports.amplitudes) / norm_before
 
-    for f_idx, (_, si, li) in enumerate(freq_entries):
-        ax_a, ax_b = 2 * f_idx, 2 * f_idx + 1
-        joint = _apply_pair_unitary(joint, balanced_bs_unitary(dims[ax_a]), ax_a, ax_b)
+    for f_idx in range(len(freq_entries)):
+        ports = apply_balanced_bs(ports, 2 * f_idx, 2 * f_idx + 1)
+    joint = pad_amplitudes(ports.amplitudes)
 
     norm_after = _kernels.norm_sq(joint)
     photons_out = _total_photons(joint) / norm_after
@@ -604,7 +587,6 @@ def oracle_difference_variance_unitary(signal: FockStateVector, lo: FockStateVec
     nF = len(freqs)
     beats = [(i, j, freqs[i] - freqs[j]) for i in range(nF) for j in range(nF)
              if any(abs((freqs[i] - freqs[j]) - d) <= tol for d in declared)]
-    bclusters = _cluster([b[2] for b in beats], tol)
 
     def _component(members):
         comp = np.zeros_like(joint)
@@ -615,25 +597,13 @@ def oracle_difference_variance_unitary(signal: FockStateVector, lo: FockStateVec
                                      coeff=-1.0)  # d2 port
         return comp
 
-    handled: list[float] = []
+    # Each signed beat cluster is a note of its own: a band and its mirror
+    # fold together as the sum of both notes' powers.
     variance = 0.0
-    for nu, members in bclusters:
-        if abs(nu) <= tol:
-            x = _component([beats[m] for m in members])
-            mean = (_kernels.vdot(joint, x) / norm_after).real
-            variance += _kernels.norm_sq(x) / norm_after - mean * mean
-            continue
-        mu = abs(nu)
-        if any(abs(h - mu) <= tol for h in handled):
-            continue
-        handled.append(mu)
-        plus = [beats[m] for c_nu, ms in bclusters if abs(c_nu - mu) <= tol for m in ms]
-        minus = [beats[m] for c_nu, ms in bclusters if abs(c_nu + mu) <= tol for m in ms]
-        x = _component(plus)
-        y = _component(minus)
-        variance += (_kernels.norm_sq(x) + _kernels.norm_sq(y)) / norm_after
-        variance -= (abs(_kernels.vdot(joint, x)) ** 2
-                     + abs(_kernels.vdot(joint, y)) ** 2) / norm_after**2
+    for _, members in _cluster([b[2] for b in beats], tol):
+        x = _component([beats[m] for m in members])
+        variance += (_kernels.norm_sq(x) / norm_after
+                     - abs(_kernels.vdot(joint, x)) ** 2 / norm_after**2)
 
     return UnitaryOracleResult(
         variance=float(variance),

@@ -114,7 +114,9 @@ class GaussianState:
     * mode ids are unique,
     * cov is symmetric to 1e-12 relative,
     * cov + (i/4) * Omega is positive semidefinite up to eigenvalue slack
-      1e-10 (Heisenberg physicality; the slack absorbs eigensolver noise).
+      1e-10 * max(1, max|cov|) (Heisenberg physicality; the slack absorbs
+      eigensolver noise, which grows with the entries of deeply squeezed
+      states).
     """
 
     modes: tuple[ModeLabel, ...]
@@ -141,7 +143,7 @@ class GaussianState:
         cov = 0.5 * (cov + cov.T)
         herm = cov + 0.25j * symplectic_form(n)
         min_eig = float(np.linalg.eigvalsh(herm)[0])
-        if min_eig < -_PHYSICALITY_SLACK:
+        if min_eig < -_PHYSICALITY_SLACK * max(1.0, float(np.max(np.abs(cov)))):
             raise PhysicalityError(
                 f"covariance violates the Heisenberg condition: min eigenvalue of "
                 f"cov + (i/4)*Omega is {min_eig:g}"

@@ -14,6 +14,7 @@ configuration's squeezing-free variance, read as a density per Hz.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,8 @@ class SpectralModel:
     level at the feature center, both in variance density per Hz;
     ``squeezing_bandwidth`` is the feature's full width at half depth. The
     lorentzian profile interpolates smoothly, flat_top switches inside
-    +-bandwidth/2.
+    +-bandwidth/2. The lorentzian profile squares the half width, so that
+    square must be a finite normal float.
     """
 
     center_frequency: float
@@ -50,13 +52,22 @@ class SpectralModel:
             raise ValueError("levels must be >= 0")
         if self.profile not in PROFILES:
             raise ValueError(f"profile must be one of {PROFILES}, got {self.profile!r}")
+        half = 0.5 * self.squeezing_bandwidth
+        if self.profile == "lorentzian" and not sys.float_info.min <= half * half < math.inf:
+            raise ValueError(
+                f"squeezing_bandwidth {self.squeezing_bandwidth!r}: its half squared is not "
+                "a finite normal float, which the lorentzian profile needs"
+            )
 
     def psd(self, frequencies: np.ndarray) -> np.ndarray:
         """Evaluate the target one-sided PSD on a frequency grid (Hz)."""
         f = np.asarray(frequencies, dtype=float)
         if self.profile == "lorentzian":
             half = 0.5 * self.squeezing_bandwidth
-            shape = half**2 / ((f - self.center_frequency) ** 2 + half**2)
+            # half**2 is a normal float, so a detuning whose square overflows
+            # gives shape 0, the value the exact ratio underflows to anyway
+            with np.errstate(over="ignore"):
+                shape = half**2 / ((f - self.center_frequency) ** 2 + half**2)
         else:
             shape = (np.abs(f - self.center_frequency) <= 0.5 * self.squeezing_bandwidth)
             shape = shape.astype(float)
@@ -302,22 +313,19 @@ def locate_squeezing_feature(spec: SpectrumEstimate,
     # one smoothing width; weighting by the excess over half maximum
     # de-weights the jittery region boundary.
     half = 0.5 * search[idx]
-    lo = idx
-    gap, k = 0, idx
-    while k > 1 and gap <= smooth_bins:
-        k -= 1
-        if search[k] > half:
-            lo, gap = k, 0
-        else:
-            gap += 1
-    hi = idx
-    gap, k = 0, idx
-    while k < search.size - 1 and gap <= smooth_bins:
-        k += 1
-        if search[k] > half:
-            hi, gap = k, 0
-        else:
-            gap += 1
+
+    def edge(step, stop):
+        # the farthest bin above half maximum walking from idx towards stop
+        last, gap, k = idx, 0, idx
+        while k != stop and gap <= smooth_bins:
+            k += step
+            if search[k] > half:
+                last, gap = k, 0
+            else:
+                gap += 1
+        return last
+
+    lo, hi = edge(-1, 1), edge(1, search.size - 1)
     weights = np.maximum(search[lo : hi + 1] - half, 0.0)
     center = float(np.sum(spec.frequencies[lo : hi + 1] * weights) / np.sum(weights))
     cidx = min(max(int(round(center / spec.resolution)), 1), psd.size - 1)

@@ -10,11 +10,12 @@ import sys
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blodyne.cli import main
 from blodyne.config import ConfigError, load_config, parse_config
+from blodyne.timeseries import PROFILES, SpectralModel
 
 BASE_CONFIG = {
     "frequency_plan": {
@@ -212,6 +213,64 @@ class TestSquaredMagnitudes:
                          {"imbalance": {"fractions": [0.1, 1e200]}})
 
 
+NO_IMAGE_PLAN = {
+    "omega_plus_hz": 300.000005e12,
+    "omega_minus_hz": 299.999995e12,
+    "lo_hz": [299.999995e12, 300.000005e12],
+}
+
+
+# Lorentzian bandwidths whose half squared leaves the normal floats: the first
+# overflows, the second underflows to 0, which made the DC bin of a DC feature 0/0
+LORENTZIAN_EDGES = [
+    {"frequency_plan": BASE_CONFIG["frequency_plan"],
+     "spectrum": {"squeezing_bandwidth_hz": 1e200, "sample_rate_hz": 1e202,
+                  "duration_s": 1e-199}},
+    {"frequency_plan": NO_IMAGE_PLAN,
+     "spectrum": {"squeezing_bandwidth_hz": 1e-170, "sample_rate_hz": 2.0**25,
+                  "duration_s": 2.0**-13, "segment_length": 256}},
+]
+
+
+class TestLorentzianBandwidth:
+    """The lorentzian profile squares half the bandwidth: a square that
+    overflows, or falls below the normal float range, exits 2 naming the key;
+    flat_top squares nothing."""
+
+    @pytest.mark.parametrize("overrides", LORENTZIAN_EDGES)
+    def test_square_leaves_the_normal_range(self, tmp_path, capsys, overrides):
+        path = write_config(tmp_path, overrides)
+        code, out, err = run(capsys, ["spectrum", "--config", path])
+        assert code == 2
+        assert out == ""
+        assert "config error" in err and "spectrum.squeezing_bandwidth_hz" in err
+
+    def test_flat_top_takes_any_positive_bandwidth(self, tmp_path, capsys):
+        edge = LORENTZIAN_EDGES[1]
+        path = write_config(tmp_path, dict(edge, spectrum=dict(edge["spectrum"],
+                                                               profile="flat_top")))
+        code, _, _ = run(capsys, ["spectrum", "--config", path])
+        assert code == 0
+
+    def test_detuning_square_overflow_is_silent(self, tmp_path, capsys):
+        # (bw/2)^2 is normal, but the squared detuning of the top bins is not
+        # finite: the profile is 0 there, with no numpy warning
+        path = write_config(tmp_path, {
+            "frequency_plan": SINGLE_TONE_PLAN, "lo_tones": [{"amplitude": 1.0}],
+            "spectrum": {"squeezing_bandwidth_hz": 1e154, "sample_rate_hz": 2.0**515,
+                         "duration_s": 2.0**-503, "segment_length": 256}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, _ = run(capsys, ["spectrum", "--config", path])
+        assert code == 0
+
+    @pytest.mark.parametrize("bandwidth", [1e200, 1e-170])
+    def test_model_rejects_the_bandwidth(self, bandwidth):
+        with pytest.raises(ValueError, match="lorentzian"):
+            SpectralModel(center_frequency=0.0, squeezing_bandwidth=bandwidth,
+                          noise_floor=1.0, dip_or_peak_level=0.5)
+
+
 # Every number a config holds stays in its working range, except for one or two
 # drawn anywhere in the finite floats; the edges of the float range are drawn
 # often there, since squares and ratios of them leave the range.
@@ -220,7 +279,7 @@ FLOAT_EDGES = [0.0, -0.0, 5e-324, sys.float_info.min, 1e-300, 1e-160, 1.5e-154,
 ANY_FINITE = st.one_of(st.sampled_from(FLOAT_EDGES),
                        st.floats(allow_nan=False, allow_infinity=False))
 CONFIG_NUMBERS = ["omega_plus", "omega_minus", "lo0", "lo1", "amplitude0", "amplitude1",
-                  "phase0", "phase1", "s", "theta", "fraction"]
+                  "phase0", "phase1", "s", "theta", "fraction", "bandwidth"]
 
 
 @st.composite
@@ -243,9 +302,18 @@ def generated_configs(draw):
         # two-tone formulas (any other plan exits 3)
         if "lo1" not in wild and draw(st.booleans()):
             lo_hz[1] = omega_plus + omega_minus - lo_hz[0]
+            # a quarter of the time the tones sit on the signal modes: the
+            # no-image plan, whose spectral feature is at DC
+            if "lo0" not in wild and draw(st.booleans()):
+                lo_hz = [omega_minus, omega_plus]
     amplitudes = [number(f"amplitude{k}", 0.0, 50.0) for k in range(n_tones)]
     if draw(st.booleans()):
         amplitudes = [amplitudes[0]] * n_tones
+    # the smallest power of two above the spectrum's Nyquist need (clamped so
+    # rate and duration stay normal floats), and 2^12 samples at that rate
+    bandwidth = number("bandwidth", 1e3, 1e6)
+    center = abs(lo_hz[0] - omega_minus) if n_tones == 2 else 0.5 * abs(omega_plus - omega_minus)
+    exponent = min(max(math.frexp(2.0 * (center + 5.0 * bandwidth))[1], -1000), 1000)
     cfg = {
         "frequency_plan": {
             "omega_plus_hz": omega_plus,
@@ -258,9 +326,11 @@ def generated_configs(draw):
         "scan": {"n_points": 5},
         "imbalance": {"fractions": [number("fraction", -0.99, 1.0),
                                     draw(st.floats(-0.99, 1.0))]},
-        # 2^12 samples at 2^25 Hz, fast enough to clear every generated plan's
-        # Nyquist need; verify checks the configured point only
-        "spectrum": {"sample_rate_hz": 2.0**25, "duration_s": 2.0**-13,
+        # verify checks the configured point only
+        "spectrum": {"squeezing_bandwidth_hz": bandwidth,
+                     "profile": draw(st.sampled_from(PROFILES)),
+                     "sample_rate_hz": math.ldexp(1.0, exponent),
+                     "duration_s": math.ldexp(1.0, 12 - exponent),
                      "segment_length": 256},
         "oracle": {"draws": 0},
     }
@@ -272,6 +342,10 @@ def generated_configs(draw):
 NON_FINITE = re.compile(r"(?<![a-z])(inf|nan)(?![a-z])")
 
 
+# the generator reaches the lorentzian edges only now and then; pinned, every
+# run checks them
+@example(raw=dict(BASE_CONFIG, oracle={"draws": 0}, **LORENTZIAN_EDGES[0]))
+@example(raw=dict(BASE_CONFIG, oracle={"draws": 0}, **LORENTZIAN_EDGES[1]))
 @settings(max_examples=300, deadline=None)
 @given(raw=generated_configs())
 def test_generated_configs_keep_the_exit_code_contract(tmp_path_factory, raw):

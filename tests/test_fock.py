@@ -352,6 +352,21 @@ class TestUnitaryRoute:
         assert grouped == pytest.approx(unitary.variance, rel=1e-10)
         assert unitary.photons_out == pytest.approx(unitary.photons_in, abs=1e-10)
 
+    def test_two_image_route_equality(self):
+        # six frequencies at cutoffs 2 and 2: 1.05e6 amplitudes, under the
+        # route's guard, and both states leak under 1e-6
+        p = SqueezeParams(s=0.1, theta=0.8)
+        case = ImageBandCase.TWO_IMAGE_BANDS
+        plan = reference_plan(case)
+        signal = build_blo_signal_state(p, case, 2)
+        lo = build_coherent_product([(0.1, 0.2), (0.1, 1.0)], 2)
+        pairing = BeatPairing.for_blo(plan, case)
+        grouped = oracle_difference_variance(signal, lo, pairing, plan)
+        unitary = oracle_difference_variance_unitary(signal, lo, pairing, plan)
+        assert grouped == pytest.approx(unitary.variance, rel=1e-10)
+        assert abs(unitary.norm_after - unitary.norm_before) < 1e-10
+        assert unitary.photons_out == pytest.approx(unitary.photons_in, abs=1e-10)
+
     @pytest.mark.parametrize("dim", [2, 3, 6])
     def test_splitter_matches_dense_generator_exponential(self, dim):
         # reference: one eigendecomposition of the whole dim^2 x dim^2

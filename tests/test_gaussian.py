@@ -215,6 +215,18 @@ def test_symplectic_preservation_randomized():
         assert float(np.linalg.eigvalsh(herm)[0]) >= -1e-10
 
 
+@pytest.mark.parametrize("s", [8.0, 10.0, 20.0])
+def test_deep_two_mode_squeeze_is_physical(s):
+    # cov entries reach cosh(2s)/4, so eigensolver noise on the Heisenberg
+    # check scales with them; every angle must still build
+    for theta in np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False):
+        out = apply_two_mode_squeeze(vacuum_state([M1, M2]), M1, M2,
+                                     SqueezeParams(s=s, theta=float(theta)))
+        # the anti-squeezed joint quadrature sits a quarter turn from theta/2
+        assert quadrature_variance(out, (M1, M2), theta / 2.0 + math.pi / 2.0) == \
+            pytest.approx(math.exp(2.0 * s) / 4.0, rel=1e-12)
+
+
 def test_unphysical_cov_rejected():
     with pytest.raises(PhysicalityError):
         GaussianState(modes=(M1,), mean=np.zeros(2), cov=0.1 * np.eye(2))
