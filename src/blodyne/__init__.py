@@ -19,7 +19,7 @@ from .gaussian import (BeamSplitterSpec, GaussianState, ModeLabel,
                        apply_two_mode_squeeze, mean_photon, quadrature_variance,
                        vacuum_state)
 from .timeseries import (PhotocurrentRecord, SpectralModel, SpectrumEstimate,
-                         estimate_psd, locate_squeezing_feature,
+                         SynthesizedRecord, estimate_psd, locate_squeezing_feature,
                          synthesize_difference_current)
 
 __version__ = "0.1.0"
@@ -28,7 +28,7 @@ __all__ = [
     "BeamSplitterSpec", "BeatPairing", "FockStateVector", "FrequencyPlan",
     "GaussianState", "ImageBandCase", "LoTone", "ModeLabel",
     "PhotocurrentRecord", "SpectralModel", "SpectrumEstimate", "SqueezeParams",
-    "TruncationPolicy", "VarianceReport", "apply_beam_splitter",
+    "SynthesizedRecord", "TruncationPolicy", "VarianceReport", "apply_beam_splitter",
     "apply_displacement", "apply_two_mode_squeeze", "blo_variance",
     "blo_variance_general", "blo_variance_unbalanced",
     "build_coherent_product", "build_tmss", "classify_image_band_case",

@@ -18,6 +18,7 @@ invariant violation, 4 oracle disagreement beyond tolerance.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import sys
@@ -173,10 +174,12 @@ def cmd_spectrum(cfg: ExperimentConfig, out_dir: str | None) -> int:
             cfg.squeeze, cfg.tones[0], cfg.plan,
             bandwidth=sp["squeezing_bandwidth_hz"], profile=sp["profile"],
         )
+    segment_length = int(sp["segment_length"])
     rec = timeseries.synthesize_difference_current(
         model, duration=sp["duration_s"], sample_rate=sp["sample_rate_hz"], seed=cfg.seed,
+        segment_length=segment_length,
     )
-    est = timeseries.estimate_psd(rec, int(sp["segment_length"]), sp["overlap"])
+    est = timeseries.estimate_psd(rec, segment_length, sp["overlap"])
     feature = timeseries.locate_squeezing_feature(est, model.noise_floor)
     summary = ["model_center_hz,model_floor,model_level,n_averages",
                f"{_g(model.center_frequency)},{_g(model.noise_floor)},"
@@ -191,13 +194,11 @@ def cmd_spectrum(cfg: ExperimentConfig, out_dir: str | None) -> int:
         csv_lines = timeseries.spectrum_csv_lines(est, _header_lines(cfg))
         with open(os.path.join(out_dir, "spectrum.csv"), "w", encoding="utf-8") as fh:
             fh.write("\n".join(csv_lines) + "\n")
-        import json as _json
-
         payload = {"format_version": FORMAT_VERSION,
                    "config": cfg.resolved,
                    "spectrum": timeseries.spectrum_to_json_dict(est)}
         with open(os.path.join(out_dir, "spectrum.json"), "w", encoding="utf-8") as fh:
-            _json.dump(payload, fh, sort_keys=True)
+            json.dump(payload, fh, sort_keys=True)
             fh.write("\n")
     return EXIT_OK
 

@@ -3,12 +3,13 @@
 The detection module predicts single numbers (variances at a beat note);
 this module turns them into something a spectrum analyzer would show. A
 :class:`SpectralModel` places a squeezing feature of finite bandwidth on a
-flat shot floor; records are synthesized by frequency-domain coloring of
-seeded white Gaussian noise, and Welch-averaged periodograms recover the
-model. The finite feature bandwidth is a modeling extension (the variance
-formulas treat single-frequency modes); the feature's extremum level is the
-detection-module variance, and the flat floor is numerically equal to the
-configuration's squeezing-free variance, read as a density per Hz.
+flat shot floor; records are synthesized by coloring seeded white Gaussian
+noise with an FIR filter, block by block, and Welch-averaged periodograms
+recover the model as the blocks stream past. The finite feature bandwidth is
+a modeling extension (the variance formulas treat single-frequency modes);
+the feature's extremum level is the detection-module variance, and the flat
+floor is numerically equal to the configuration's squeezing-free variance,
+read as a density per Hz.
 """
 
 from __future__ import annotations
@@ -107,7 +108,11 @@ class SpectralModel:
 
 @dataclass(frozen=True)
 class PhotocurrentRecord:
-    """A synthesized difference-current record with its provenance."""
+    """A difference-current record given by its samples, with its provenance.
+
+    :func:`estimate_psd` reads a record through ``size`` and ``blocks()``;
+    this one is a single block.
+    """
 
     samples: np.ndarray
     sample_rate: float
@@ -123,8 +128,69 @@ class PhotocurrentRecord:
         object.__setattr__(self, "samples", samples)
 
     @property
+    def size(self) -> int:
+        return self.samples.size
+
+    @property
     def duration(self) -> float:
         return self.samples.size / self.sample_rate
+
+    def blocks(self):
+        yield self.samples
+
+
+@dataclass(frozen=True, eq=False)
+class SynthesizedRecord:
+    """A record of seeded white noise colored by an FIR filter, read in blocks.
+
+    ``blocks()`` draws the noise in order from ``default_rng(seed)`` and
+    colors it by overlap-save, one FFT frame at a time, so reading the record
+    holds a frame and the filter but never the record: the ``size`` samples
+    plus ``taps.size - 1`` of lead-in are drawn afresh on each read.
+    ``samples`` gathers every block into one read-only array, for tests and
+    short records.
+    """
+
+    model: SpectralModel
+    size: int
+    sample_rate: float
+    seed: int
+    taps: np.ndarray
+
+    def blocks(self):
+        keep = self.taps.size - 1
+        # at least two filter lengths a frame, and no longer than the record needs
+        frame_size = min(max(_WELCH_BLOCK_SAMPLES, 2 * self.taps.size),
+                         1 << (self.size + keep - 1).bit_length())
+        response = np.fft.rfft(self.taps, frame_size)
+        rng = np.random.default_rng(self.seed)
+        frame = np.zeros(frame_size)
+        rng.standard_normal(out=frame[:keep])
+        done = 0
+        while done < self.size:
+            k = min(frame_size - keep, self.size - done)
+            rng.standard_normal(out=frame[keep : keep + k])
+            spectrum = np.fft.rfft(frame)
+            spectrum *= response
+            # output j reads frame[j - keep : j + 1]: from j = keep on, that is
+            # the linear convolution, and a short last frame's stale end is unread
+            yield np.fft.irfft(spectrum, frame_size)[keep : keep + k]
+            frame[:keep] = frame[k : k + keep]
+            done += k
+
+    @property
+    def duration(self) -> float:
+        return self.size / self.sample_rate
+
+    @property
+    def samples(self) -> np.ndarray:
+        out = np.empty(self.size)
+        done = 0
+        for block in self.blocks():
+            out[done : done + block.size] = block
+            done += block.size
+        out.setflags(write=False)
+        return out
 
 
 @dataclass(frozen=True)
@@ -150,23 +216,37 @@ class SpectrumEstimate:
         return float(np.sum(self.psd) * self.resolution)
 
 
+# Synthesis and Welch hold a few blocks at a time whatever the record
+# length, so this cap bounds run time, not memory: it stops a request of
+# 1e300 samples from running for ever
 _MAX_SAMPLES = 1 << 26
 
-# Welch windows this many samples at once, whatever the record length
+# Welch windows this many samples at once, and synthesis colors its noise in
+# FFT frames of at least this many
 _WELCH_BLOCK_SAMPLES = 1 << 18
 
 
 def synthesize_difference_current(model: SpectralModel, duration: float,
-                                  sample_rate: float, seed: int) -> PhotocurrentRecord:
+                                  sample_rate: float, seed: int,
+                                  segment_length: int | None = None) -> SynthesizedRecord:
     """Stationary Gaussian record whose one-sided PSD matches the model.
 
-    White complex Gaussians are scaled by the target PSD bin by bin and
-    inverse-transformed, so the target holds exactly in expectation and the
-    record is fully determined by the seed. The sample count is the smallest
-    power of two covering the requested duration. Rejects sample rates that
-    would alias the feature (needs sample_rate > 2 * (center + 5 * bandwidth)),
-    records above ``_MAX_SAMPLES``, and PSD levels whose bin scale
-    n * sample_rate * S overflows.
+    White Gaussian noise from ``default_rng(seed)`` is convolved with a
+    zero-phase FIR filter ``h = fftshift(irfft(sqrt(fs * S(f) / 2)))`` taken
+    on an m-point grid. Its response equals the target exactly at the m grid
+    frequencies, and sum(h^2) is the integral of the one-sided target, which
+    is the record's variance. The grid spacing is at most an eighth of the
+    feature bandwidth and, when the Welch ``segment_length`` the record is
+    meant for is given, an eighth of a Welch bin; m is the smallest power of
+    two that does this, capped at an eighth of the record length (at least 1).
+
+    The record is colored block by block as it is read (see
+    :class:`SynthesizedRecord`) and is fully determined by the seed. The
+    sample count is the smallest power of two covering the requested
+    duration. Rejects sample rates that would alias the feature (needs
+    sample_rate > 2 * (center + 5 * bandwidth)), records above
+    ``_MAX_SAMPLES``, and PSD levels whose scale n * sample_rate * S
+    overflows.
     """
     if duration <= 0.0 or sample_rate <= 0.0:
         raise ValueError("duration and sample_rate must be positive")
@@ -190,49 +270,39 @@ def synthesize_difference_current(model: SpectralModel, duration: float,
             f"PSD level {level:g} times n * sample_rate = {n * sample_rate:g} overflows; "
             "the record cannot be colored"
         )
-    scale = model.psd(np.fft.rfftfreq(n, d=1.0 / sample_rate))
-    # Interior bins carry complex amplitude with E|Z|^2 = n * fs * S / 2
-    # (per-component std sqrt(n fs S / 4)); the real DC and Nyquist bins
-    # carry E Z^2 = n * fs * S. This makes the record variance equal the
-    # integral of the one-sided target. The target becomes the scale in
-    # place, and both draws share one buffer, so the irfft's own output and
-    # scratch are all that join z at the peak.
-    scale *= n * sample_rate
-    dc_power, nyquist_power = scale[0], scale[-1]
-    scale /= 4.0
-    np.sqrt(scale, out=scale)
-    rng = np.random.default_rng(seed)
-    draw = np.empty(scale.size)
-    z = np.empty(scale.size, dtype=complex)
-    rng.standard_normal(out=draw)
-    dc = draw[0] * math.sqrt(dc_power)
-    nyquist = draw[-1] * math.sqrt(nyquist_power)
-    np.multiply(draw, scale, out=z.real)
-    rng.standard_normal(out=draw)
-    np.multiply(draw, scale, out=z.imag)
-    del draw, scale
-    z[0] = dc
-    z[-1] = nyquist
-    samples = np.fft.irfft(z, n=n)
-    return PhotocurrentRecord(samples=samples, sample_rate=sample_rate, seed=seed,
-                              model=model)
+    # the aliasing check makes this at least 80; it may overflow to inf
+    grid_points = 8.0 * sample_rate / model.squeezing_bandwidth
+    if segment_length is not None:
+        grid_points = max(grid_points, 8.0 * segment_length)
+    # a longer filter's overlap-save frames would take as much memory as
+    # coloring the whole record at once
+    longest = max(1, n // 8)
+    m = longest if grid_points >= longest else 1 << math.ceil(math.log2(grid_points))
+    amplitude = model.psd(np.fft.rfftfreq(m, d=1.0 / sample_rate))
+    amplitude *= 0.5 * sample_rate
+    np.sqrt(amplitude, out=amplitude)
+    taps = np.fft.fftshift(np.fft.irfft(amplitude, m))
+    taps.setflags(write=False)
+    return SynthesizedRecord(model=model, size=n, sample_rate=sample_rate, seed=seed,
+                             taps=taps)
 
 
-def estimate_psd(rec: PhotocurrentRecord, segment_length: int,
+def estimate_psd(rec: PhotocurrentRecord | SynthesizedRecord, segment_length: int,
                  overlap_fraction: float = 0.5) -> SpectrumEstimate:
     """Welch-averaged one-sided periodogram with a Hann window.
 
     The window power is compensated so densities are unbiased; integrating
     the estimate across a pure tone's peak returns the tone power A^2/2.
 
-    Segments are strided views of the record, transformed a block at a time
-    (``_WELCH_BLOCK_SAMPLES`` samples per block, at least one segment), so
-    the working set stays fixed as the record grows. The periodograms are
-    summed strictly in segment order, each added to the running sum in turn
-    (never pairwise), which makes the estimate bit-identical to a
-    segment-by-segment loop.
+    The record is read block by block, and the samples after a block's last
+    whole segment carry over to the next. Segments are strided views of that
+    data, transformed ``_WELCH_BLOCK_SAMPLES`` samples at a time (at least
+    one segment), so the working set stays fixed as the record grows. The
+    periodograms are summed strictly in segment order, each added to the
+    running sum in turn (never pairwise), which makes the estimate
+    bit-identical to a segment-by-segment loop over the whole record.
     """
-    n = rec.samples.size
+    n = rec.size
     if segment_length < 4 or (segment_length & (segment_length - 1)) != 0:
         raise ValueError("segment_length must be a power of two >= 4")
     if segment_length > n:
@@ -242,20 +312,28 @@ def estimate_psd(rec: PhotocurrentRecord, segment_length: int,
     step = max(1, int(round(segment_length * (1.0 - overlap_fraction))))
     window = 0.5 - 0.5 * np.cos(2.0 * math.pi * np.arange(segment_length) / segment_length)
     win_power = float(np.sum(window**2))
-    segments = np.lib.stride_tricks.sliding_window_view(rec.samples, segment_length)[::step]
-    count = segments.shape[0]
+    count = (n - segment_length) // step + 1
     rows = max(1, _WELCH_BLOCK_SAMPLES // segment_length)
     acc = np.zeros(segment_length // 2 + 1)
     # row 0 carries the running sum, so each reduce over axis 0 adds the
     # block's periodograms to it one after another, in segment order
     power = np.empty((min(rows, count) + 1, acc.size))
-    for first in range(0, count, rows):
-        block = segments[first : first + rows]
-        k = block.shape[0]
-        np.abs(np.fft.rfft(block * window), out=power[1 : k + 1])
-        power[1 : k + 1] **= 2
-        power[0] = acc
-        np.add.reduce(power[: k + 1], axis=0, out=acc)
+    tail = np.empty(0)
+    for block in rec.blocks():
+        data = np.concatenate((tail, block)) if tail.size else block
+        if data.size < segment_length:
+            tail = data
+            continue
+        # data starts at a segment boundary, so its own segments are the record's
+        segments = np.lib.stride_tricks.sliding_window_view(data, segment_length)[::step]
+        for first in range(0, segments.shape[0], rows):
+            chunk = segments[first : first + rows]
+            k = chunk.shape[0]
+            np.abs(np.fft.rfft(chunk * window), out=power[1 : k + 1])
+            power[1 : k + 1] **= 2
+            power[0] = acc
+            np.add.reduce(power[: k + 1], axis=0, out=acc)
+        tail = data[segments.shape[0] * step :]
     acc /= count
     psd = 2.0 * acc / (rec.sample_rate * win_power)
     psd[0] /= 2.0
@@ -355,7 +433,7 @@ def spectrum_csv_lines(est: SpectrumEstimate, header_lines=()):
 def spectrum_to_json_dict(est: SpectrumEstimate) -> dict:
     """JSON layout: schema name, scalars, then parallel frequency/psd arrays."""
     return {
-        "schema": "blodyne.spectrum_estimate/1",
+        "schema": "blodyne.spectrum_estimate/2",
         "resolution_hz": est.resolution,
         "n_averages": est.n_averages,
         "frequencies_hz": [float(f) for f in est.frequencies],

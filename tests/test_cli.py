@@ -465,7 +465,7 @@ class TestOutputs:
         assert "frequency_hz,psd_variance_per_hz" in csv_text
         doc = json.loads((out_dir / "spectrum.json").read_text())
         assert doc["format_version"] == "blodyne-output/1"
-        assert doc["spectrum"]["schema"] == "blodyne.spectrum_estimate/1"
+        assert doc["spectrum"]["schema"] == "blodyne.spectrum_estimate/2"
         summary = (out_dir / "spectrum_summary.txt").read_text()
         assert summary == out
 
@@ -575,11 +575,11 @@ GOLDEN_SPECTRUM = {
     "spectrum": {"duration_s": 0.03125, "segment_length": 1024, "overlap": 0.5},
 }
 GOLDEN_SPECTRUM_SHA256 = {
-    "stdout": "8e92ae62e2df55c7d20877a48496261941667fddfedbfb45d37ece41f2e5461a",
-    "spectrum.csv": "b261de483e9e40c4782d17e86a6fc69b646bd3e8f3b67f810d6f979dec793fe5",
-    "spectrum.json": "e2fbc725933fa750dc24358d8ad6319684548e544605980c0640534b01588d3c",
+    "stdout": "9d13c4792bca79661330a623025347970405af908ef6345bc76e4db31dfcfef9",
+    "spectrum.csv": "ea162cdddc44b3071c03f29db43743fbbb2e43ab54436ec7faf5eeb47b505d9d",
+    "spectrum.json": "31d301bfdfa500d55779aaa9881c0fc4577e6514c77df9443a8033eb59d29729",
     # the summary file holds exactly what stdout printed
-    "spectrum_summary.txt": "8e92ae62e2df55c7d20877a48496261941667fddfedbfb45d37ece41f2e5461a",
+    "spectrum_summary.txt": "9d13c4792bca79661330a623025347970405af908ef6345bc76e4db31dfcfef9",
 }
 
 

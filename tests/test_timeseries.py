@@ -8,7 +8,8 @@ import pytest
 from blodyne.detection import FrequencyPlan, ImageBandCase, LoTone
 from blodyne.gaussian import SqueezeParams
 from blodyne.timeseries import (_WELCH_BLOCK_SAMPLES, PhotocurrentRecord,
-                                SpectralModel, SpectrumEstimate, estimate_psd,
+                                SpectralModel, SpectrumEstimate,
+                                SynthesizedRecord, estimate_psd,
                                 locate_squeezing_feature, spectrum_csv_lines,
                                 spectrum_to_json_dict,
                                 synthesize_difference_current)
@@ -75,6 +76,7 @@ class TestSynthesis:
         n = rec.samples.size
         assert n & (n - 1) == 0
         assert n >= 0.01 * FS_BLO
+        assert rec.size == n and rec.duration == n / FS_BLO
 
     def test_aliasing_rejected(self):
         m = SpectralModel(center_frequency=5e6, squeezing_bandwidth=5e4,
@@ -196,7 +198,7 @@ class TestEmission:
         rec = synthesize_difference_current(flat_model(), 0.0005, FS_BLO, seed=1)
         est = estimate_psd(rec, 256, 0.5)
         spec_doc = json.loads(json.dumps(spectrum_to_json_dict(est)))
-        assert spec_doc["schema"] == "blodyne.spectrum_estimate/1"
+        assert spec_doc["schema"] == "blodyne.spectrum_estimate/2"
         assert len(spec_doc["frequencies_hz"]) == len(spec_doc["psd_variance_per_hz"])
 
     def test_estimate_arrays_immutable(self):
@@ -206,22 +208,17 @@ class TestEmission:
             est.psd[0] = 2.0
 
 
-# References: the straightforward forms of synthesis and Welch estimation,
-# which the allocation-lean versions must reproduce bit for bit.
+# References: the straightforward forms of synthesis and Welch estimation.
+# Welch must match its reference bit for bit; streamed synthesis sums its
+# convolutions by FFT, so it matches the direct sums to rounding.
 
 
-def reference_samples(model, n, sample_rate, seed):
-    """Synthesis with whole-array temporaries for the draws, scale and bins."""
-    freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate)
-    target = model.psd(freqs)
-    rng = np.random.default_rng(seed)
-    re = rng.standard_normal(freqs.size)
-    im = rng.standard_normal(freqs.size)
-    scale = np.sqrt(n * sample_rate * target / 4.0)
-    z = (re + 1j * im) * scale
-    z[0] = re[0] * math.sqrt(n * sample_rate * target[0])
-    z[-1] = re[-1] * math.sqrt(n * sample_rate * target[-1])
-    return np.fft.irfft(z, n=n)
+def reference_samples(model, n, sample_rate, seed, m):
+    """The record as one direct convolution of all its noise with the m-tap filter."""
+    grid = np.fft.rfftfreq(m, d=1.0 / sample_rate)
+    taps = np.fft.fftshift(np.fft.irfft(np.sqrt(0.5 * sample_rate * model.psd(grid)), m))
+    noise = np.random.default_rng(seed).standard_normal(n + m - 1)
+    return np.convolve(noise, taps, mode="valid"), taps
 
 
 def reference_welch_psd(samples, sample_rate, segment_length, overlap_fraction):
@@ -248,14 +245,22 @@ def dip_model(profile):
                          dip_or_peak_level=3.0, profile=profile)
 
 
+def block_sizes(rec):
+    return [block.size for block in rec.blocks()]
+
+
 class TestBitIdentity:
     @pytest.mark.parametrize("profile", ["lorentzian", "flat_top"])
-    @pytest.mark.parametrize("n", [2, 4, 1 << 16])
+    @pytest.mark.parametrize("n", [2, 4, 1 << 16, 1 << 20])
     def test_synthesis_matches_reference(self, profile, n):
+        # 2^20 samples take several FFT frames, so block seams are covered
         model = dip_model(profile)
         rec = synthesize_difference_current(model, n / FS_BLO, FS_BLO, seed=17)
         assert rec.samples.size == n
-        assert np.array_equal(rec.samples, reference_samples(model, n, FS_BLO, 17))
+        expected, taps = reference_samples(model, n, FS_BLO, 17, rec.taps.size)
+        assert np.array_equal(rec.taps, taps)
+        rms = math.sqrt(float(np.sum(taps**2)))
+        assert np.max(np.abs(rec.samples - expected)) <= 1e-12 * rms
 
     @pytest.mark.parametrize("segment_length,overlap", [
         (1024, 0.0),
@@ -289,6 +294,97 @@ class TestBitIdentity:
         assert est.n_averages == count == 1
         assert np.array_equal(est.psd, psd)
 
+    def test_welch_segments_straddle_block_seams(self):
+        rec = synthesize_difference_current(dip_model("flat_top"), (1 << 20) / FS_BLO,
+                                            FS_BLO, seed=9, segment_length=2048)
+        seams = np.cumsum(block_sizes(rec))[:-1]
+        # 1024-sample steps: a seam off the step grid cuts the segment across it
+        assert seams.size >= 3 and np.all(seams % 1024 != 0)
+        est = estimate_psd(rec, 2048, 0.5)
+        psd, count = reference_welch_psd(rec.samples, FS_BLO, 2048, 0.5)
+        assert est.n_averages == count
+        assert np.array_equal(est.psd, psd)
+
+    def test_welch_segment_longer_than_a_block(self):
+        # synthesized for the bandwidth alone, the filter and its blocks are short
+        rec = synthesize_difference_current(dip_model("lorentzian"), (1 << 20) / FS_BLO,
+                                            FS_BLO, seed=10)
+        segment_length = 1 << 19
+        assert max(block_sizes(rec)) < segment_length
+        est = estimate_psd(rec, segment_length, 0.5)
+        psd, count = reference_welch_psd(rec.samples, FS_BLO, segment_length, 0.5)
+        assert est.n_averages == count == 3
+        assert np.array_equal(est.psd, psd)
+
+
+class TestStream:
+    @pytest.mark.parametrize("n", [2, 4, 2048])
+    def test_record_shorter_than_the_filter(self, n):
+        # the Welch segment asks for 8 * 2048 taps; the record caps them at n / 8
+        model = dip_model("lorentzian")
+        rec = synthesize_difference_current(model, n / FS_BLO, FS_BLO, seed=12,
+                                            segment_length=2048)
+        m = max(1, n // 8)
+        assert rec.taps.size == m and block_sizes(rec) == [n]
+        expected, _ = reference_samples(model, n, FS_BLO, 12, m)
+        rms = math.sqrt(float(np.sum(rec.taps**2)))
+        assert np.max(np.abs(rec.samples - expected)) <= 1e-12 * rms
+
+    def test_samples_are_the_blocks_welch_reads(self, monkeypatch):
+        rec = synthesize_difference_current(dip_model("lorentzian"), (1 << 20) / FS_BLO,
+                                            FS_BLO, seed=14, segment_length=2048)
+        seen = []
+        blocks = SynthesizedRecord.blocks
+
+        def recorded(self):
+            for block in blocks(self):
+                seen.append(block.copy())
+                yield block
+
+        monkeypatch.setattr(SynthesizedRecord, "blocks", recorded)
+        estimate_psd(rec, 2048, 0.5)
+        monkeypatch.undo()
+        # a second read, for samples, gives the blocks again
+        samples = rec.samples
+        assert not samples.flags.writeable
+        assert len(seen) > 1
+        assert np.array_equal(np.concatenate(seen), samples)
+
+
+class TestStatistics:
+    """The mean Welch PSD of synthesized records over seeds is the target."""
+
+    SEEDS = range(4)
+    N = 1 << 20
+    SEGMENT = 2048
+
+    @pytest.mark.parametrize("model,edges", [
+        (dip_model("lorentzian"), ()),
+        # a DC feature, as in the no-image-band configuration
+        (SpectralModel(center_frequency=0.0, squeezing_bandwidth=5e4, noise_floor=4.0,
+                       dip_or_peak_level=4.0 * math.exp(2.0) + 2.0), ()),
+        (dip_model("flat_top"), (7.5e4, 1.25e5)),
+    ], ids=["lorentzian_dip", "dc_peak", "flat_top_dip"])
+    def test_mean_psd_within_standard_error(self, model, edges):
+        estimates = [estimate_psd(synthesize_difference_current(
+            model, self.N / FS_BLO, FS_BLO, seed=seed, segment_length=self.SEGMENT),
+            self.SEGMENT, 0.5) for seed in self.SEEDS]
+        mean = np.mean([est.psd for est in estimates], axis=0)
+        freqs = estimates[0].frequencies
+        target = model.psd(freqs)
+        # Hann segments at 50% overlap: neighbours correlate by 0.167^2, so
+        # a Welch average of K segments has relative variance 1.056 / K
+        averages = estimates[0].n_averages * len(self.SEEDS)
+        stderr = target * math.sqrt(1.056 / averages)
+        # the one-sided convention halves the DC and Nyquist bins, and the
+        # Hann main lobe straddles a flat_top step for 2 bins either side
+        kept = np.ones(freqs.size, dtype=bool)
+        kept[[0, -1]] = False
+        for edge in edges:
+            kept &= np.abs(freqs - edge) > 3.0 * estimates[0].resolution
+        z = (mean[kept] - target[kept]) / stderr[kept]
+        assert np.max(np.abs(z)) < 5.0
+
 
 def traced_peak(fn, *args):
     """Peak bytes traced by tracemalloc while fn runs, and fn's result."""
@@ -300,21 +396,29 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
+def synthesize_and_estimate(n, segment_length, overlap):
+    rec = synthesize_difference_current(dip_model("lorentzian"), n / FS_BLO, FS_BLO, seed=3,
+                                        segment_length=segment_length)
+    return estimate_psd(rec, segment_length, overlap)
+
+
 class TestMemory:
     N = 1 << 20
 
-    def test_synthesis_peak_near_two_records(self):
-        # z and the irfft output are one record each; the scale and the draw
-        # buffer are half a record each and are gone before the irfft
-        peak, rec = traced_peak(synthesize_difference_current, dip_model("lorentzian"),
-                                self.N / FS_BLO, FS_BLO, 3)
-        assert rec.samples.size == self.N
-        assert peak <= 2.5 * rec.samples.nbytes
+    def test_synthesis_and_welch_peak_is_fixed(self):
+        # one bound for both lengths, below the 32 MiB of a whole 2^22 record:
+        # a few FFT frames and Welch blocks, the record never
+        for n in (1 << 20, 1 << 22):
+            peak, est = traced_peak(synthesize_and_estimate, n, 2048, 0.5)
+            assert est.n_averages == n // 1024 - 1
+            assert peak < 24 << 20
 
     @pytest.mark.parametrize("segment_length,overlap", [(2048, 0.5), (256, 0.9)])
     def test_welch_peak_is_fixed(self, segment_length, overlap):
-        rec = synthesize_difference_current(dip_model("lorentzian"), self.N / FS_BLO,
-                                            FS_BLO, seed=3)
+        synthesized = synthesize_difference_current(dip_model("lorentzian"), self.N / FS_BLO,
+                                                    FS_BLO, seed=3)
+        rec = PhotocurrentRecord(samples=synthesized.samples, sample_rate=FS_BLO, seed=3,
+                                 model=synthesized.model)
         peak, _ = traced_peak(estimate_psd, rec, segment_length, overlap)
         # a few block-sized arrays, whatever the record length; windowing
         # every segment of this record at once would take 17 to 83 MB
