@@ -228,7 +228,7 @@ _WELCH_BLOCK_SAMPLES = 1 << 18
 
 def synthesize_difference_current(model: SpectralModel, duration: float,
                                   sample_rate: float, seed: int,
-                                  segment_length: int | None = None) -> SynthesizedRecord:
+                                  segment_length: int) -> SynthesizedRecord:
     """Stationary Gaussian record whose one-sided PSD matches the model.
 
     White Gaussian noise from ``default_rng(seed)`` is convolved with a
@@ -236,9 +236,9 @@ def synthesize_difference_current(model: SpectralModel, duration: float,
     on an m-point grid. Its response equals the target exactly at the m grid
     frequencies, and sum(h^2) is the integral of the one-sided target, which
     is the record's variance. The grid spacing is at most an eighth of the
-    feature bandwidth and, when the Welch ``segment_length`` the record is
-    meant for is given, an eighth of a Welch bin; m is the smallest power of
-    two that does this, capped at an eighth of the record length (at least 1).
+    feature bandwidth and an eighth of a bin of the Welch ``segment_length``
+    the record is meant for; m is the smallest power of two that does both,
+    capped at an eighth of the record length (at least 1).
 
     The record is colored block by block as it is read (see
     :class:`SynthesizedRecord`) and is fully determined by the seed. The
@@ -270,10 +270,8 @@ def synthesize_difference_current(model: SpectralModel, duration: float,
             f"PSD level {level:g} times n * sample_rate = {n * sample_rate:g} overflows; "
             "the record cannot be colored"
         )
-    # the aliasing check makes this at least 80; it may overflow to inf
-    grid_points = 8.0 * sample_rate / model.squeezing_bandwidth
-    if segment_length is not None:
-        grid_points = max(grid_points, 8.0 * segment_length)
+    # the aliasing check makes the first at least 80; it may overflow to inf
+    grid_points = max(8.0 * sample_rate / model.squeezing_bandwidth, 8.0 * segment_length)
     # a longer filter's overlap-save frames would take as much memory as
     # coloring the whole record at once
     longest = max(1, n // 8)

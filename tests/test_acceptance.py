@@ -203,7 +203,8 @@ def test_criterion_7_spectral_relocation():
     model = SpectralModel.for_standard(p_std, lo_std, fp_std, bandwidth=1.0e5)
     # carrier-scale rounding leaves the center a few mHz off the nominal value
     assert model.center_frequency == pytest.approx(5.0e6, abs=1.0)
-    rec = synthesize_difference_current(model, 0.5, 16.777216e6, seed=SEED)
+    rec = synthesize_difference_current(model, 0.5, 16.777216e6, seed=SEED,
+                                        segment_length=8192)
     est = estimate_psd(rec, 8192, 0.5)
     assert est.n_averages >= 256
     feat = locate_squeezing_feature(est, model.noise_floor)
@@ -223,7 +224,8 @@ def test_criterion_7_spectral_relocation():
     assert case is ImageBandCase.TWO_IMAGE_BANDS
     model = SpectralModel.for_blo(p_blo, lo1, lo2, fp_blo, case, bandwidth=5.0e4)
     assert model.center_frequency == pytest.approx(1.0e5, abs=1.0)
-    rec = synthesize_difference_current(model, 1.0, 2.0971520e6, seed=SEED + 1)
+    rec = synthesize_difference_current(model, 1.0, 2.0971520e6, seed=SEED + 1,
+                                        segment_length=2048)
     est = estimate_psd(rec, 2048, 0.5)
     assert est.n_averages >= 256
     feat = locate_squeezing_feature(est, model.noise_floor)

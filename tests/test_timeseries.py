@@ -65,14 +65,18 @@ class TestSpectralModel:
 
 class TestSynthesis:
     def test_deterministic_given_seed(self):
-        a = synthesize_difference_current(flat_model(), 0.01, FS_BLO, seed=3)
-        b = synthesize_difference_current(flat_model(), 0.01, FS_BLO, seed=3)
-        c = synthesize_difference_current(flat_model(), 0.01, FS_BLO, seed=4)
+        a = synthesize_difference_current(flat_model(), 0.01, FS_BLO, seed=3,
+                                          segment_length=2048)
+        b = synthesize_difference_current(flat_model(), 0.01, FS_BLO, seed=3,
+                                          segment_length=2048)
+        c = synthesize_difference_current(flat_model(), 0.01, FS_BLO, seed=4,
+                                          segment_length=2048)
         assert np.array_equal(a.samples, b.samples)
         assert not np.array_equal(a.samples, c.samples)
 
     def test_power_of_two_length(self):
-        rec = synthesize_difference_current(flat_model(), 0.01, FS_BLO, seed=0)
+        rec = synthesize_difference_current(flat_model(), 0.01, FS_BLO, seed=0,
+                                            segment_length=2048)
         n = rec.samples.size
         assert n & (n - 1) == 0
         assert n >= 0.01 * FS_BLO
@@ -82,17 +86,19 @@ class TestSynthesis:
         m = SpectralModel(center_frequency=5e6, squeezing_bandwidth=5e4,
                           noise_floor=2.0, dip_or_peak_level=1.0)
         with pytest.raises(ValueError, match="alias"):
-            synthesize_difference_current(m, 0.01, 1e6, seed=0)
+            synthesize_difference_current(m, 0.01, 1e6, seed=0, segment_length=2048)
 
     def test_variance_matches_target_integral(self):
-        rec = synthesize_difference_current(flat_model(), 1.0, FS_BLO, seed=11)
+        rec = synthesize_difference_current(flat_model(), 1.0, FS_BLO, seed=11,
+                                            segment_length=2048)
         target = 8.0 * FS_BLO / 2.0  # flat one-sided density times Nyquist band
         assert rec.samples.var() == pytest.approx(target, rel=2e-2)
 
 
 class TestWelch:
     def test_white_noise_level_and_parseval(self):
-        rec = synthesize_difference_current(flat_model(1.0), 1.0, FS_BLO, seed=5)
+        rec = synthesize_difference_current(flat_model(1.0), 1.0, FS_BLO, seed=5,
+                                            segment_length=8192)
         est = estimate_psd(rec, 8192, 0.5)
         assert est.n_averages >= 256
         assert est.psd[1:-1].mean() == pytest.approx(1.0, rel=2e-2)
@@ -133,14 +139,15 @@ class TestWelch:
 
 class TestFeatureLocation:
     def test_flat_gives_no_feature(self):
-        rec = synthesize_difference_current(flat_model(), 1.0, FS_BLO, seed=7)
+        rec = synthesize_difference_current(flat_model(), 1.0, FS_BLO, seed=7,
+                                            segment_length=2048)
         est = estimate_psd(rec, 2048, 0.5)
         assert locate_squeezing_feature(est, 8.0) is None
 
     def test_dip_round_trip(self):
         m = SpectralModel(center_frequency=1e5, squeezing_bandwidth=5e4,
                           noise_floor=8.0, dip_or_peak_level=4.0)
-        rec = synthesize_difference_current(m, 0.25, FS_BLO, seed=21)
+        rec = synthesize_difference_current(m, 0.25, FS_BLO, seed=21, segment_length=2048)
         est = estimate_psd(rec, 2048, 0.5)
         feat = locate_squeezing_feature(est, 8.0)
         assert feat is not None
@@ -151,7 +158,7 @@ class TestFeatureLocation:
         level = 4.0 * math.exp(2.0) + 2.0
         m = SpectralModel(center_frequency=1e5, squeezing_bandwidth=5e4,
                           noise_floor=4.0, dip_or_peak_level=level)
-        rec = synthesize_difference_current(m, 0.25, FS_BLO, seed=3)
+        rec = synthesize_difference_current(m, 0.25, FS_BLO, seed=3, segment_length=2048)
         est = estimate_psd(rec, 2048, 0.5)
         feat = locate_squeezing_feature(est, 4.0)
         assert feat is not None
@@ -161,7 +168,7 @@ class TestFeatureLocation:
     def test_floor_recovered_off_feature(self):
         m = SpectralModel(center_frequency=1e5, squeezing_bandwidth=5e4,
                           noise_floor=8.0, dip_or_peak_level=4.0)
-        rec = synthesize_difference_current(m, 0.5, FS_BLO, seed=9)
+        rec = synthesize_difference_current(m, 0.5, FS_BLO, seed=9, segment_length=2048)
         est = estimate_psd(rec, 2048, 0.5)
         away = est.frequencies > 5e5
         assert est.psd[away].mean() == pytest.approx(8.0, rel=2e-2)
@@ -177,7 +184,8 @@ class TestFeatureLocation:
             m = SpectralModel(center_frequency=center, squeezing_bandwidth=5e4,
                               noise_floor=8.0, dip_or_peak_level=8.0 * depth)
             rec = synthesize_difference_current(m, 0.25, FS_BLO,
-                                                seed=int(rng.integers(1 << 31)))
+                                                seed=int(rng.integers(1 << 31)),
+                                                segment_length=2048)
             est = estimate_psd(rec, 2048, 0.5)
             feat = locate_squeezing_feature(est, 8.0)
             assert feat is not None
@@ -186,7 +194,8 @@ class TestFeatureLocation:
 
 class TestEmission:
     def test_spectrum_csv(self):
-        rec = synthesize_difference_current(flat_model(), 0.002, FS_BLO, seed=1)
+        rec = synthesize_difference_current(flat_model(), 0.002, FS_BLO, seed=1,
+                                            segment_length=1024)
         est = estimate_psd(rec, 1024, 0.5)
         lines = spectrum_csv_lines(est, header_lines=["config: {}"])
         assert lines[0] == "# config: {}"
@@ -195,7 +204,8 @@ class TestEmission:
         assert len(lines) - header_idx - 1 == est.psd.size
 
     def test_json_schemas_round_trip(self):
-        rec = synthesize_difference_current(flat_model(), 0.0005, FS_BLO, seed=1)
+        rec = synthesize_difference_current(flat_model(), 0.0005, FS_BLO, seed=1,
+                                            segment_length=256)
         est = estimate_psd(rec, 256, 0.5)
         spec_doc = json.loads(json.dumps(spectrum_to_json_dict(est)))
         assert spec_doc["schema"] == "blodyne.spectrum_estimate/2"
@@ -253,9 +263,11 @@ class TestBitIdentity:
     @pytest.mark.parametrize("profile", ["lorentzian", "flat_top"])
     @pytest.mark.parametrize("n", [2, 4, 1 << 16, 1 << 20])
     def test_synthesis_matches_reference(self, profile, n):
-        # 2^20 samples take several FFT frames, so block seams are covered
+        # 2^20 samples take several FFT frames, so block seams are covered; a
+        # 64-sample segment leaves the bandwidth to set the 512 taps
         model = dip_model(profile)
-        rec = synthesize_difference_current(model, n / FS_BLO, FS_BLO, seed=17)
+        rec = synthesize_difference_current(model, n / FS_BLO, FS_BLO, seed=17,
+                                            segment_length=64)
         assert rec.samples.size == n
         expected, taps = reference_samples(model, n, FS_BLO, 17, rec.taps.size)
         assert np.array_equal(rec.taps, taps)
@@ -270,7 +282,7 @@ class TestBitIdentity:
     ])
     def test_welch_matches_reference(self, segment_length, overlap):
         rec = synthesize_difference_current(dip_model("lorentzian"), (1 << 18) / FS_BLO,
-                                            FS_BLO, seed=5)
+                                            FS_BLO, seed=5, segment_length=segment_length)
         est = estimate_psd(rec, segment_length, overlap)
         psd, count = reference_welch_psd(rec.samples, FS_BLO, segment_length, overlap)
         assert est.n_averages == count
@@ -280,7 +292,7 @@ class TestBitIdentity:
         segment_length = 2048
         rows = _WELCH_BLOCK_SAMPLES // segment_length
         rec = synthesize_difference_current(dip_model("flat_top"), (1 << 18) / FS_BLO,
-                                            FS_BLO, seed=6)
+                                            FS_BLO, seed=6, segment_length=segment_length)
         est = estimate_psd(rec, segment_length, 0.5)
         assert est.n_averages > rows and est.n_averages % rows != 0
         psd, _ = reference_welch_psd(rec.samples, FS_BLO, segment_length, 0.5)
@@ -288,7 +300,7 @@ class TestBitIdentity:
 
     def test_welch_single_segment(self):
         rec = synthesize_difference_current(dip_model("lorentzian"), 4096 / FS_BLO,
-                                            FS_BLO, seed=8)
+                                            FS_BLO, seed=8, segment_length=4096)
         est = estimate_psd(rec, 4096, 0.9)
         psd, count = reference_welch_psd(rec.samples, FS_BLO, 4096, 0.9)
         assert est.n_averages == count == 1
@@ -306,10 +318,11 @@ class TestBitIdentity:
         assert np.array_equal(est.psd, psd)
 
     def test_welch_segment_longer_than_a_block(self):
-        # synthesized for the bandwidth alone, the filter and its blocks are short
-        rec = synthesize_difference_current(dip_model("lorentzian"), (1 << 20) / FS_BLO,
-                                            FS_BLO, seed=10)
+        # the filter is capped at 2^17 taps, so its 2^18-sample frames give
+        # blocks of 2^17 + 1 samples
         segment_length = 1 << 19
+        rec = synthesize_difference_current(dip_model("lorentzian"), (1 << 20) / FS_BLO,
+                                            FS_BLO, seed=10, segment_length=segment_length)
         assert max(block_sizes(rec)) < segment_length
         est = estimate_psd(rec, segment_length, 0.5)
         psd, count = reference_welch_psd(rec.samples, FS_BLO, segment_length, 0.5)
@@ -354,10 +367,15 @@ class TestStream:
 class TestStatistics:
     """The mean Welch PSD of synthesized records over seeds is the target."""
 
-    SEEDS = range(4)
+    SEEDS = range(8)
     N = 1 << 20
-    SEGMENT = 2048
 
+    @pytest.mark.parametrize("segment_length,taps", [
+        (2048, 8 * 2048),
+        # 8 * N / 16 grid points would exceed the record's cap of N / 8 taps,
+        # so the filter grid is two per Welch bin, not eight
+        (N // 16, N // 8),
+    ], ids=["taps_from_segment", "taps_capped"])
     @pytest.mark.parametrize("model,edges", [
         (dip_model("lorentzian"), ()),
         # a DC feature, as in the no-image-band configuration
@@ -365,10 +383,13 @@ class TestStatistics:
                        dip_or_peak_level=4.0 * math.exp(2.0) + 2.0), ()),
         (dip_model("flat_top"), (7.5e4, 1.25e5)),
     ], ids=["lorentzian_dip", "dc_peak", "flat_top_dip"])
-    def test_mean_psd_within_standard_error(self, model, edges):
-        estimates = [estimate_psd(synthesize_difference_current(
-            model, self.N / FS_BLO, FS_BLO, seed=seed, segment_length=self.SEGMENT),
-            self.SEGMENT, 0.5) for seed in self.SEEDS]
+    def test_mean_psd_within_standard_error(self, model, edges, segment_length, taps):
+        estimates = []
+        for seed in self.SEEDS:
+            rec = synthesize_difference_current(model, self.N / FS_BLO, FS_BLO, seed=seed,
+                                                segment_length=segment_length)
+            assert rec.taps.size == taps
+            estimates.append(estimate_psd(rec, segment_length, 0.5))
         mean = np.mean([est.psd for est in estimates], axis=0)
         freqs = estimates[0].frequencies
         target = model.psd(freqs)
@@ -416,7 +437,8 @@ class TestMemory:
     @pytest.mark.parametrize("segment_length,overlap", [(2048, 0.5), (256, 0.9)])
     def test_welch_peak_is_fixed(self, segment_length, overlap):
         synthesized = synthesize_difference_current(dip_model("lorentzian"), self.N / FS_BLO,
-                                                    FS_BLO, seed=3)
+                                                    FS_BLO, seed=3,
+                                                    segment_length=segment_length)
         rec = PhotocurrentRecord(samples=synthesized.samples, sample_rate=FS_BLO, seed=3,
                                  model=synthesized.model)
         peak, _ = traced_peak(estimate_psd, rec, segment_length, overlap)
