@@ -18,18 +18,18 @@ invariant violation, 4 oracle disagreement beyond tolerance.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
 
-import numpy as np
-
-from . import detection, fock, timeseries
+# numpy, fock and timeseries are imported inside the subcommands that use
+# them, so the closed-form subcommands start on the standard library alone.
+from . import detection
 from .config import (FORMAT_VERSION, ORACLE_DRAW_BETA_MIN, ConfigError,
                      ExperimentConfig, canonical_config_json, load_config)
-from .detection import ImageBandCase, LoTone
-from .gaussian import SqueezeParams
+from .detection import ImageBandCase, LoTone, SqueezeParams
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -41,6 +41,10 @@ class OracleMismatch(RuntimeError):
     """Oracle and closed-form variances disagree beyond the tolerance."""
 
 
+class OutputDirError(Exception):
+    """An output file cannot be written under the output directory."""
+
+
 def _g(x: float) -> str:
     return f"{x:.17g}"
 
@@ -49,15 +53,26 @@ def _header_lines(cfg: ExperimentConfig):
     return [f"format_version: {FORMAT_VERSION}", f"config: {canonical_config_json(cfg)}"]
 
 
+@contextlib.contextmanager
+def _output_file(out_dir: str, filename: str):
+    """Open a file under out_dir for writing; any OSError becomes OutputDirError."""
+    path = os.path.join(out_dir, filename)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise OutputDirError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
+
+
 def _emit(lines, cfg: ExperimentConfig, out_dir: str | None, filename: str):
+    """Write the file first, so that a failed write leaves stdout empty."""
     full = [f"# {h}" for h in _header_lines(cfg)] + list(lines)
     text = "\n".join(full) + "\n"
-    sys.stdout.write(text)
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        path = os.path.join(out_dir, filename)
-        with open(path, "w", encoding="utf-8") as fh:
+        with _output_file(out_dir, filename) as fh:
             fh.write(text)
+    sys.stdout.write(text)
 
 
 def _standard_equivalent_tone(cfg: ExperimentConfig) -> LoTone:
@@ -163,6 +178,8 @@ def cmd_imbalance(cfg: ExperimentConfig, out_dir: str | None) -> int:
 
 
 def cmd_spectrum(cfg: ExperimentConfig, out_dir: str | None) -> int:
+    from . import timeseries
+
     sp = cfg.spectrum
     if cfg.two_tone:
         model = timeseries.SpectralModel.for_blo(
@@ -188,24 +205,23 @@ def cmd_spectrum(cfg: ExperimentConfig, out_dir: str | None) -> int:
         summary.append("feature: none")
     else:
         summary.append(f"feature: center_hz {_g(feature.center)} depth_db {_g(feature.depth_db)}")
-    _emit(summary, cfg, out_dir, "spectrum_summary.txt")
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
         csv_lines = timeseries.spectrum_csv_lines(est, _header_lines(cfg))
-        with open(os.path.join(out_dir, "spectrum.csv"), "w", encoding="utf-8") as fh:
+        with _output_file(out_dir, "spectrum.csv") as fh:
             fh.write("\n".join(csv_lines) + "\n")
         payload = {"format_version": FORMAT_VERSION,
                    "config": cfg.resolved,
                    "spectrum": timeseries.spectrum_to_json_dict(est)}
-        with open(os.path.join(out_dir, "spectrum.json"), "w", encoding="utf-8") as fh:
+        with _output_file(out_dir, "spectrum.json") as fh:
             json.dump(payload, fh, sort_keys=True)
             fh.write("\n")
+    _emit(summary, cfg, out_dir, "spectrum_summary.txt")
     return EXIT_OK
 
 
-def _oracle_check(p: SqueezeParams, beta: float, chi1: float, chi2: float,
-                  case: ImageBandCase, policy: fock.TruncationPolicy) -> float:
-    measured = fock.oracle_blo_run(p, beta, chi1, chi2, case, policy=policy)
+def _oracle_error(measured: float, p: SqueezeParams, beta: float, chi1: float,
+                  chi2: float, case: ImageBandCase) -> float:
+    """Relative error of an oracle variance against the closed form."""
     rep = detection.blo_variance(
         p,
         LoTone(amplitude=beta, phase=chi1, frequency=2.0e15),
@@ -217,6 +233,10 @@ def _oracle_check(p: SqueezeParams, beta: float, chi1: float, chi2: float,
 
 
 def cmd_verify(cfg: ExperimentConfig, out_dir: str | None, tolerance: float) -> int:
+    import numpy as np
+
+    from . import fock
+
     orc = cfg.oracle
     policy = fock.TruncationPolicy(target_leakage=orc["target_leakage"],
                                    max_dimension=int(orc["max_dimension"]))
@@ -242,7 +262,8 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: str | None, tolerance: float) -> 
         checks.append((p, beta, float(rng.uniform(0.0, 2.0 * math.pi)),
                        float(rng.uniform(0.0, 2.0 * math.pi)), case))
     for i, (p, beta, chi1, chi2, case) in enumerate(checks):
-        err = _oracle_check(p, beta, chi1, chi2, case, policy)
+        measured = fock.oracle_blo_run(p, beta, chi1, chi2, case, policy=policy)
+        err = _oracle_error(measured, p, beta, chi1, chi2, case)
         max_err = max(max_err, err)
         lines.append(f"{i},{case.value},{_g(p.s)},{_g(p.theta)},{_g(beta)},"
                      f"{_g(chi1)},{_g(chi2)},{_g(err)}")
@@ -258,6 +279,8 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: str | None, tolerance: float) -> 
 
 def tmss_oracle_feasible(s: float) -> bool:
     """Whether the squeezed-pair cutoff at the default leakage stays desk-sized (<= 64)."""
+    from . import fock
+
     if s <= 0.0:
         return True
     return math.tanh(s) < 1.0 and fock.tmss_cutoff_for_leakage(s, 1e-8) <= 64
@@ -297,7 +320,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    out_dir = args.output_dir if args.output_dir is not None else cfg.resolved.get("output_dir")
+    if args.output_dir is not None:
+        out_dir, out_source = args.output_dir, "--output-dir"
+    else:
+        out_dir, out_source = cfg.resolved.get("output_dir"), "config output_dir"
     try:
         if cfg.two_tone and args.command != "verify":
             _require_opposite_detunings(cfg)
@@ -312,6 +338,9 @@ def main(argv=None) -> int:
         if args.command == "spectrum":
             return cmd_spectrum(cfg, out_dir)
         return cmd_verify(cfg, out_dir, args.tolerance)
+    except OutputDirError as exc:
+        print(f"config error: {out_source} {out_dir!r}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except OracleMismatch as exc:
         print(f"oracle mismatch: {exc}", file=sys.stderr)
         return EXIT_ORACLE

@@ -14,11 +14,13 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from .detection import FrequencyPlan, ImageBandCase, LoTone, classify_image_band_case
-from .gaussian import SqueezeParams
-from .timeseries import PROFILES
+from .detection import (FrequencyPlan, ImageBandCase, LoTone, SqueezeParams,
+                        classify_image_band_case)
 
 FORMAT_VERSION = "blodyne-output/1"
+
+# Spectral feature shapes a spectrum config may name (see timeseries.SpectralModel).
+PROFILES = ("lorentzian", "flat_top")
 
 _CASE_NAMES = {
     "auto": None,
@@ -308,6 +310,8 @@ def load_config(path: str) -> ExperimentConfig:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     return parse_config(raw)

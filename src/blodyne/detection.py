@@ -7,18 +7,41 @@ correction. Variances are dimensionless (units of the squared local
 oscillator amplitude), frequencies are rad/s, phases radians.
 
 Every function here is pure; scan points may be evaluated in parallel and
-results do not depend on evaluation order.
+results do not depend on evaluation order. The module needs only the
+standard library, so the closed-form CLI subcommands never import numpy;
+it also owns ``SqueezeParams``, which every other module imports from here.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
-import numpy as np
 
-from .gaussian import SqueezeParams, _reduce_angle
+def _reduce_angle(angle: float) -> float:
+    """Reduce an angle to [0, 2*pi)."""
+    reduced = math.fmod(angle, 2.0 * math.pi)
+    if reduced < 0.0:
+        reduced += 2.0 * math.pi
+    return reduced
+
+
+@dataclass(frozen=True)
+class SqueezeParams:
+    """Degree of squeezing s >= 0 and squeezing angle theta (radians).
+
+    theta is reduced to [0, 2*pi) on construction.
+    """
+
+    s: float
+    theta: float = 0.0
+
+    def __post_init__(self):
+        if not (math.isfinite(self.s) and self.s >= 0.0):
+            raise ValueError(f"squeeze magnitude s must be finite and >= 0, got {self.s!r}")
+        object.__setattr__(self, "theta", _reduce_angle(self.theta))
 
 
 class ImageBandCase(enum.Enum):
@@ -222,7 +245,7 @@ def detuning_tolerance(fp: FrequencyPlan) -> float:
     1e-9 * delta, with a floor of a few carrier ulps: at optical carriers,
     double precision cannot resolve detunings below roughly eps * omega_plus.
     """
-    return max(1e-9 * fp.delta, 32.0 * np.finfo(float).eps * fp.omega_plus)
+    return max(1e-9 * fp.delta, 32.0 * sys.float_info.epsilon * fp.omega_plus)
 
 
 def classify_image_band_case(fp: FrequencyPlan) -> ImageBandCase:
@@ -355,13 +378,16 @@ def phase_scan(p: SqueezeParams, lo_config, case: ImageBandCase | None = None,
     """
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
-    phases = np.linspace(0.0, 2.0 * math.pi, n_points, endpoint=False)
+    # i * step, not a running sum: bit-identical to
+    # np.linspace(0, 2*pi, n_points, endpoint=False)
+    step = 2.0 * math.pi / n_points
+    phases = [i * step for i in range(n_points)]
     out = []
     if isinstance(lo_config, LoTone):
         for chi in phases:
-            tone = LoTone(amplitude=lo_config.amplitude, phase=float(chi),
+            tone = LoTone(amplitude=lo_config.amplitude, phase=chi,
                           frequency=lo_config.frequency)
-            out.append((float(chi), standard_heterodyne_variance(p, tone)))
+            out.append((chi, standard_heterodyne_variance(p, tone)))
         return out
     lo1, lo2 = lo_config
     if case is None:
@@ -369,7 +395,7 @@ def phase_scan(p: SqueezeParams, lo_config, case: ImageBandCase | None = None,
     if lo1.amplitude != lo2.amplitude:
         raise ValueError("phase_scan expects matched tone amplitudes")
     for phase_sum in phases:
-        t1 = LoTone(amplitude=lo1.amplitude, phase=float(phase_sum), frequency=lo1.frequency)
+        t1 = LoTone(amplitude=lo1.amplitude, phase=phase_sum, frequency=lo1.frequency)
         t2 = LoTone(amplitude=lo2.amplitude, phase=0.0, frequency=lo2.frequency)
-        out.append((float(phase_sum), blo_variance(p, t1, t2, case)))
+        out.append((phase_sum, blo_variance(p, t1, t2, case)))
     return out

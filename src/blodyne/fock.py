@@ -45,8 +45,7 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import lowered, raised
-from .detection import FrequencyPlan, ImageBandCase, classify_image_band_case
-from .gaussian import SqueezeParams
+from .detection import FrequencyPlan, ImageBandCase, SqueezeParams, classify_image_band_case
 
 _INPUT_LEAKAGE_LIMIT = 1e-6
 _UNITARY_MAX_DIMENSION = 10_000_000

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .detection import SqueezeParams
+
 _SYMMETRY_RTOL = 1e-12
 _PHYSICALITY_SLACK = 1e-10
 VACUUM_QUAD_VARIANCE = 0.25
@@ -24,14 +26,6 @@ VACUUM_QUAD_VARIANCE = 0.25
 
 class PhysicalityError(ValueError):
     """A covariance matrix violates the Heisenberg positivity condition."""
-
-
-def _reduce_angle(angle: float) -> float:
-    """Reduce an angle to [0, 2*pi)."""
-    reduced = math.fmod(angle, 2.0 * math.pi)
-    if reduced < 0.0:
-        reduced += 2.0 * math.pi
-    return reduced
 
 
 @dataclass(frozen=True)
@@ -47,22 +41,6 @@ class ModeLabel:
                 f"mode {self.id!r}: angular_frequency must be finite and positive, "
                 f"got {self.angular_frequency!r}"
             )
-
-
-@dataclass(frozen=True)
-class SqueezeParams:
-    """Degree of squeezing s >= 0 and squeezing angle theta (radians).
-
-    theta is reduced to [0, 2*pi) on construction.
-    """
-
-    s: float
-    theta: float = 0.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.s) and self.s >= 0.0):
-            raise ValueError(f"squeeze magnitude s must be finite and >= 0, got {self.s!r}")
-        object.__setattr__(self, "theta", _reduce_angle(self.theta))
 
 
 @dataclass(frozen=True)

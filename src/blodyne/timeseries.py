@@ -20,10 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import PROFILES
 from .detection import (FrequencyPlan, ImageBandCase, LoTone, SqueezeParams,
                         blo_variance, standard_heterodyne_variance)
-
-PROFILES = ("lorentzian", "flat_top")
 
 
 @dataclass(frozen=True)
@@ -331,7 +330,9 @@ def estimate_psd(rec: PhotocurrentRecord | SynthesizedRecord, segment_length: in
             power[1 : k + 1] **= 2
             power[0] = acc
             np.add.reduce(power[: k + 1], axis=0, out=acc)
-        tail = data[segments.shape[0] * step :]
+        # a copy, not a view: a view keeps the whole block alive while the
+        # next one is concatenated, and the freed blocks then fragment the heap
+        tail = data[segments.shape[0] * step :].copy()
     acc /= count
     psd = 2.0 * acc / (rec.sample_rate * win_power)
     psd[0] /= 2.0

@@ -386,6 +386,33 @@ class TestExitCodes:
         assert code == 4
         assert "oracle mismatch" in err
 
+    def test_config_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "exp.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, out, err = run(capsys, ["variance", "--config", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error: ") and "exp.json" in err and "UTF-8" in err
+
+    @pytest.mark.parametrize("cmd", ["variance", "spectrum"])
+    @pytest.mark.parametrize("source", ["--output-dir", "config output_dir"])
+    def test_unwritable_output_dir_exits_2(self, tmp_path, capsys, cmd, source):
+        # no directory can be made under a regular file
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out_dir = str(blocker / "out")
+        overrides = {"frequency_plan": PLAN_100KHZ, "spectrum": {"duration_s": 0.03125}}
+        args = [cmd]
+        if source == "--output-dir":
+            args += ["--output-dir", out_dir]
+        else:
+            overrides["output_dir"] = out_dir
+        args += ["--config", write_config(tmp_path, overrides)]
+        code, out, err = run(capsys, args)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"config error: {source} {out_dir!r}: cannot write")
+
     @pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1"])
     def test_tolerance_must_be_finite_and_positive(self, tmp_path, capsys, tolerance):
         # nan and inf would pass any error, 0 and -1 none
@@ -617,11 +644,52 @@ def src_env():
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    probe = "import sys, blodyne.cli; print('scipy' in sys.modules)"
+@pytest.mark.parametrize("module", ["scipy", "numpy"])
+def test_cli_import_leaves_module_unloaded(module):
+    probe = f"import sys, blodyne.cli; print({module!r} in sys.modules)"
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                             env=src_env(), check=True)
     assert result.stdout.strip() == "False"
+
+
+def test_package_names_resolve_lazily():
+    # a fresh interpreter: the closed forms load eagerly, every other name on access
+    probe = ("import sys, blodyne\n"
+             "assert 'numpy' not in sys.modules\n"
+             "assert all(name in dir(blodyne) for name in blodyne.__all__)\n"
+             "values = {name: getattr(blodyne, name) for name in blodyne.__all__}\n"
+             "space = {}\n"
+             "exec('from blodyne import *', space)\n"
+             "assert all(space[name] is values[name] for name in blodyne.__all__)\n"
+             "assert blodyne.SqueezeParams is sys.modules['blodyne.gaussian'].SqueezeParams\n"
+             "assert all(getattr(blodyne, module) is sys.modules['blodyne.' + module]\n"
+             "           for module in ('fock', 'gaussian', 'timeseries'))\n")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=src_env())
+    assert result.returncode == 0, result.stderr
+
+
+SINGLE_TONE_PLAN = dict(PLAN_100KHZ, lo_hz=[300.0e12])
+
+
+@pytest.mark.parametrize("cmd,tones", [
+    ("variance", 1), ("variance", 2), ("scan", 1), ("scan", 2), ("cases", 2),
+    ("imbalance", 2),
+])
+def test_closed_form_subcommands_load_no_numpy(tmp_path, cmd, tones):
+    # the closed forms are pure Python: numpy would only add its import time
+    overrides = {"frequency_plan": PLAN_100KHZ}
+    if tones == 1:
+        overrides = {"frequency_plan": SINGLE_TONE_PLAN,
+                     "lo_tones": [{"amplitude": 2.0, "phase": 0.4}]}
+    path = write_config(tmp_path, overrides)
+    probe = ("import sys; from blodyne.cli import main; code = main(sys.argv[1:]); "
+             "sys.stdout.flush(); print('numpy' in sys.modules, file=sys.stderr); "
+             "sys.exit(code)")
+    result = subprocess.run([sys.executable, "-c", probe, cmd, "--config", path],
+                            capture_output=True, text=True, env=src_env())
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.strip() == "False"
 
 
 @pytest.mark.parametrize("cmd", ["variance", "scan", "cases", "imbalance", "spectrum",

@@ -278,6 +278,13 @@ class TestPhaseScan:
         assert len(points) == 8
         assert all(rep.case is None for _, rep in points)
 
+    @pytest.mark.parametrize("n", [2, 3, 72, 1000, 2**20])
+    def test_grid_matches_numpy_linspace(self, n):
+        # the grid is i * (2 pi / n): bit for bit the numpy grid of earlier outputs
+        points = phase_scan(SqueezeParams(s=0.5, theta=0.0), tone(1.0, 0.0), n_points=n)
+        expected = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+        assert np.array_equal(np.array([ph for ph, _ in points]), expected)
+
 
 class TestLoQuantization:
     def test_absolute_correction(self):
