@@ -365,6 +365,16 @@ def lo_quantization_correction(p: SqueezeParams, n_tones: int = 2) -> float:
     return 2.0 * n_tones * math.sinh(p.s) ** 2
 
 
+def phase_grid(n_points: int) -> list[float]:
+    """The n_points phases i * (2*pi / n_points), i = 0 .. n_points - 1.
+
+    Each is one product, not a running sum, which makes the grid bit for bit
+    ``np.linspace(0, 2*pi, n_points, endpoint=False)``.
+    """
+    step = 2.0 * math.pi / n_points
+    return [i * step for i in range(n_points)]
+
+
 def phase_scan(p: SqueezeParams, lo_config, case: ImageBandCase | None = None,
                n_points: int = 64):
     """Sweep the controllable LO phase over [0, 2*pi) on a monotone grid.
@@ -378,10 +388,7 @@ def phase_scan(p: SqueezeParams, lo_config, case: ImageBandCase | None = None,
     """
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
-    # i * step, not a running sum: bit-identical to
-    # np.linspace(0, 2*pi, n_points, endpoint=False)
-    step = 2.0 * math.pi / n_points
-    phases = [i * step for i in range(n_points)]
+    phases = phase_grid(n_points)
     out = []
     if isinstance(lo_config, LoTone):
         for chi in phases:

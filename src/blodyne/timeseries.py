@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 import sys
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,7 +121,8 @@ class PhotocurrentRecord:
     model: SpectralModel
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=float)
+        # a view, so freezing it leaves the caller's own array writeable
+        samples = np.asarray(self.samples, dtype=float).view()
         n = samples.size
         if n < 2 or (n & (n - 1)) != 0:
             raise ValueError(f"record length must be a power of two, got {n}")
@@ -144,8 +147,14 @@ class SynthesizedRecord:
 
     ``blocks()`` draws the noise in order from ``default_rng(seed)`` and
     colors it by overlap-save, one FFT frame at a time, so reading the record
-    holds a frame and the filter but never the record: the ``size`` samples
-    plus ``taps.size - 1`` of lead-in are drawn afresh on each read.
+    holds two frames, two blocks and the filter but never the record: the
+    ``size`` samples plus ``taps.size - 1`` of lead-in are drawn afresh on
+    each read. While the caller reads one block, a single worker thread
+    colors the next frame, and the caller's thread draws the noise of the
+    frame after it. Each frame is drawn and colored by the same operations in
+    the same order as in one thread, so the blocks do not depend on the
+    threads. The worker is joined before ``blocks()`` finishes or is closed,
+    and an exception raised in it is raised again, as itself, in the caller.
     ``samples`` gathers every block into one read-only array, for tests and
     short records.
     """
@@ -163,19 +172,36 @@ class SynthesizedRecord:
                          1 << (self.size + keep - 1).bit_length())
         response = np.fft.rfft(self.taps, frame_size)
         rng = np.random.default_rng(self.seed)
-        frame = np.zeros(frame_size)
-        rng.standard_normal(out=frame[:keep])
-        done = 0
-        while done < self.size:
-            k = min(frame_size - keep, self.size - done)
-            rng.standard_normal(out=frame[keep : keep + k])
+
+        def color(frame, k):
             spectrum = np.fft.rfft(frame)
             spectrum *= response
             # output j reads frame[j - keep : j + 1]: from j = keep on, that is
             # the linear convolution, and a short last frame's stale end is unread
-            yield np.fft.irfft(spectrum, frame_size)[keep : keep + k]
-            frame[:keep] = frame[k : k + keep]
-            done += k
+            return np.fft.irfft(spectrum, frame_size)[keep : keep + k]
+
+        # this thread draws the noise of one frame while the worker colors
+        # the other, which the worker reads until its result is taken
+        frame, last = np.zeros(frame_size), np.zeros(frame_size)
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            k = min(frame_size - keep, self.size)
+            rng.standard_normal(out=frame[: keep + k])
+            pending = worker.submit(color, frame, k)
+            done = k
+            while done < self.size:
+                frame, last = last, frame
+                last_k, k = k, min(frame_size - keep, self.size - done)
+                # the frame continues the last one; a short one also keeps the
+                # last one's end, as a single frame refilled in place did: the
+                # end is never output, but it enters the FFT's rounding
+                frame[:keep] = last[last_k : last_k + keep]
+                frame[keep + k :] = last[keep + k :]
+                rng.standard_normal(out=frame[keep : keep + k])
+                block = pending.result()
+                pending = worker.submit(color, frame, k)
+                yield block
+                done += k
+            yield pending.result()
 
     @property
     def duration(self) -> float:
@@ -202,8 +228,8 @@ class SpectrumEstimate:
     n_averages: int
 
     def __post_init__(self):
-        f = np.asarray(self.frequencies, dtype=float)
-        s = np.asarray(self.psd, dtype=float)
+        f = np.asarray(self.frequencies, dtype=float).view()
+        s = np.asarray(self.psd, dtype=float).view()
         if f.shape != s.shape:
             raise ValueError("frequency and PSD arrays must match")
         f.setflags(write=False)
@@ -220,9 +246,15 @@ class SpectrumEstimate:
 # 1e300 samples from running for ever
 _MAX_SAMPLES = 1 << 26
 
-# Welch windows this many samples at once, and synthesis colors its noise in
-# FFT frames of at least this many
+# Synthesis colors its noise in FFT frames of at least this many samples; the
+# frame size fixes the rounding of every sample, so changing it changes the
+# records of every seed
 _WELCH_BLOCK_SAMPLES = 1 << 18
+
+# Welch windows and transforms its segments in batches of this many samples
+# (at least one segment); the batch size only bounds the working set and
+# changes no output, since periodograms are summed in segment order anyway
+_WELCH_ROW_SAMPLES = 1 << 16
 
 
 def synthesize_difference_current(model: SpectralModel, duration: float,
@@ -291,13 +323,16 @@ def estimate_psd(rec: PhotocurrentRecord | SynthesizedRecord, segment_length: in
     The window power is compensated so densities are unbiased; integrating
     the estimate across a pure tone's peak returns the tone power A^2/2.
 
-    The record is read block by block, and the samples after a block's last
-    whole segment carry over to the next. Segments are strided views of that
-    data, transformed ``_WELCH_BLOCK_SAMPLES`` samples at a time (at least
-    one segment), so the working set stays fixed as the record grows. The
-    periodograms are summed strictly in segment order, each added to the
-    running sum in turn (never pairwise), which makes the estimate
-    bit-identical to a segment-by-segment loop over the whole record.
+    The record is read block by block, and segments are strided views of
+    each block, windowed and transformed ``_WELCH_ROW_SAMPLES`` samples at a
+    time (at least one segment). The samples after a block's last whole
+    segment carry over; only the segments that start there and end in the
+    next block are gathered into a small bridge array, so the working set
+    stays fixed as the record grows. The periodograms are summed strictly in
+    segment order, each added to the running sum in turn (never pairwise),
+    which makes the estimate bit-identical to a segment-by-segment loop over
+    the whole record. The record's blocks are closed before this returns,
+    so a synthesized record's worker thread has ended by then.
     """
     n = rec.size
     if segment_length < 4 or (segment_length & (segment_length - 1)) != 0:
@@ -310,18 +345,17 @@ def estimate_psd(rec: PhotocurrentRecord | SynthesizedRecord, segment_length: in
     window = 0.5 - 0.5 * np.cos(2.0 * math.pi * np.arange(segment_length) / segment_length)
     win_power = float(np.sum(window**2))
     count = (n - segment_length) // step + 1
-    rows = max(1, _WELCH_BLOCK_SAMPLES // segment_length)
+    rows = max(1, _WELCH_ROW_SAMPLES // segment_length)
     acc = np.zeros(segment_length // 2 + 1)
     # row 0 carries the running sum, so each reduce over axis 0 adds the
-    # block's periodograms to it one after another, in segment order
+    # batch's periodograms to it one after another, in segment order
     power = np.empty((min(rows, count) + 1, acc.size))
-    tail = np.empty(0)
-    for block in rec.blocks():
-        data = np.concatenate((tail, block)) if tail.size else block
+
+    def add_segments(data):
+        """Add the periodograms of the segments starting at data[0], data[step],
+        ... to acc in order, and return how many there were."""
         if data.size < segment_length:
-            tail = data
-            continue
-        # data starts at a segment boundary, so its own segments are the record's
+            return 0
         segments = np.lib.stride_tricks.sliding_window_view(data, segment_length)[::step]
         for first in range(0, segments.shape[0], rows):
             chunk = segments[first : first + rows]
@@ -330,9 +364,26 @@ def estimate_psd(rec: PhotocurrentRecord | SynthesizedRecord, segment_length: in
             power[1 : k + 1] **= 2
             power[0] = acc
             np.add.reduce(power[: k + 1], axis=0, out=acc)
-        # a copy, not a view: a view keeps the whole block alive while the
-        # next one is concatenated, and the freed blocks then fragment the heap
-        tail = data[segments.shape[0] * step :].copy()
+        return segments.shape[0]
+
+    # tail holds the samples from the next segment's start to the end of the
+    # blocks read so far, always fewer than segment_length
+    tail = np.empty(0)
+    with closing(rec.blocks()) as blocks:
+        for block in blocks:
+            start = 0
+            if tail.size:
+                # every segment that starts in tail ends within its first
+                # segment_length - 1 samples of the block
+                bridge = np.concatenate((tail, block[: segment_length - 1]))
+                start = add_segments(bridge) * step - tail.size
+                if start < 0:
+                    # the block is too short to end them all, so the bridge
+                    # holds all of it
+                    tail = bridge[tail.size + start :]
+                    continue
+            # a copy, not a view: a view would keep the whole block alive
+            tail = block[start + add_segments(block[start:]) * step :].copy()
     acc /= count
     psd = 2.0 * acc / (rec.sample_rate * win_power)
     psd[0] /= 2.0

@@ -9,7 +9,7 @@ from blodyne.detection import (ImageBandCase, FrequencyPlan, LoTone,
                                VarianceReport, blo_variance,
                                blo_variance_general, blo_variance_unbalanced,
                                classify_image_band_case,
-                               lo_quantization_correction, phase_scan,
+                               lo_quantization_correction, phase_grid, phase_scan,
                                standard_heterodyne_variance)
 from blodyne.gaussian import SqueezeParams
 
@@ -278,12 +278,19 @@ class TestPhaseScan:
         assert len(points) == 8
         assert all(rep.case is None for _, rep in points)
 
-    @pytest.mark.parametrize("n", [2, 3, 72, 1000, 2**20])
+    @pytest.mark.parametrize("n", [2, 3, 72, 1000])
     def test_grid_matches_numpy_linspace(self, n):
         # the grid is i * (2 pi / n): bit for bit the numpy grid of earlier outputs
         points = phase_scan(SqueezeParams(s=0.5, theta=0.0), tone(1.0, 0.0), n_points=n)
         expected = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
         assert np.array_equal(np.array([ph for ph, _ in points]), expected)
+
+    @pytest.mark.parametrize("n", [2, 3, 72, 1000, 2**20])
+    def test_phase_grid_matches_numpy_linspace(self, n):
+        # phase_scan sweeps this grid; a million points check it without
+        # building a million variance reports
+        expected = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+        assert np.array_equal(np.array(phase_grid(n)), expected)
 
 
 class TestLoQuantization:

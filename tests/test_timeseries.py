@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 
 from blodyne.detection import FrequencyPlan, ImageBandCase, LoTone
 from blodyne.gaussian import SqueezeParams
-from blodyne.timeseries import (_WELCH_BLOCK_SAMPLES, PhotocurrentRecord,
-                                SpectralModel, SpectrumEstimate,
+from blodyne.timeseries import (_WELCH_BLOCK_SAMPLES, _WELCH_ROW_SAMPLES,
+                                PhotocurrentRecord, SpectralModel, SpectrumEstimate,
                                 SynthesizedRecord, estimate_psd,
                                 locate_squeezing_feature, spectrum_csv_lines,
                                 spectrum_to_json_dict,
@@ -217,6 +218,17 @@ class TestEmission:
         with pytest.raises(ValueError):
             est.psd[0] = 2.0
 
+    def test_records_leave_the_callers_arrays_writeable(self):
+        samples, freqs, psd = np.zeros(4096), np.arange(4.0), np.ones(4)
+        rec = PhotocurrentRecord(samples=samples, sample_rate=FS_BLO, seed=0,
+                                 model=flat_model())
+        est = SpectrumEstimate(frequencies=freqs, psd=psd, resolution=1.0, n_averages=1)
+        for given, stored in ((samples, rec.samples), (freqs, est.frequencies),
+                              (psd, est.psd)):
+            assert given.flags.writeable
+            assert not stored.flags.writeable
+            assert np.shares_memory(given, stored)
+
 
 # References: the straightforward forms of synthesis and Welch estimation.
 # Welch must match its reference bit for bit; streamed synthesis sums its
@@ -290,7 +302,7 @@ class TestBitIdentity:
 
     def test_welch_segment_count_not_a_block_multiple(self):
         segment_length = 2048
-        rows = _WELCH_BLOCK_SAMPLES // segment_length
+        rows = _WELCH_ROW_SAMPLES // segment_length
         rec = synthesize_difference_current(dip_model("flat_top"), (1 << 18) / FS_BLO,
                                             FS_BLO, seed=6, segment_length=segment_length)
         est = estimate_psd(rec, segment_length, 0.5)
@@ -328,6 +340,99 @@ class TestBitIdentity:
         psd, count = reference_welch_psd(rec.samples, FS_BLO, segment_length, 0.5)
         assert est.n_averages == count == 3
         assert np.array_equal(est.psd, psd)
+
+    def test_welch_matches_reference_where_the_filter_cap_binds(self):
+        # eight grid points a bin of a 2^16 segment ask for 2^19 taps; the
+        # record caps them at 2^17, so blocks are 2^17 + 1 samples, two segments
+        segment_length = 1 << 16
+        rec = synthesize_difference_current(dip_model("lorentzian"), (1 << 20) / FS_BLO,
+                                            FS_BLO, seed=16, segment_length=segment_length)
+        assert rec.taps.size == 1 << 17
+        est = estimate_psd(rec, segment_length, 0.5)
+        psd, count = reference_welch_psd(rec.samples, FS_BLO, segment_length, 0.5)
+        assert est.n_averages == count
+        assert np.array_equal(est.psd, psd)
+
+    def test_welch_matches_reference_for_a_narrow_feature(self):
+        # a 1 Hz feature asks for 8 * sample_rate taps, capped likewise at 2^17
+        model = SpectralModel(center_frequency=1e5, squeezing_bandwidth=1.0,
+                              noise_floor=8.0, dip_or_peak_level=3.0)
+        rec = synthesize_difference_current(model, (1 << 20) / FS_BLO, FS_BLO, seed=18,
+                                            segment_length=2048)
+        assert rec.taps.size == 1 << 17
+        est = estimate_psd(rec, 2048, 0.5)
+        psd, count = reference_welch_psd(rec.samples, FS_BLO, 2048, 0.5)
+        assert est.n_averages == count
+        assert np.array_equal(est.psd, psd)
+
+
+class TestWorker:
+    """A synthesized record colors its frames on one worker thread."""
+
+    def record(self, seed):
+        # five frames of 2^18 samples
+        return synthesize_difference_current(dip_model("lorentzian"), (1 << 20) / FS_BLO,
+                                             FS_BLO, seed=seed, segment_length=2048)
+
+    def test_blocks_match_one_thread_coloring(self):
+        # the last of the five frames is short, so its stale end counts too
+        rec = self.record(22)
+        keep = rec.taps.size - 1
+        frame_size = _WELCH_BLOCK_SAMPLES
+        assert rec.size % (frame_size - keep) != 0
+        response = np.fft.rfft(rec.taps, frame_size)
+        rng = np.random.default_rng(22)
+        frame = np.zeros(frame_size)
+        rng.standard_normal(out=frame[:keep])
+        expected = []
+        done = 0
+        while done < rec.size:
+            k = min(frame_size - keep, rec.size - done)
+            rng.standard_normal(out=frame[keep : keep + k])
+            spectrum = np.fft.rfft(frame)
+            spectrum *= response
+            expected.append(np.fft.irfft(spectrum, frame_size)[keep : keep + k])
+            frame[:keep] = frame[k : k + keep]
+            done += k
+        blocks = [block.copy() for block in rec.blocks()]
+        assert len(blocks) == len(expected) == 5
+        assert all(np.array_equal(a, b) for a, b in zip(blocks, expected))
+
+    def test_worker_exception_surfaces_with_its_type(self, monkeypatch):
+        class ColoringFailed(Exception):
+            pass
+
+        rec = self.record(19)
+        irfft = np.fft.irfft
+        callers = []
+
+        def failing(*args, **kwargs):
+            callers.append(threading.get_ident())
+            if len(callers) == 3:
+                raise ColoringFailed("third frame")
+            return irfft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "irfft", failing)
+        before = threading.active_count()
+        with pytest.raises(ColoringFailed, match="third frame"):
+            estimate_psd(rec, 2048, 0.5)
+        # the frames were colored off the caller's thread, and that thread is gone
+        assert len(callers) == 3 and threading.get_ident() not in callers
+        assert threading.active_count() == before
+
+    def test_breaking_out_joins_the_worker(self):
+        rec = self.record(20)
+        before = threading.active_count()
+        for _ in rec.blocks():
+            during = threading.active_count()
+            break
+        assert during == before + 1
+        assert threading.active_count() == before
+
+    def test_estimate_psd_leaves_no_thread(self):
+        before = threading.active_count()
+        estimate_psd(self.record(21), 2048, 0.5)
+        assert threading.active_count() == before
 
 
 class TestStream:
