@@ -6,8 +6,10 @@ corrections), an independent Fock-space oracle, and synthetic photocurrent
 spectra showing where the squeezing information sits in frequency.
 
 The closed forms load eagerly and need only the standard library; the
-numpy-backed names (oracle, Gaussian states, spectra) import their module
-on first access.
+oracle, Gaussian-state and spectrum names import their module on first
+access. The oracle (:mod:`blodyne.fock`) is standard library only too; the
+dense Fock states (:mod:`blodyne._kernels`), Gaussian states and spectra
+load numpy.
 """
 
 import importlib
@@ -21,8 +23,9 @@ from .detection import (FrequencyPlan, ImageBandCase, LoTone, SqueezeParams,
 __version__ = "0.1.0"
 
 _LAZY_MODULES = {
-    "fock": ("BeatPairing", "FockStateVector", "TruncationPolicy",
-             "build_coherent_product", "build_tmss", "oracle_difference_variance"),
+    "fock": ("BeatPairing", "TruncationPolicy"),
+    "_kernels": ("FockStateVector", "build_coherent_product", "build_tmss",
+                 "oracle_difference_variance"),
     "gaussian": ("BeamSplitterSpec", "GaussianState", "ModeLabel", "apply_beam_splitter",
                  "apply_displacement", "apply_two_mode_squeeze", "mean_photon",
                  "quadrature_variance", "vacuum_state"),

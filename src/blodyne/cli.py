@@ -25,7 +25,8 @@ import os
 import sys
 
 # numpy, fock and timeseries are imported inside the subcommands that use
-# them, so the closed-form subcommands start on the standard library alone.
+# them, so the closed-form subcommands, and verify without random draws,
+# run on the standard library alone.
 from . import detection
 from .config import (FORMAT_VERSION, ORACLE_DRAW_BETA_MIN, ConfigError,
                      ExperimentConfig, canonical_config_json, load_config)
@@ -233,8 +234,6 @@ def _oracle_error(measured: float, p: SqueezeParams, beta: float, chi1: float,
 
 
 def cmd_verify(cfg: ExperimentConfig, out_dir: str | None, tolerance: float) -> int:
-    import numpy as np
-
     from . import fock
 
     orc = cfg.oracle
@@ -245,7 +244,6 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: str | None, tolerance: float) -> 
         ImageBandCase.SHARED_IMAGE_BAND: orc["beta_cap_shared"],
         ImageBandCase.TWO_IMAGE_BANDS: orc["beta_cap_two"],
     }
-    rng = np.random.default_rng(cfg.seed)
     cases = list(ImageBandCase)
     lines = ["draw,case,s,theta,beta,chi1,chi2,rel_error"]
     max_err = 0.0
@@ -254,13 +252,19 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: str | None, tolerance: float) -> 
         beta = min(cfg.tones[0].amplitude, caps[cfg.case])
         if beta >= 1.0 and tmss_oracle_feasible(cfg.squeeze.s):
             checks.append((cfg.squeeze, beta, cfg.tones[0].phase, cfg.tones[1].phase, cfg.case))
-    for _ in range(int(orc["draws"])):
-        case = cases[int(rng.integers(0, 3))]
-        s = float(rng.uniform(0.1, 0.75))
-        beta = float(np.exp(rng.uniform(np.log(ORACLE_DRAW_BETA_MIN), np.log(caps[case]))))
-        p = SqueezeParams(s=s, theta=float(rng.uniform(0.0, 2.0 * math.pi)))
-        checks.append((p, beta, float(rng.uniform(0.0, 2.0 * math.pi)),
-                       float(rng.uniform(0.0, 2.0 * math.pi)), case))
+    draws = int(orc["draws"])
+    if draws:
+        # the oracle itself is pure Python; numpy only draws the points
+        import numpy as np
+
+        rng = np.random.default_rng(cfg.seed)
+        for _ in range(draws):
+            case = cases[int(rng.integers(0, 3))]
+            s = float(rng.uniform(0.1, 0.75))
+            beta = float(np.exp(rng.uniform(np.log(ORACLE_DRAW_BETA_MIN), np.log(caps[case]))))
+            p = SqueezeParams(s=s, theta=float(rng.uniform(0.0, 2.0 * math.pi)))
+            checks.append((p, beta, float(rng.uniform(0.0, 2.0 * math.pi)),
+                           float(rng.uniform(0.0, 2.0 * math.pi)), case))
     for i, (p, beta, chi1, chi2, case) in enumerate(checks):
         measured = fock.oracle_blo_run(p, beta, chi1, chi2, case, policy=policy)
         err = _oracle_error(measured, p, beta, chi1, chi2, case)

@@ -1,90 +1,69 @@
 """Brute-force verification in a truncated multi-mode number basis.
 
 This module rebuilds the detection problem from scratch: the two-mode
-squeezed signal and the coherent local-oscillator tones are constructed as
-explicit state vectors, the balanced mixing is applied, and the variance of
-the difference photon-number observable is evaluated exactly on the
-truncated space. Nothing here shares code with the closed-form expressions
-in :mod:`blodyne.detection`; agreement between the two routes is the
-strongest check the package offers.
+squeezed signal and the coherent local-oscillator tones are explicit
+truncated amplitude vectors, the balanced mixing is reduced to its
+interference observable, and the variance of the difference photon-number
+observable is evaluated exactly on the truncated space. Nothing here shares
+code with the closed-form expressions in :mod:`blodyne.detection`;
+agreement between the two routes is the strongest check the package offers.
 
-Two evaluation routes exist:
+For a balanced splitter the difference signal reduces operator-identically
+to the interference form i (a_k^dag b_j - b_j^dag a_k) summed over mode
+pairs, each oscillating at its beat frequency. The measured (stationary)
+variance is obtained exactly by grouping terms of equal beat frequency and
+summing the folded power of every group; cross terms between groups
+time-average to zero. The input is the product signal (x) LO and every term
+is one signal ladder operator times one LO ladder operator, so each group
+power is a finite sum of products of two ladder Grams: the inner products
+among a factor state and its single-ladder images, one Gram per factor.
+:func:`oracle_from_grams` does the grouping on those two Grams; the joint
+state is never built.
 
-* :func:`oracle_difference_variance` works in the input picture. For a
-  balanced splitter the difference signal reduces operator-identically to
-  the interference form i (a_k^dag b_j - b_j^dag a_k) summed over mode
-  pairs, each oscillating at its beat frequency. The measured (stationary)
-  variance is obtained exactly by grouping terms of equal beat frequency
-  and summing the folded power of every group; cross terms between groups
-  time-average to zero. The input is the product signal (x) LO and every
-  term is one signal ladder operator times one LO ladder operator, so each
-  group power is a finite sum of products of two-point moments, each taken
-  on its own factor state. The joint tensor is never built; this is the
-  route that scales to strong tones.
+This module is standard library only, so ``verify`` loads no numpy. The
+Grams behind :func:`oracle_blo_run` and :func:`oracle_standard_run` are
+structured. The LO is a product of coherent tones, so its Gram is assembled
+by :func:`product_gram` from one 3x3 Gram per tone. The signal is the
+squeezed pair on its |n, n> diagonal with the image vacua as explicit
+modes, held as a sparse map. Each Gram entry is a ``math.fsum`` over an
+explicit truncated vector, so the sum is rounded once at any cutoff.
 
-* :func:`oracle_difference_variance_unitary` applies the splitter per
-  frequency as the exponential of its truncated generator, taken one
-  conserved photon-number block at a time, and evaluates the same grouped
-  observable on the output state. It exists as an independent self-check of
-  the reduction above (plus unitarity and photon conservation) and is only
-  meant for small truncations.
-
-Each state is a dense complex tensor; norm deficits from truncation are
-reported as leakage and never silently renormalized. Both routes apply
-ladder operators through :mod:`blodyne._kernels`, the one module that knows
-how they act on a tensor axis; ``lowered`` and ``raised`` are re-exported
-here.
+The dense numpy form of the same objects lives in :mod:`blodyne._kernels`:
+``FockStateVector``, the dense state builders, the dense
+``oracle_difference_variance`` (the same core on dense Grams) and the
+explicit-unitary self-check. The few of those names that the benchmark
+takes from this module resolve here too, on first access.
 """
 
 from __future__ import annotations
 
+import cmath
+import importlib
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import _kernels
-from ._kernels import lowered, raised
 from .detection import FrequencyPlan, ImageBandCase, SqueezeParams, classify_image_band_case
 
 _INPUT_LEAKAGE_LIMIT = 1e-6
-_UNITARY_MAX_DIMENSION = 10_000_000
+
+# the dense names the benchmark child takes from this module; they are
+# defined in _kernels and __getattr__ resolves them here on first access
+_DENSE_NAMES = frozenset({
+    "build_blo_signal_state", "build_coherent_product", "oracle_difference_variance",
+    "oracle_difference_variance_unitary",
+})
 
 
-@dataclass(frozen=True)
-class FockStateVector:
-    """Dense complex amplitudes over a truncated multi-mode number basis.
+def __getattr__(name):
+    if name not in _DENSE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module("._kernels", __package__), name)
+    globals()[name] = value
+    return value
 
-    The array shape is (N_0 + 1, ..., N_{K-1} + 1) for per-mode cutoffs N_k.
-    The squared norm may fall short of one; the deficit is the truncation
-    leakage and is exposed, not hidden.
-    """
 
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amp = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
-        nsq = _kernels.norm_sq(amp)
-        if nsq > 1.0 + 1e-9:
-            raise ValueError(f"state norm^2 = {nsq!r} exceeds 1; amplitudes are not physical")
-        amp.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amp)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return self.amplitudes.shape
-
-    @property
-    def n_modes(self) -> int:
-        return self.amplitudes.ndim
-
-    @property
-    def norm_sq(self) -> float:
-        return _kernels.norm_sq(self.amplitudes)
-
-    @property
-    def leakage(self) -> float:
-        return 1.0 - self.norm_sq
+def __dir__():
+    return sorted(set(globals()) | _DENSE_NAMES)
 
 
 @dataclass(frozen=True)
@@ -92,9 +71,11 @@ class TruncationPolicy:
     """How to pick cutoffs: a target truncation leakage for the squeezed
     pair, the coherent-state rule for the LO tones.
 
-    ``max_dimension`` caps the amplitude count of each padded factor state
-    (the signal, and the LO product) the oracle works on. The oracle never
-    forms the product of the two factors, so the guard does not bound it.
+    ``max_dimension`` caps the amplitude count each factor state (the
+    signal, and the LO product) would have as a dense tensor padded by one
+    level per mode. The structured Grams hold far fewer amplitudes, so the
+    guard bounds a notional dense size; it is applied before anything is
+    built.
     """
 
     target_leakage: float = 1e-8
@@ -136,86 +117,37 @@ def coherent_cutoff(amplitude: float) -> int:
 
 
 # ---------------------------------------------------------------------------
-# state builders
+# explicit truncated amplitudes
 # ---------------------------------------------------------------------------
 
 
-def build_tmss(p: SqueezeParams, cutoff: int) -> FockStateVector:
-    """Two-mode squeezed vacuum on the diagonal |n, n> basis.
+def tmss_diagonal(p: SqueezeParams, cutoff: int) -> list[complex]:
+    """Two-mode squeezed vacuum amplitudes on |n, n>, n <= cutoff.
 
-    Amplitudes are sech(s) (-e^{i theta} tanh s)^n for n <= cutoff. The same
-    state is reachable through the squeeze-generator matrix exponential; see
-    :func:`build_tmss_via_expm`, which the tests hold to 1e-10 agreement.
+    They are sech(s) (-e^{i theta} tanh s)^n. The dense ``build_tmss_via_expm``
+    reaches the same state through the squeeze-generator exponential; the
+    tests hold the two to 1e-10.
     """
     if cutoff < 1:
-        raise ValueError("build_tmss needs cutoff >= 1")
-    n = np.arange(cutoff + 1)
+        raise ValueError("the two-mode squeezed state needs cutoff >= 1")
     if p.s == 0.0:
-        diag = np.zeros(cutoff + 1, dtype=np.complex128)
-        diag[0] = 1.0
-    else:
-        th = math.tanh(p.s)
-        diag = (1.0 / math.cosh(p.s)) * np.exp(
-            n * math.log(th) + 1j * n * (p.theta + math.pi)
-        )
-    amp = np.zeros((cutoff + 1, cutoff + 1), dtype=np.complex128)
-    amp[n, n] = diag
-    return FockStateVector(amp)
+        return [1.0 + 0j] + [0j] * cutoff
+    log_t, angle, sech = math.log(math.tanh(p.s)), p.theta + math.pi, 1.0 / math.cosh(p.s)
+    return [sech * cmath.exp(complex(n * log_t, n * angle)) for n in range(cutoff + 1)]
 
 
-def _expi(h: np.ndarray) -> np.ndarray:
-    """exp(i h) of a Hermitian matrix through its eigendecomposition."""
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * w)) @ v.conj().T
-
-
-def build_tmss_via_expm(p: SqueezeParams, cutoff: int) -> FockStateVector:
-    """Two-mode squeezed vacuum via the squeeze-generator matrix exponential.
-
-    Applies exp(K), K = xi a1^dag a2^dag - conj(xi) a1 a2 with
-    xi = -s e^{i theta}, to |0, 0> on the truncated two-mode space. K
-    conserves n1 - n2, so from |0, 0> it stays on the diagonal |n, n>, where
-    -i K is Hermitian tridiagonal with entries -i xi n below the diagonal.
-    Independent of the closed-form amplitude route, hence useful as a
-    self-check.
-    """
-    if cutoff < 1:
-        raise ValueError("build_tmss_via_expm needs cutoff >= 1")
-    n = np.arange(1.0, cutoff + 1)
-    xi = -p.s * complex(math.cos(p.theta), math.sin(p.theta))
-    diag = _expi(np.diag(-1j * xi * n, -1) + np.diag(1j * np.conj(xi) * n, 1))[:, 0]
-    return FockStateVector(np.diag(diag))
-
-
-def build_coherent_product(tones, cutoff: int) -> FockStateVector:
-    """Product of truncated coherent states, one mode per (amplitude, phase).
-
-    Every tone shares the one ``cutoff``. Amplitudes follow the Poissonian
-    e^{-|b|^2/2} b^n / sqrt(n!) with b = |b| e^{i chi}.
-    """
-    tones = list(tones)
-    if not tones:
-        raise ValueError("build_coherent_product needs at least one tone")
+def coherent_amplitudes(amplitude: float, phase: float, cutoff: int) -> list[complex]:
+    """Truncated coherent amplitudes e^{-|b|^2/2} b^n / sqrt(n!), n <= cutoff,
+    with b = |b| e^{i phase}."""
+    if amplitude < 0.0:
+        raise ValueError("tone amplitudes must be >= 0")
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
-    n = np.arange(cutoff + 1)
-    half_log_fact = 0.5 * np.array([math.lgamma(k + 1.0) for k in n])
-    vecs = []
-    for amplitude, phase in tones:
-        if amplitude < 0.0:
-            raise ValueError("tone amplitudes must be >= 0")
-        if amplitude == 0.0:
-            vec = np.zeros(cutoff + 1, dtype=np.complex128)
-            vec[0] = 1.0
-        else:
-            log_mag = -0.5 * amplitude**2 + n * math.log(amplitude)
-            log_mag -= half_log_fact
-            vec = np.exp(log_mag + 1j * n * phase)
-        vecs.append(vec)
-    amp = vecs[0]
-    for vec in vecs[1:]:
-        amp = np.multiply.outer(amp, vec)
-    return FockStateVector(amp)
+    if amplitude == 0.0:
+        return [1.0 + 0j] + [0j] * cutoff
+    head, log_b = -0.5 * amplitude**2, math.log(amplitude)
+    return [cmath.exp(complex(head + n * log_b - 0.5 * math.lgamma(n + 1.0), n * phase))
+            for n in range(cutoff + 1)]
 
 
 _N_IMAGES = {ImageBandCase.NO_IMAGE_BANDS: 0,
@@ -223,81 +155,78 @@ _N_IMAGES = {ImageBandCase.NO_IMAGE_BANDS: 0,
              ImageBandCase.TWO_IMAGE_BANDS: 2}
 
 
-def build_blo_signal_state(p: SqueezeParams, case: ImageBandCase,
-                           cutoff: int) -> FockStateVector:
-    """Signal-side state for the two-tone scheme: squeezed pair plus the
-    explicit image-band vacua the configuration calls for.
-
-    Mode order matches :meth:`BeatPairing.for_blo`: (lower squeezed mode,
-    upper squeezed mode, then image modes). Each image vacuum is a size-1
-    axis (cutoff 0).
-    """
-    amp = build_tmss(p, cutoff).amplitudes
-    return FockStateVector(amp.reshape(amp.shape + (1,) * _N_IMAGES[case]))
-
-
 # ---------------------------------------------------------------------------
-# mode operators and ladder moments (dense numpy throughout)
+# ladder Grams
 # ---------------------------------------------------------------------------
 
 
-def pad_amplitudes(amp: np.ndarray) -> np.ndarray:
-    """Copy with one unused zero level appended to every mode."""
-    return np.pad(amp, [(0, 1)] * amp.ndim)
+def _csum(terms) -> complex:
+    """Sum of complex terms; math.fsum rounds each part once."""
+    terms = list(terms)
+    return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
 
 
-def _ladder_gram(state: FockStateVector) -> np.ndarray:
-    """Inner products among a factor state and its single-ladder images.
+def _vdot(x: dict, y: dict) -> complex:
+    """<x|y> of two sparse states."""
+    return _csum(a.conjugate() * y[key] for key, a in x.items() if key in y)
 
-    Index 0 is the state, 1 + 2m its image under a_m and 2 + 2m its image
-    under a_m^dag. Every mode is padded by one unused level first, so the
-    raised images are exact.
+
+def ladder_gram(amplitudes: dict) -> list[list[complex]]:
+    """Inner products among a state and its single-ladder images.
+
+    ``amplitudes`` maps a tuple of levels, one per mode, to the amplitude
+    there. Index 0 is the state, 1 + 2m its image under a_m and 2 + 2m its
+    image under a_m^dag. A raised level is one more key, so the raised
+    images are exact, as on a dense tensor padded by one level per mode.
     """
-    padded = pad_amplitudes(state.amplitudes)
-    images = np.empty((1 + 2 * state.n_modes, padded.size), dtype=np.complex128)
-    images[0] = padded.reshape(-1)
-    for mode in range(state.n_modes):
-        images[1 + 2 * mode] = lowered(padded, mode).reshape(-1)
-        images[2 + 2 * mode] = raised(padded, mode).reshape(-1)
-    # pairwise vdot conjugates in place; images.conj() @ images.T would copy
-    # every image once more
-    gram = np.empty((len(images), len(images)), dtype=np.complex128)
+    images = [amplitudes]
+    for m in range(len(next(iter(amplitudes)))):
+        images.append({lv[:m] + (lv[m] - 1,) + lv[m + 1:]: a * math.sqrt(lv[m])
+                       for lv, a in amplitudes.items() if lv[m] > 0})
+        images.append({lv[:m] + (lv[m] + 1,) + lv[m + 1:]: a * math.sqrt(lv[m] + 1)
+                       for lv, a in amplitudes.items()})
+    gram = [[0j] * len(images) for _ in images]
     for p in range(len(images)):
         for q in range(p, len(images)):
-            gram[p, q] = np.vdot(images[p], images[q])
-            gram[q, p] = np.conj(gram[p, q])
+            gram[p][q] = _vdot(images[p], images[q])
+            gram[q][p] = gram[p][q].conjugate()
     return gram
 
 
-def mean_photon(state: FockStateVector, mode: int) -> float:
-    """Occupation expectation <a_m psi|a_m psi> (unnormalized state as is)."""
-    return float(_ladder_gram(state)[1 + 2 * mode, 1 + 2 * mode].real)
+def product_gram(factors) -> list[list[complex]]:
+    """Ladder Gram of a product state from the ladder Grams of its factors.
 
-
-def pair_annihilation_moment(state: FockStateVector, mode_a: int, mode_b: int) -> complex:
-    """<a_{mode_a} a_{mode_b}> = <a_{mode_a}^dag psi|a_{mode_b} psi> (unnormalized)."""
-    return complex(_ladder_gram(state)[2 + 2 * mode_a, 1 + 2 * mode_b])
-
-
-def covariance_matrix(state: FockStateVector):
-    """Quadrature mean and covariance in the (x1, p1, x2, p2, ...) convention.
-
-    x_m = (a_m + a_m^dag)/2 and p_m = -i (a_m - a_m^dag)/2 are fixed
-    combinations C of the ladder images, so mean = Re(G[0] C) / n and
-    cov = Re(C^dag G C) / n - mean mean^T for the Gram matrix G and
-    n = G[0, 0]. Normalizing by the state's squared norm leaves small
-    truncation leakage only at second order.
+    Each ladder image acts on one mode, so every entry is the product over
+    factors of one factor-Gram entry: the image's own index on the factor
+    it acts on, the state (index 0) on every other factor.
     """
-    gram = _ladder_gram(state)
-    comb = np.zeros((len(gram), 2 * state.n_modes), dtype=np.complex128)
-    for m in range(state.n_modes):
-        comb[1 + 2 * m, 2 * m] = comb[2 + 2 * m, 2 * m] = 0.5
-        comb[1 + 2 * m, 2 * m + 1] = -0.5j
-        comb[2 + 2 * m, 2 * m + 1] = 0.5j
-    nrm = gram[0, 0].real
-    mean = (gram[0] @ comb).real / nrm
-    cov = (comb.conj().T @ gram @ comb).real / nrm - np.outer(mean, mean)
-    return mean, cov
+    # for each product index: (factor it acts on, index in that factor's Gram)
+    where = [(None, 0)] + [(f, i) for f, g in enumerate(factors) for i in range(1, len(g))]
+
+    def entry(p, q):
+        (fp, ip), (fq, iq) = where[p], where[q]
+        value = 1.0 + 0j
+        for f, g in enumerate(factors):
+            value *= g[ip if fp == f else 0][iq if fq == f else 0]
+        return value
+
+    return [[entry(p, q) for q in range(len(where))] for p in range(len(where))]
+
+
+def signal_gram(p: SqueezeParams, cutoff: int, n_images: int) -> list[list[complex]]:
+    """Ladder Gram of the signal: the squeezed pair on |n, n> plus
+    ``n_images`` image vacua as explicit modes, in :meth:`BeatPairing.for_blo`
+    mode order."""
+    vacua = (0,) * n_images
+    return ladder_gram({(n, n) + vacua: a for n, a in enumerate(tmss_diagonal(p, cutoff))})
+
+
+def coherent_product_gram(tones, cutoff: int) -> list[list[complex]]:
+    """Ladder Gram of a product of coherent tones, one mode per
+    (amplitude, phase), all truncated at ``cutoff``."""
+    return product_gram([ladder_gram({(n,): a for n, a in
+                                      enumerate(coherent_amplitudes(amp, phase, cutoff))})
+                         for amp, phase in tones])
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +300,7 @@ def _cluster(values, tol: float):
             groups[-1][1].append(idx)
         else:
             groups.append(([values[idx]], [idx]))
-    return [(float(np.mean(vals)), members) for vals, members in groups]
+    return [(math.fsum(vals) / len(vals), members) for vals, members in groups]
 
 
 # ---------------------------------------------------------------------------
@@ -381,32 +310,35 @@ def _cluster(values, tol: float):
 
 def _check_factor_dims(policy: TruncationPolicy, *factor_dims) -> None:
     """Apply the guard to each factor state padded by one level per mode, as
-    the oracle holds it."""
+    a dense tensor would hold it."""
     for dims in factor_dims:
         policy.check_dimension(d + 1 for d in dims)
 
 
-def oracle_difference_variance(signal: FockStateVector, lo: FockStateVector,
-                               pairing: BeatPairing, fp: FrequencyPlan, *,
-                               policy: TruncationPolicy | None = None) -> float:
+def _check_norm(nsq: float) -> None:
+    if nsq > 1.0 + 1e-9:
+        raise ValueError(f"state norm^2 = {nsq!r} exceeds 1; amplitudes are not physical")
+
+
+def oracle_from_grams(g_sig, g_lo, pairing: BeatPairing, fp: FrequencyPlan) -> float:
     """Exact stationary variance of the balanced difference photocurrent.
 
-    Reduces the balanced splitter to the interference observable on the
-    product state psi = signal (x) LO, groups its terms by beat frequency,
-    and returns the sum of folded group powers: the time average of the
-    instantaneous variance, which is what a spectrum analyzer accumulates
-    across the beat notes. Each group is X = sum_t c_t A_t (x) B_t with one
-    ladder operator per factor, so
+    Takes the ladder Grams of the signal and the LO factor (nested lists,
+    indexed as in :func:`ladder_gram`). Reduces the balanced splitter to
+    the interference observable on the product state psi = signal (x) LO,
+    groups its terms by beat frequency, and returns the sum of folded group
+    powers: the time average of the instantaneous variance, which is what a
+    spectrum analyzer accumulates across the beat notes. Each group is
+    X = sum_t c_t A_t (x) B_t with one ladder operator per factor, so
 
         <X psi|X psi> = sum_{t,u} conj(c_t) c_u <A_t s|A_u s> <B_t l|B_u l>,
         <psi|X psi>   = sum_t c_t <s|A_t s> <l|B_t l>,
 
-    and only the two factors' ladder inner products are ever computed.
-    Inputs with truncation leakage above 1e-6 are rejected, since the
-    variance would no longer be trustworthy.
+    and only the two factors' ladder inner products enter. A factor whose
+    squared norm exceeds 1 + 1e-9 is refused, and so is one with truncation
+    leakage above 1e-6, since the variance would no longer be trustworthy.
     """
-    policy = policy if policy is not None else TruncationPolicy()
-    n_sig, n_lo = signal.n_modes, lo.n_modes
+    n_sig, n_lo = (len(g_sig) - 1) // 2, (len(g_lo) - 1) // 2
     if n_sig != len(pairing.signal_freqs):
         raise ValueError(
             f"signal has {n_sig} modes but the pairing lists {len(pairing.signal_freqs)}"
@@ -415,18 +347,16 @@ def oracle_difference_variance(signal: FockStateVector, lo: FockStateVector,
         raise ValueError(
             f"LO has {n_lo} modes but the pairing lists {len(pairing.lo_freqs)}"
         )
-    for state, name in ((signal, "signal"), (lo, "lo")):
-        leak = state.leakage
+    for gram, name in ((g_sig, "signal"), (g_lo, "lo")):
+        nsq = gram[0][0].real
+        _check_norm(nsq)
+        leak = 1.0 - nsq
         if leak > _INPUT_LEAKAGE_LIMIT:
             raise ValueError(
                 f"{name} state leakage {leak:g} exceeds {_INPUT_LEAKAGE_LIMIT:g}; "
                 "raise the cutoff"
             )
-
-    _check_factor_dims(policy, signal.dims, lo.dims)
-    g_sig = _ladder_gram(signal)
-    g_lo = _ladder_gram(lo)
-    nrm = (g_sig[0, 0] * g_lo[0, 0]).real
+    nrm = (g_sig[0][0] * g_lo[0][0]).real
 
     beats = [(k, j, pairing.signal_freqs[k] - pairing.lo_freqs[j])
              for k in range(n_sig) for j in range(n_lo)]
@@ -434,13 +364,13 @@ def oracle_difference_variance(signal: FockStateVector, lo: FockStateVector,
 
     def _component(pos, neg):
         # C = sum_pos i a_k^dag b_j  +  sum_neg (-i) b_j^dag a_k; returns
-        # (<psi|C psi>, <C psi|C psi>) from the factors' ladder Gram matrices
-        coeff = np.array([1j] * len(pos) + [-1j] * len(neg))
-        i_sig = [2 + 2 * k for k, _, _ in pos] + [1 + 2 * k for k, _, _ in neg]
-        i_lo = [1 + 2 * j for _, j, _ in pos] + [2 + 2 * j for _, j, _ in neg]
-        mean = coeff @ (g_sig[0, i_sig] * g_lo[0, i_lo])
-        gram = g_sig[np.ix_(i_sig, i_sig)] * g_lo[np.ix_(i_lo, i_lo)]
-        return mean, (coeff.conj() @ gram @ coeff).real
+        # (<psi|C psi>, <C psi|C psi>) from the factors' ladder Grams
+        ops = ([(1j, 2 + 2 * k, 1 + 2 * j) for k, j, _ in pos]
+               + [(-1j, 1 + 2 * k, 2 + 2 * j) for k, j, _ in neg])
+        mean = _csum(c * g_sig[0][a] * g_lo[0][b] for c, a, b in ops)
+        power = math.fsum((ct.conjugate() * cu * g_sig[at][au] * g_lo[bt][bu]).real
+                          for ct, at, bt in ops for cu, au, bu in ops)
+        return mean, power
 
     # One note per cluster of |beat|, its terms in signed-beat order; the
     # notes are summed in order of their lowest signed beat.
@@ -462,155 +392,6 @@ def oracle_difference_variance(signal: FockStateVector, lo: FockStateVector,
         variance += (power_x + power_y) / nrm
         variance -= (abs(mean_x) ** 2 + abs(mean_y) ** 2) / nrm**2
     return float(variance)
-
-
-# ---------------------------------------------------------------------------
-# explicit-unitary self-check route
-# ---------------------------------------------------------------------------
-
-
-def balanced_bs_unitary(dim: int) -> np.ndarray:
-    """Dense 50/50 splitter unitary on a dim x dim two-mode space.
-
-    Realizes the mode map d1 = (a + i b)/sqrt(2), d2 = (i a + b)/sqrt(2),
-    the same convention as gaussian.BeamSplitterSpec.balanced(), as
-    exp(i pi/4 (a^dag b + a b^dag)) of the truncated generator. The generator
-    conserves the total photon number N, so it is exponentiated one block
-    {|n, N - n>} at a time: real tridiagonal with entries sqrt(n (N - n + 1))
-    (a spin-N/2 rotation where the truncation leaves the block whole).
-    """
-    u = np.zeros((dim * dim, dim * dim), dtype=np.complex128)
-    for total in range(2 * dim - 1):
-        n = np.arange(max(0, total - dim + 1), min(total, dim - 1) + 1)
-        off = np.sqrt(n[1:] * (total - n[1:] + 1.0))
-        idx = n * dim + (total - n)
-        u[np.ix_(idx, idx)] = _expi((math.pi / 4.0) * (np.diag(off, 1) + np.diag(off, -1)))
-    return u
-
-
-def apply_balanced_bs(state: FockStateVector, mode_a: int, mode_b: int) -> FockStateVector:
-    """Mix two modes of a Fock state on the balanced splitter.
-
-    Both axes are enlarged to hold the full redistributed photon range, so
-    the map is exactly unitary on the retained space.
-    """
-    if mode_a == mode_b:
-        raise ValueError("beam splitter needs two distinct modes")
-    amp = state.amplitudes
-    d = amp.shape[mode_a] + amp.shape[mode_b] - 1
-    pad = [(0, 0)] * amp.ndim
-    pad[mode_a] = (0, d - amp.shape[mode_a])
-    pad[mode_b] = (0, d - amp.shape[mode_b])
-    moved = np.moveaxis(np.pad(amp, pad), (mode_a, mode_b), (0, 1))
-    mixed = (balanced_bs_unitary(d) @ moved.reshape(d * d, -1)).reshape(moved.shape)
-    return FockStateVector(np.moveaxis(mixed, (0, 1), (mode_a, mode_b)))
-
-
-@dataclass(frozen=True)
-class UnitaryOracleResult:
-    variance: float
-    norm_before: float
-    norm_after: float
-    photons_in: float
-    photons_out: float
-
-
-def oracle_difference_variance_unitary(signal: FockStateVector, lo: FockStateVector,
-                                       pairing: BeatPairing, fp: FrequencyPlan
-                                       ) -> UnitaryOracleResult:
-    """Same observable as :func:`oracle_difference_variance`, but through the
-    explicit splitter unitary applied per frequency.
-
-    Every frequency carries a signal-port and an LO-port mode (vacuum where
-    the inputs are silent); after mixing, the grouped difference observable
-    is evaluated on the output state. Dimensions grow quadratically per
-    frequency, so this route is for small cross-checks only.
-    """
-    n_sig, n_lo = signal.n_modes, lo.n_modes
-    if n_sig != len(pairing.signal_freqs) or n_lo != len(pairing.lo_freqs):
-        raise ValueError("pairing does not match the state mode counts")
-
-    all_freqs = list(pairing.signal_freqs) + list(pairing.lo_freqs)
-    tol = 1e-9 * max(fp.delta, max(abs(f - g) for f in all_freqs for g in all_freqs))
-    clusters = _cluster(all_freqs, tol)
-
-    freq_entries = []  # (frequency, signal mode index or None, lo mode index or None)
-    for freq, members in clusters:
-        sig_idx = [m for m in members if m < n_sig]
-        lo_idx = [m - n_sig for m in members if m >= n_sig]
-        if len(sig_idx) > 1 or len(lo_idx) > 1:
-            raise ValueError("unitary route cannot host two same-port modes at one frequency")
-        freq_entries.append((freq, sig_idx[0] if sig_idx else None,
-                             lo_idx[0] if lo_idx else None))
-
-    # Port order (a_f0, b_f0, a_f1, b_f1, ...): the input axes in that order,
-    # a size-1 axis for each silent port
-    axes, port_dims = [], []
-    for _, si, li in freq_entries:
-        axes += ([si] if si is not None else []) + ([n_sig + li] if li is not None else [])
-        port_dims += [signal.dims[si] if si is not None else 1,
-                      lo.dims[li] if li is not None else 1]
-    # each mixed port holds da + db - 1 levels plus one headroom level
-    total = math.prod((da + db) ** 2 for da, db in zip(port_dims[::2], port_dims[1::2]))
-    if total > _UNITARY_MAX_DIMENSION:
-        raise ValueError(
-            f"unitary-route dimension {total} exceeds {_UNITARY_MAX_DIMENSION}; "
-            "this route is for small self-checks"
-        )
-
-    ports = FockStateVector(np.multiply.outer(signal.amplitudes, lo.amplitudes)
-                            .transpose(axes).reshape(port_dims))
-
-    def _total_photons(arr):
-        return sum(_kernels.norm_sq(lowered(arr, axis)) for axis in range(arr.ndim))
-
-    norm_before = ports.norm_sq
-    photons_in = _total_photons(ports.amplitudes) / norm_before
-
-    for f_idx in range(len(freq_entries)):
-        ports = apply_balanced_bs(ports, 2 * f_idx, 2 * f_idx + 1)
-    joint = pad_amplitudes(ports.amplitudes)
-
-    norm_after = _kernels.norm_sq(joint)
-    photons_out = _total_photons(joint) / norm_after
-
-    # Grouped difference observable on the output state, restricted to the
-    # beat bands the pairing declares (a band and its mirror): frequency
-    # pairs outside those bands are not part of the measurement.
-    declared = []
-    for k in range(n_sig):
-        for j in range(n_lo):
-            declared.append(pairing.signal_freqs[k] - pairing.lo_freqs[j])
-    declared += [-d for d in declared]
-    freqs = [entry[0] for entry in freq_entries]
-    nF = len(freqs)
-    beats = [(i, j, freqs[i] - freqs[j]) for i in range(nF) for j in range(nF)
-             if any(abs((freqs[i] - freqs[j]) - d) <= tol for d in declared)]
-
-    def _component(members):
-        comp = np.zeros_like(joint)
-        for i, j, _ in members:
-            _kernels.pair_ladder_acc(comp, joint, axis_up=2 * i, axis_dn=2 * j,
-                                     coeff=1.0)  # d1 port
-            _kernels.pair_ladder_acc(comp, joint, axis_up=2 * i + 1, axis_dn=2 * j + 1,
-                                     coeff=-1.0)  # d2 port
-        return comp
-
-    # Each signed beat cluster is a note of its own: a band and its mirror
-    # fold together as the sum of both notes' powers.
-    variance = 0.0
-    for _, members in _cluster([b[2] for b in beats], tol):
-        x = _component([beats[m] for m in members])
-        variance += (_kernels.norm_sq(x) / norm_after
-                     - abs(_kernels.vdot(joint, x)) ** 2 / norm_after**2)
-
-    return UnitaryOracleResult(
-        variance=float(variance),
-        norm_before=float(norm_before),
-        norm_after=float(norm_after),
-        photons_in=float(photons_in),
-        photons_out=float(photons_out),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -644,29 +425,26 @@ def reference_plan(case: ImageBandCase | None) -> FrequencyPlan:
 def oracle_blo_run(p: SqueezeParams, beta: float, chi1: float, chi2: float,
                    case: ImageBandCase, *,
                    policy: TruncationPolicy | None = None) -> float:
-    """Build states for a two-tone configuration and run the oracle on the
-    case's reference plan. The guard refuses oversized states before any is
-    built."""
+    """Run the oracle for a two-tone configuration on the case's reference
+    plan. The guard refuses oversized states before any is built."""
     policy = policy if policy is not None else TruncationPolicy()
     plan = reference_plan(case)
     n_sig, n_lo = policy.tmss_cutoff(p.s), policy.coherent_cutoff(beta)
     _check_factor_dims(policy, (n_sig + 1,) * 2 + (1,) * _N_IMAGES[case], (n_lo + 1,) * 2)
-    signal = build_blo_signal_state(p, case, n_sig)
-    lo = build_coherent_product([(beta, chi1), (beta, chi2)], n_lo)
-    pairing = BeatPairing.for_blo(plan, case)
-    return oracle_difference_variance(signal, lo, pairing, plan, policy=policy)
+    g_sig = signal_gram(p, n_sig, _N_IMAGES[case])
+    g_lo = coherent_product_gram([(beta, chi1), (beta, chi2)], n_lo)
+    return oracle_from_grams(g_sig, g_lo, BeatPairing.for_blo(plan, case), plan)
 
 
 def oracle_standard_run(p: SqueezeParams, beta: float, chi: float, *,
                         policy: TruncationPolicy | None = None) -> float:
-    """Build states for the single-tone configuration and run the oracle on
-    the single-tone reference plan. The guard refuses oversized states
-    before any is built."""
+    """Run the oracle for the single-tone configuration on the single-tone
+    reference plan. The guard refuses oversized states before any is
+    built."""
     policy = policy if policy is not None else TruncationPolicy()
     plan = reference_plan(None)
     n_sig, n_lo = policy.tmss_cutoff(p.s), policy.coherent_cutoff(beta)
     _check_factor_dims(policy, (n_sig + 1,) * 2, (n_lo + 1,))
-    signal = build_tmss(p, n_sig)
-    lo = build_coherent_product([(beta, chi)], n_lo)
-    pairing = BeatPairing.for_standard(plan)
-    return oracle_difference_variance(signal, lo, pairing, plan, policy=policy)
+    g_sig = signal_gram(p, n_sig, 0)
+    g_lo = coherent_product_gram([(beta, chi)], n_lo)
+    return oracle_from_grams(g_sig, g_lo, BeatPairing.for_standard(plan), plan)

@@ -546,6 +546,21 @@ class TestOutputs:
         assert result.returncode == 3, result.stderr
         assert "guard" in result.stderr
 
+    def test_verify_strong_tone_fits_in_a_small_address_space(self, tmp_path):
+        # |beta| = 95 passes the guard (padded LO 9797^2 < 1e8 amplitudes),
+        # and the oracle holds one vector per tone, never that dense LO
+        path = write_config(tmp_path, {"lo_tones": tone_pair(95.0), "image_band_case": "none",
+                                       "oracle": {"draws": 0, "beta_cap_no_image": 95.0}})
+        probe = ("import resource, sys; "
+                 "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+                 "from blodyne.cli import main; sys.exit(main(sys.argv[1:]))")
+        env = dict(src_env(), OPENBLAS_NUM_THREADS="1")
+        result = subprocess.run([sys.executable, "-c", probe, "verify", "--config", path],
+                                capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        rows = [line for line in result.stdout.splitlines() if line.startswith("0,NoImageBands,")]
+        assert len(rows) == 1 and float(rows[0].split(",")[-1]) < 0.01
+
     @pytest.mark.parametrize("overrides,reason", [
         # 1e600 requested samples: the count is compared before any power of two
         ({"spectrum": {"duration_s": 1e300, "sample_rate_hz": 1e300}}, "memory guard"),
@@ -622,6 +637,28 @@ def test_spectrum_output_bytes_are_pinned(tmp_path, capsys):
     assert digests == GOLDEN_SPECTRUM_SHA256
 
 
+# SHA-256 of stdout and verify.csv (the same text) for verify without and
+# with random draws (seed 2 draws a two-image-band and a no-image-band point
+# beside the configured shared-band point); only the oracle's rounding can
+# move these bytes.
+GOLDEN_VERIFY_SHA256 = {
+    0: "db763ea32c0fa17a271bc428f5ddab10c7aad5569e40ff052c58192ae3f8889b",
+    2: "37b72874a4fa1e2558c40d8bcd8590130c53da7968c0d43a1d48e40151b29710",
+}
+
+
+@pytest.mark.parametrize("draws", sorted(GOLDEN_VERIFY_SHA256))
+def test_verify_output_bytes_are_pinned(tmp_path, capsys, draws):
+    path = write_config(tmp_path, {"seed": 2,
+                                   "oracle": {"draws": draws, "beta_cap_no_image": 7.0,
+                                              "beta_cap_shared": 6.0, "beta_cap_two": 6.0}})
+    out_dir = tmp_path / "out"
+    code, out, _ = run(capsys, ["verify", "--config", path, "--output-dir", str(out_dir)])
+    assert code == 0
+    assert out.encode("utf-8") == (out_dir / "verify.csv").read_bytes()
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_VERIFY_SHA256[draws]
+
+
 class TestAsymmetricDetunings:
     """The two-tone closed forms assume delta1 = -delta2; any other plan makes
     the variance oscillate at (delta1 + delta2)/2pi, so it exits 3."""
@@ -672,6 +709,18 @@ def test_package_names_resolve_lazily():
 SINGLE_TONE_PLAN = dict(PLAN_100KHZ, lo_hz=[300.0e12])
 
 
+def numpy_probe_stderr(cmd, path):
+    """Run one subcommand in a fresh interpreter; its stderr, which is only
+    "True" or "False" for whether it loaded numpy."""
+    probe = ("import sys; from blodyne.cli import main; code = main(sys.argv[1:]); "
+             "sys.stdout.flush(); print('numpy' in sys.modules, file=sys.stderr); "
+             "sys.exit(code)")
+    result = subprocess.run([sys.executable, "-c", probe, cmd, "--config", path],
+                            capture_output=True, text=True, env=src_env())
+    assert result.returncode == 0, result.stderr
+    return result.stderr.strip()
+
+
 @pytest.mark.parametrize("cmd,tones", [
     ("variance", 1), ("variance", 2), ("scan", 1), ("scan", 2), ("cases", 2),
     ("imbalance", 2),
@@ -682,14 +731,13 @@ def test_closed_form_subcommands_load_no_numpy(tmp_path, cmd, tones):
     if tones == 1:
         overrides = {"frequency_plan": SINGLE_TONE_PLAN,
                      "lo_tones": [{"amplitude": 2.0, "phase": 0.4}]}
-    path = write_config(tmp_path, overrides)
-    probe = ("import sys; from blodyne.cli import main; code = main(sys.argv[1:]); "
-             "sys.stdout.flush(); print('numpy' in sys.modules, file=sys.stderr); "
-             "sys.exit(code)")
-    result = subprocess.run([sys.executable, "-c", probe, cmd, "--config", path],
-                            capture_output=True, text=True, env=src_env())
-    assert result.returncode == 0, result.stderr
-    assert result.stderr.strip() == "False"
+    assert numpy_probe_stderr(cmd, write_config(tmp_path, overrides)) == "False"
+
+
+def test_verify_without_draws_loads_no_numpy(tmp_path):
+    # the oracle is pure Python; numpy is imported only to draw random points
+    path = write_config(tmp_path, {"oracle": {"draws": 0}})
+    assert numpy_probe_stderr("verify", path) == "False"
 
 
 @pytest.mark.parametrize("cmd", ["variance", "scan", "cases", "imbalance", "spectrum",

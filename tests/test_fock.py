@@ -1,5 +1,8 @@
+import ast
+import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -8,17 +11,16 @@ import pytest
 
 from blodyne import detection
 from blodyne.detection import ImageBandCase, LoTone
-from blodyne.fock import (BeatPairing, FockStateVector, TruncationPolicy,
-                          apply_balanced_bs, balanced_bs_unitary,
-                          build_blo_signal_state, build_coherent_product,
-                          build_tmss, build_tmss_via_expm, coherent_cutoff,
-                          covariance_matrix, lowered,
-                          mean_photon, oracle_blo_run,
-                          oracle_difference_variance,
-                          oracle_difference_variance_unitary,
-                          oracle_standard_run, pad_amplitudes,
-                          pair_annihilation_moment, reference_plan,
-                          tmss_cutoff_for_leakage)
+from blodyne.fock import (BeatPairing, TruncationPolicy, coherent_cutoff,
+                          coherent_product_gram, ladder_gram, oracle_blo_run,
+                          oracle_from_grams, oracle_standard_run, reference_plan,
+                          signal_gram, tmss_cutoff_for_leakage)
+from blodyne._kernels import (FockStateVector, apply_balanced_bs, balanced_bs_unitary,
+                              build_blo_signal_state, build_coherent_product,
+                              build_tmss, build_tmss_via_expm, covariance_matrix,
+                              lowered, mean_photon, oracle_difference_variance,
+                              oracle_difference_variance_unitary, pad_amplitudes,
+                              pair_annihilation_moment)
 from blodyne.gaussian import (BeamSplitterSpec, ModeLabel, SqueezeParams,
                               apply_beam_splitter, apply_displacement,
                               apply_two_mode_squeeze, vacuum_state)
@@ -315,6 +317,136 @@ class TestFactorizedOracle:
                                        policy=TruncationPolicy(max_dimension=483))
 
 
+def dense_run(p, tones, case, policy=None):
+    """The dense route at the cutoffs the oracle runs pick; case None is the
+    single-tone scheme."""
+    policy = policy if policy is not None else TruncationPolicy()
+    n_sig, n_lo = policy.tmss_cutoff(p.s), policy.coherent_cutoff(tones[0][0])
+    plan = reference_plan(case)
+    if case is None:
+        signal, pairing = build_tmss(p, n_sig), BeatPairing.for_standard(plan)
+    else:
+        signal = build_blo_signal_state(p, case, n_sig)
+        pairing = BeatPairing.for_blo(plan, case)
+    return oracle_difference_variance(signal, build_coherent_product(tones, n_lo), pairing,
+                                      plan, policy=policy)
+
+
+def structured_run(p, tones, case, policy=None):
+    """``oracle_standard_run`` or ``oracle_blo_run`` on the same point."""
+    if case is None:
+        return oracle_standard_run(p, *tones[0], policy=policy)
+    (beta, chi1), (_, chi2) = tones
+    return oracle_blo_run(p, beta, chi1, chi2, case, policy=policy)
+
+
+ALL_SCHEMES = [None] + list(ImageBandCase)
+
+
+class TestStructuredGrams:
+    """The oracle runs build their Grams in pure Python from explicit
+    truncated vectors; the dense route over full tensors is the reference."""
+
+    @pytest.mark.parametrize("case", ALL_SCHEMES)
+    def test_grams_match_dense_ladder_gram(self, case):
+        p = SqueezeParams(s=0.7, theta=2.3)
+        tones = [(3.5, 0.4)] if case is None else [(3.5, 0.4), (3.5, 5.1)]
+        signal = build_tmss(p, 30) if case is None else build_blo_signal_state(p, case, 30)
+        pairs = [(signal_gram(p, 30, signal.n_modes - 2), signal),
+                 (coherent_product_gram(tones, 50), build_coherent_product(tones, 50))]
+        for gram, state in pairs:
+            dense = _kernels._ladder_gram(state)
+            assert np.max(np.abs(np.array(gram) - dense)) <= 1e-14 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("p,tones,case", [
+        *[(SqueezeParams(s=0.4, theta=1.1), [(2.5, 0.3), (2.5, 2.0)], case)
+          for case in ImageBandCase],
+        (SqueezeParams(s=0.6, theta=0.2), [(4.0, 0.9)], None),
+    ])
+    def test_runs_match_dense_route_at_factorized_points(self, p, tones, case):
+        assert structured_run(p, tones, case) == pytest.approx(dense_run(p, tones, case),
+                                                               rel=1e-12)
+
+    def test_runs_match_dense_route_over_seeded_sweep(self):
+        rng = np.random.default_rng(2024)
+        for case in ALL_SCHEMES:
+            for _ in range(6):
+                p = SqueezeParams(s=float(rng.uniform(0.1, 1.2)),
+                                  theta=float(rng.uniform(0.0, 2.0 * math.pi)))
+                beta = float(rng.uniform(1.0, 10.0))
+                tones = [(beta, float(rng.uniform(0.0, 2.0 * math.pi)))
+                         for _ in range(1 if case is None else 2)]
+                assert structured_run(p, tones, case) == pytest.approx(
+                    dense_run(p, tones, case), rel=1e-12)
+
+    @pytest.mark.parametrize("policy,match", [
+        (TruncationPolicy(target_leakage=1e-4), "leakage"),
+        (TruncationPolicy(max_dimension=10_000), "guard"),
+    ])
+    @pytest.mark.parametrize("case", ALL_SCHEMES)
+    def test_failures_match_the_dense_route(self, policy, match, case):
+        # padded LO: 10812 levels for one tone at 100, 192^2 for two at 10
+        p = SqueezeParams(s=0.5, theta=0.3)
+        tones = [(100.0, 0.1)] if case is None else [(10.0, 0.1), (10.0, 0.6)]
+        with pytest.raises(ValueError, match=match) as structured:
+            structured_run(p, tones, case, policy=policy)
+        with pytest.raises(ValueError) as dense:
+            dense_run(p, tones, case, policy=policy)
+        assert str(structured.value) == str(dense.value)
+
+    def test_unphysical_norm_matches_the_dense_message(self):
+        plan = reference_plan(ImageBandCase.NO_IMAGE_BANDS)
+        signal = ladder_gram({(0, 0): 1.0 + 0j, (1, 1): 0.5 + 0j})
+        lo = coherent_product_gram([(2.0, 0.0), (2.0, 0.0)], 40)
+        with pytest.raises(ValueError, match="norm") as structured:
+            oracle_from_grams(signal, lo, BeatPairing.for_blo(plan, ImageBandCase.NO_IMAGE_BANDS),
+                              plan)
+        with pytest.raises(ValueError) as dense:
+            FockStateVector(np.diag([1.0, 0.5]))
+        assert str(structured.value) == str(dense.value)
+
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
+
+
+def names_taken_from(module):
+    """Names the tests and the benchmark child take from ``blodyne.<module>``,
+    by ``from`` import or by attribute on the module."""
+    names = set()
+    for path in [*sorted((REPO / "tests").glob("*.py")), REPO / "perfbench" / "child.py"]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == f"blodyne.{module}":
+                names.update(alias.name for alias in node.names)
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == module):
+                names.add(node.attr)
+    return names
+
+
+def test_fock_loads_no_numpy_and_every_used_name_resolves():
+    # the benchmark's tracer also wraps these by name
+    used = {"fock": names_taken_from("fock") | {"oracle_blo_run"},
+            "_kernels": names_taken_from("_kernels") | {"pair_ladder_acc", "vdot", "norm_sq"}}
+    probe = """
+import json, sys
+import blodyne.fock as fock
+assert 'numpy' not in sys.modules
+used = json.loads(sys.argv[1])
+missing = [name for name in used['fock'] if not hasattr(fock, name)]
+import blodyne._kernels as kernels
+missing += [name for name in used['_kernels'] if not hasattr(kernels, name)]
+assert not missing, missing
+assert all(getattr(fock, name) is getattr(kernels, name) for name in fock._DENSE_NAMES)
+assert fock._DENSE_NAMES <= set(dir(fock))
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(REPO / "src"), os.environ.get("PYTHONPATH")) if p))
+    result = subprocess.run([sys.executable, "-c", probe,
+                             json.dumps({k: sorted(v) for k, v in used.items()})],
+                            capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+
+
 class TestUnitaryRoute:
     def test_standard_route_equality(self):
         p = SqueezeParams(s=0.5, theta=0.9)
@@ -406,9 +538,10 @@ def test_self_check_routes_run_without_scipy():
 import sys
 sys.modules['scipy'] = None
 from blodyne import ImageBandCase
-from blodyne.fock import (BeatPairing, apply_balanced_bs, build_blo_signal_state,
-                          build_coherent_product, build_tmss_via_expm,
-                          oracle_difference_variance_unitary, reference_plan)
+from blodyne.fock import BeatPairing, reference_plan
+from blodyne._kernels import (apply_balanced_bs, build_blo_signal_state,
+                              build_coherent_product, build_tmss_via_expm,
+                              oracle_difference_variance_unitary)
 from blodyne.gaussian import SqueezeParams
 p = SqueezeParams(s=0.3, theta=0.8)
 apply_balanced_bs(build_tmss_via_expm(p, 4), 0, 1)
