@@ -23,8 +23,8 @@ On top of them:
 * ``FockStateVector`` and the dense builders ``build_tmss``,
   ``build_tmss_via_expm``, ``build_coherent_product`` and
   ``build_blo_signal_state``, whose amplitudes come from ``fock``;
-* ``_ladder_gram``, the dense ladder Gram, and the moments read from it
-  (``mean_photon``, ``pair_annihilation_moment``, ``covariance_matrix``);
+* ``_ladder_gram``, the dense ladder Gram, and ``covariance_matrix``,
+  which reads quadrature moments from any ladder Gram, dense or ``fock``'s;
 * ``oracle_difference_variance``, which feeds dense Grams to
   ``fock.oracle_from_grams``, the core ``verify`` runs;
 * ``oracle_difference_variance_unitary``, which applies the splitter per
@@ -241,28 +241,21 @@ def _ladder_gram(state: FockStateVector) -> np.ndarray:
     return gram
 
 
-def mean_photon(state: FockStateVector, mode: int) -> float:
-    """Occupation expectation <a_m psi|a_m psi> (unnormalized state as is)."""
-    return float(_ladder_gram(state)[1 + 2 * mode, 1 + 2 * mode].real)
-
-
-def pair_annihilation_moment(state: FockStateVector, mode_a: int, mode_b: int) -> complex:
-    """<a_{mode_a} a_{mode_b}> = <a_{mode_a}^dag psi|a_{mode_b} psi> (unnormalized)."""
-    return complex(_ladder_gram(state)[2 + 2 * mode_a, 1 + 2 * mode_b])
-
-
-def covariance_matrix(state: FockStateVector):
+def covariance_matrix(gram):
     """Quadrature mean and covariance in the (x1, p1, x2, p2, ...) convention.
 
+    ``gram`` is a ladder Gram (array or nested lists) indexed as
+    :func:`blodyne.fock.ladder_gram`, dense or structured alike.
     x_m = (a_m + a_m^dag)/2 and p_m = -i (a_m - a_m^dag)/2 are fixed
     combinations C of the ladder images, so mean = Re(G[0] C) / n and
-    cov = Re(C^dag G C) / n - mean mean^T for the Gram matrix G and
-    n = G[0, 0]. Normalizing by the state's squared norm leaves small
-    truncation leakage only at second order.
+    cov = Re(C^dag G C) / n - mean mean^T for n = G[0, 0]. Normalizing by
+    the state's squared norm leaves small truncation leakage only at second
+    order.
     """
-    gram = _ladder_gram(state)
-    comb = np.zeros((len(gram), 2 * state.n_modes), dtype=np.complex128)
-    for m in range(state.n_modes):
+    gram = np.asarray(gram, dtype=np.complex128)
+    n_modes = (len(gram) - 1) // 2
+    comb = np.zeros((len(gram), 2 * n_modes), dtype=np.complex128)
+    for m in range(n_modes):
         comb[1 + 2 * m, 2 * m] = comb[2 + 2 * m, 2 * m] = 0.5
         comb[1 + 2 * m, 2 * m + 1] = -0.5j
         comb[2 + 2 * m, 2 * m + 1] = 0.5j

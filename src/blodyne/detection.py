@@ -95,6 +95,9 @@ class FrequencyPlan:
     def __post_init__(self):
         lo = tuple(float(f) for f in self.lo_frequencies)
         object.__setattr__(self, "lo_frequencies", lo)
+        if not all(map(math.isfinite, (self.omega_minus, self.omega_plus) + lo)):
+            raise ValueError(f"frequencies must be finite, got {self.omega_minus!r}, "
+                             f"{self.omega_plus!r}, {lo!r}")
         if not (0.0 < self.omega_minus < self.omega_plus):
             raise ValueError(
                 f"need 0 < omega_minus < omega_plus, got {self.omega_minus!r}, {self.omega_plus!r}"
@@ -277,17 +280,15 @@ def blo_variance_general(p: SqueezeParams, lo1: LoTone, lo2: LoTone,
     Var(t) = (b1^2 + b2^2) (4 sinh^2 s + 2 + v)
              + 8 b1 b2 sinh(s) cosh(s) cos(chi1 + chi2 - theta - (delta1+delta2) t)
 
-    with v the image-band vacuum units of the classified configuration.
+    with v the image-band vacuum units of the classified configuration,
+    evaluated in the cancellation-free form of :func:`blo_variance_unbalanced`
+    with the phase sum shifted by -(delta1 + delta2) t (bit-identical at t = 0).
     """
     if lo1.amplitude <= 0.0 or lo2.amplitude <= 0.0:
         raise ValueError("both LO tone amplitudes must be > 0")
-    units = IMAGE_VACUUM_UNITS[classify_image_band_case(fp)]
-    b1, b2 = lo1.amplitude, lo2.amplitude
-    sc = math.sinh(p.s) * math.cosh(p.s)
-    flux = (b1**2 + b2**2) * (4.0 * math.sinh(p.s) ** 2 + 2.0 + units)
-    beat = (fp.delta1 + fp.delta2) * t
-    interference = 8.0 * b1 * b2 * sc * math.cos(lo1.phase + lo2.phase - p.theta - beat)
-    return flux + interference
+    b1, beat = lo1.amplitude, (fp.delta1 + fp.delta2) * t
+    return _blo_eval(p, b1, lo2.amplitude - b1, lo1.phase, lo2.phase - beat,
+                     classify_image_band_case(fp))
 
 
 def _blo_eval(p: SqueezeParams, beta_mag: float, delta_beta: float,

@@ -118,6 +118,11 @@ class TestConfigValues:
         text = json.dumps(BASE_CONFIG).replace('"amplitude": 2.0', '"amplitude": 1e400', 1)
         self.expect_config_error(tmp_path, capsys, "lo_tones[0].amplitude", text=text)
 
+    def test_frequency_overflowing_in_rad_per_s(self, tmp_path, capsys):
+        # 1e308 Hz is finite, but 2 pi times it is not
+        self.expect_config_error(tmp_path, capsys, "frequency_plan", {"frequency_plan": {
+            "omega_plus_hz": 1e308, "omega_minus_hz": 299.999995e12, "lo_hz": [300.0e12]}})
+
     def test_squeeze_overflow(self, tmp_path, capsys):
         self.expect_config_error(tmp_path, capsys, "squeeze.s",
                                  {"squeeze": {"s": 400.0, "theta": 0.0}})

@@ -32,6 +32,10 @@ def dyadic_plan(d1_frac, d2_frac):
     )
 
 
+# opposite detunings of the no-image, shared-image and two-image configurations
+OPPOSITE_DETUNINGS = [(0.0, 0.0), (0.25, -0.25), (0.125, -0.125)]
+
+
 class TestStandardHeterodyne:
     def test_shot_noise_limit(self):
         for chi, theta in [(0.0, 0.0), (1.1, 2.2), (4.0, 0.7)]:
@@ -61,6 +65,15 @@ class TestFrequencyPlan:
         with pytest.raises(ValueError, match="between"):
             FrequencyPlan(omega_plus=2.0e15 + 1e7, omega_minus=2.0e15,
                           lo_frequencies=(2.0e15 + 2e7,))
+
+    @pytest.mark.parametrize("omega_plus, omega_minus, lo", [
+        (2.0e15 + 1e7, 2.0e15, (math.nan, 2.0e15 + 1e7)),  # classified as two image bands
+        (2.0e15 + 1e7, 2.0e15, (2.0e15, math.inf)),
+        (math.inf, 2.0e15, (2.0e15 + 5e6,)),
+    ])
+    def test_non_finite_frequencies_rejected(self, omega_plus, omega_minus, lo):
+        with pytest.raises(ValueError, match="finite"):
+            FrequencyPlan(omega_plus=omega_plus, omega_minus=omega_minus, lo_frequencies=lo)
 
     def test_image_frequency_identities(self):
         fp = dyadic_plan(0.125, -0.125)
@@ -137,6 +150,35 @@ class TestGeneralTimeDependence:
         quarter = 0.5 * math.pi / (fp.delta1 + fp.delta2)
         v1 = blo_variance_general(p, tone(1.0, 0.0), tone(1.0, 0.0), fp, quarter)
         assert abs(v0 - v1) > 1e-6 * abs(v0)
+
+    @pytest.mark.parametrize("d1_frac, d2_frac", OPPOSITE_DETUNINGS)
+    def test_deep_squeezing_floor_matches_blo_variance(self, d1_frac, d2_frac):
+        # at s = 10 the floor is ~e^{-20} of terms ~e^{20}: a flux-plus-
+        # interference sum cancels to a negative value without image bands
+        p = SqueezeParams(s=10.0, theta=0.0)
+        lo1, lo2 = tone(1.0, math.pi), tone(1.0, 0.0)  # chi1+chi2 = theta + pi
+        fp = dyadic_plan(d1_frac, d2_frac)
+        expected = blo_variance(p, lo1, lo2, classify_image_band_case(fp)).variance
+        assert blo_variance_general(p, lo1, lo2, fp, 0.0) == pytest.approx(expected,
+                                                                            rel=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(detunings=st.sampled_from(OPPOSITE_DETUNINGS + [(0.125, -0.0625), (0.3, 0.1)]),
+       s=st.floats(0.0, 12.0), theta=st.floats(0.0, 2.0 * math.pi),
+       b1=st.floats(0.5, 20.0), b2=st.floats(0.5, 20.0),
+       chi1=st.floats(-10.0, 10.0), chi2=st.floats(-10.0, 10.0),
+       t=st.floats(0.0, 1e-3))
+def test_general_variance_is_the_unbalanced_evaluator(detunings, s, theta, b1, b2,
+                                                      chi1, chi2, t):
+    p = SqueezeParams(s=s, theta=theta)
+    lo1, lo2 = tone(b1, chi1), tone(b2, chi2)
+    fp = dyadic_plan(*detunings)
+    value = blo_variance_general(p, lo1, lo2, fp, t)
+    assert math.isfinite(value) and value >= 0.0
+    at_zero = blo_variance_unbalanced(p, b1, b2 - b1, lo1.phase, lo2.phase,
+                                      classify_image_band_case(fp)).variance
+    assert blo_variance_general(p, lo1, lo2, fp, 0.0) == at_zero
 
 
 class TestBloVariance:

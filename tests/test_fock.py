@@ -11,16 +11,15 @@ import pytest
 
 from blodyne import detection
 from blodyne.detection import ImageBandCase, LoTone
-from blodyne.fock import (BeatPairing, TruncationPolicy, coherent_cutoff,
+from blodyne.fock import (_N_IMAGES, BeatPairing, TruncationPolicy, coherent_cutoff,
                           coherent_product_gram, ladder_gram, oracle_blo_run,
                           oracle_from_grams, oracle_standard_run, reference_plan,
                           signal_gram, tmss_cutoff_for_leakage)
-from blodyne._kernels import (FockStateVector, apply_balanced_bs, balanced_bs_unitary,
-                              build_blo_signal_state, build_coherent_product,
-                              build_tmss, build_tmss_via_expm, covariance_matrix,
-                              lowered, mean_photon, oracle_difference_variance,
-                              oracle_difference_variance_unitary, pad_amplitudes,
-                              pair_annihilation_moment)
+from blodyne._kernels import (FockStateVector, _ladder_gram, apply_balanced_bs,
+                              balanced_bs_unitary, build_blo_signal_state,
+                              build_coherent_product, build_tmss, build_tmss_via_expm,
+                              covariance_matrix, lowered, oracle_difference_variance,
+                              oracle_difference_variance_unitary, pad_amplitudes)
 from blodyne.gaussian import (BeamSplitterSpec, ModeLabel, SqueezeParams,
                               apply_beam_splitter, apply_displacement,
                               apply_two_mode_squeeze, vacuum_state)
@@ -55,13 +54,14 @@ class TestTmssBuilder:
     def test_mean_photon_number(self):
         state = build_tmss(SqueezeParams(s=0.5), cutoff=20)
         expected = math.sinh(0.5) ** 2
-        assert mean_photon(state, 0) == pytest.approx(expected, abs=1e-9)
-        assert mean_photon(state, 1) == pytest.approx(expected, abs=1e-9)
+        gram = _ladder_gram(state)
+        assert gram[1, 1].real == pytest.approx(expected, abs=1e-9)
+        assert gram[3, 3].real == pytest.approx(expected, abs=1e-9)
 
     def test_pair_moment_convention(self):
         p = SqueezeParams(s=0.5, theta=math.pi / 2)
         state = build_tmss(p, cutoff=25)
-        mom = pair_annihilation_moment(state, 0, 1)
+        mom = complex(_ladder_gram(state)[2, 3])  # <a_0^dag psi|a_1 psi> = <a_0 a_1>
         sc = math.sinh(0.5) * math.cosh(0.5)
         assert mom == pytest.approx(-1j * sc, rel=1e-10)
         assert abs(mom) == pytest.approx(0.587600, abs=1e-6)
@@ -102,7 +102,7 @@ class TestCoherentBuilder:
 
     def test_mean_photon(self):
         state = build_coherent_product([(2.0, 0.0)], cutoff=40)
-        assert mean_photon(state, 0) == pytest.approx(4.0, abs=1e-9)
+        assert _ladder_gram(state)[1, 1].real == pytest.approx(4.0, abs=1e-9)
 
     def test_annihilation_eigenvalue(self):
         chi = math.pi / 3.0
@@ -113,8 +113,9 @@ class TestCoherentBuilder:
     def test_product_of_tones(self):
         state = build_coherent_product([(1.0, 0.1), (2.0, 0.2)], cutoff=40)
         assert state.dims == (41, 41)
-        assert mean_photon(state, 0) == pytest.approx(1.0, abs=1e-9)
-        assert mean_photon(state, 1) == pytest.approx(4.0, abs=1e-9)
+        gram = _ladder_gram(state)
+        assert gram[1, 1].real == pytest.approx(1.0, abs=1e-9)
+        assert gram[3, 3].real == pytest.approx(4.0, abs=1e-9)
 
     def test_cutoff_rule_leakage(self):
         for beta in (1.0, 5.0, 10.0):
@@ -134,7 +135,7 @@ class TestGaussianEquivalence:
             for s, theta in [(0.3, 0.0), (0.7, 1.2), (1.0, 4.0)]:
                 p = SqueezeParams(s=s, theta=theta)
                 fockside = build_blo_signal_state(p, case, tmss_cutoff_for_leakage(s, 1e-12))
-                mean_f, cov_f = covariance_matrix(fockside)
+                mean_f, cov_f = covariance_matrix(_ladder_gram(fockside))
                 gauss = apply_two_mode_squeeze(vacuum_state(modes[:fockside.n_modes]),
                                                m1, m2, p)
                 assert np.max(np.abs(mean_f - gauss.mean)) < 1e-10
@@ -144,17 +145,49 @@ class TestGaussianEquivalence:
         beta = 1.0 + 1.5j  # |beta| < 3 keeps the truncation tiny
         state = build_coherent_product([(abs(beta), math.atan2(beta.imag, beta.real))],
                                        cutoff=45)
-        mean_f, cov_f = covariance_matrix(state)
+        mean_f, cov_f = covariance_matrix(_ladder_gram(state))
         m = ModeLabel("c", 2.0e15)
         gauss = apply_displacement(vacuum_state([m]), m, beta)
         assert np.max(np.abs(mean_f - gauss.mean)) < 1e-9
         assert np.max(np.abs(cov_f - gauss.cov)) < 1e-9
 
+    @pytest.mark.parametrize("case", list(ImageBandCase))
+    @pytest.mark.parametrize("s, theta", [(2.0, 0.7), (3.0, 4.0)])
+    def test_structured_signal_gram_covariance(self, case, s, theta):
+        # leakage 1e-16 puts the truncation error below rounding (measured
+        # <= 3.4e-15 relative; 1e-12 would leave 2.8e-11)
+        p = SqueezeParams(s=s, theta=theta)
+        modes = [ModeLabel("a", 2.0e15), ModeLabel("b", 2.1e15),
+                 ModeLabel("image1", 2.05e15), ModeLabel("image2", 2.15e15)]
+        n_images = _N_IMAGES[case]
+        mean_f, cov_f = covariance_matrix(
+            signal_gram(p, tmss_cutoff_for_leakage(s, 1e-16), n_images))
+        gauss = apply_two_mode_squeeze(vacuum_state(modes[:2 + n_images]),
+                                       modes[0], modes[1], p)
+        assert np.max(np.abs(mean_f - gauss.mean)) == 0.0
+        assert np.max(np.abs(cov_f - gauss.cov)) <= 1e-13 * np.max(np.abs(gauss.cov))
+
+    @pytest.mark.parametrize("tones, cov_rel", [
+        # the 1/4 vacuum covariance is what is left of <x^2> ~ 900 after
+        # subtracting the mean's square (measured 4.5e-13 relative)
+        ([(30.0, 0.9)], 2e-12),
+        ([(3.0, 0.4), (3.0, 2.5)], 1e-13),  # measured 1.8e-14
+    ])
+    def test_structured_coherent_gram_moments(self, tones, cov_rel):
+        modes = [ModeLabel(f"lo{k}", 2.0e15 + k * 1e8) for k in range(len(tones))]
+        mean_f, cov_f = covariance_matrix(
+            coherent_product_gram(tones, coherent_cutoff(max(a for a, _ in tones))))
+        gauss = vacuum_state(modes)
+        for m, (amplitude, phase) in zip(modes, tones):
+            gauss = apply_displacement(gauss, m, amplitude * np.exp(1j * phase))
+        assert np.max(np.abs(mean_f - gauss.mean)) <= 1e-14 * np.max(np.abs(gauss.mean))
+        assert np.max(np.abs(cov_f - gauss.cov)) <= cov_rel * np.max(np.abs(gauss.cov))
+
     def test_beam_splitter_conjugation_entrywise(self):
         m1, m2 = ModeLabel("a", 2.0e15), ModeLabel("b", 2.1e15)
         p = SqueezeParams(s=0.3, theta=0.8)
         fockside = apply_balanced_bs(build_tmss(p, cutoff=25), 0, 1)
-        mean_f, cov_f = covariance_matrix(fockside)
+        mean_f, cov_f = covariance_matrix(_ladder_gram(fockside))
         gauss = apply_beam_splitter(
             apply_two_mode_squeeze(vacuum_state([m1, m2]), m1, m2, p),
             m1, m2, BeamSplitterSpec.balanced())
@@ -517,8 +550,9 @@ class TestUnitaryRoute:
             state.amplitudes, build_coherent_product([(0.0, 0.0)], 0).amplitudes))
         mixed = apply_balanced_bs(joint, 0, 1)
         half = 1.2**2 / 2.0
-        assert mean_photon(mixed, 0) == pytest.approx(half, abs=1e-8)
-        assert mean_photon(mixed, 1) == pytest.approx(half, abs=1e-8)
+        gram = _ladder_gram(mixed)
+        assert gram[1, 1].real == pytest.approx(half, abs=1e-8)
+        assert gram[3, 3].real == pytest.approx(half, abs=1e-8)
         assert mixed.norm_sq == pytest.approx(joint.norm_sq, abs=1e-12)
 
 
