@@ -12,10 +12,9 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 
-from .detection import (FrequencyPlan, ImageBandCase, LoTone, SqueezeParams,
-                        classify_image_band_case)
+from .detection import (FrequencyPlan, ImageBandCase, LoTone, SqueezeParams, _Record,
+                        _set, classify_image_band_case)
 
 FORMAT_VERSION = "blodyne-output/1"
 
@@ -48,7 +47,10 @@ def _require_keys(obj: dict, path: str, required, optional=()):
 def _number(obj, path: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {obj!r}")
-    value = float(obj)
+    try:
+        value = float(obj)
+    except OverflowError:  # an integer literal beyond the float range
+        value = math.inf
     if not math.isfinite(value):
         # json parses NaN, Infinity and out-of-range literals such as 1e400
         raise ConfigError(f"{path}: expected a finite number, got {obj!r}")
@@ -91,20 +93,31 @@ _ORACLE_DEFAULTS = {
 }
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """A fully resolved experiment: physics objects plus run settings."""
+class ExperimentConfig(_Record):
+    """A fully resolved experiment: physics objects plus run settings.
 
-    plan: FrequencyPlan
-    squeeze: SqueezeParams
-    tones: tuple[LoTone, ...]
-    case: ImageBandCase | None      # None means single-tone only
-    seed: int
-    scan_points: int
-    imbalance_fractions: tuple[float, ...]
-    spectrum: dict = field(repr=False)
-    oracle: dict = field(repr=False)
-    resolved: dict = field(repr=False)
+    ``case`` is None for a single-tone plan. The dict fields make it
+    unhashable, and are left out of its repr.
+    """
+
+    __slots__ = ("plan", "squeeze", "tones", "case", "seed", "scan_points",
+                 "imbalance_fractions", "spectrum", "oracle", "resolved")
+    _repr_omit = ("spectrum", "oracle", "resolved")
+
+    def __init__(self, plan: FrequencyPlan, squeeze: SqueezeParams, tones: tuple[LoTone, ...],
+                 case: ImageBandCase | None, seed: int, scan_points: int,
+                 imbalance_fractions: tuple[float, ...], spectrum: dict, oracle: dict,
+                 resolved: dict):
+        _set(self, "plan", plan)
+        _set(self, "squeeze", squeeze)
+        _set(self, "tones", tones)
+        _set(self, "case", case)
+        _set(self, "seed", seed)
+        _set(self, "scan_points", scan_points)
+        _set(self, "imbalance_fractions", imbalance_fractions)
+        _set(self, "spectrum", spectrum)
+        _set(self, "oracle", oracle)
+        _set(self, "resolved", resolved)
 
     @property
     def two_tone(self) -> bool:
@@ -314,6 +327,10 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        # an integer literal beyond the int-string digit limit, or nesting
+        # deeper than the recursion limit
+        raise ConfigError(f"{path}: cannot parse: {exc}") from exc
     return parse_config(raw)
 
 

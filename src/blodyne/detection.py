@@ -9,7 +9,8 @@ oscillator amplitude), frequencies are rad/s, phases radians.
 Every function here is pure; scan points may be evaluated in parallel and
 results do not depend on evaluation order. The module needs only the
 standard library, so the closed-form CLI subcommands never import numpy;
-it also owns ``SqueezeParams``, which every other module imports from here.
+it also owns ``SqueezeParams``, which every other module imports from here,
+and ``_Record``, the slotted base of the standard-library value types.
 """
 
 from __future__ import annotations
@@ -17,7 +18,67 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
+
+_set = object.__setattr__
+
+
+class _Record:
+    """Immutable value type with its fields in ``__slots__``.
+
+    A subclass declares ``__slots__`` (the field order) and an explicit
+    ``__init__`` that validates its arguments and stores each field once with
+    ``object.__setattr__``. From the slots this base gives what
+    ``@dataclass(frozen=True)`` gave: assignment and deletion raise
+    ``AttributeError``, equality compares field values between records of
+    the same class, the hash is that of the field values, the repr is
+    ``Name(field=value, ...)`` without the fields named in ``_repr_omit``,
+    and copy and pickle restore the stored values without running
+    ``__init__`` again (angle reduction is not idempotent at 2 pi).
+
+    The standard-library modules (this one, ``config`` and ``fock``) use it
+    because importing ``dataclasses`` loads ``inspect``, ``ast``, ``dis`` and
+    ``tokenize`` (about 8 ms on a 2-vCPU x86 host, Python 3.11) and
+    generating each class costs about 1 ms more: about half of the package's
+    import time on the closed-form CLI path. The numpy modules
+    (``timeseries``, ``gaussian``, ``_kernels``) keep ``@dataclass``; numpy's
+    own import (about 150 ms) dwarfs it.
+    """
+
+    __slots__ = ()
+    _repr_omit = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__
+                           if name not in self._repr_omit)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return _restore, (type(self), self._values())
+
+
+def _restore(cls, values):
+    """Rebuild a copied or unpickled record from its stored field values."""
+    record = object.__new__(cls)
+    for name, value in zip(cls.__slots__, values):
+        _set(record, name, value)
+    return record
 
 
 def _reduce_angle(angle: float) -> float:
@@ -28,20 +89,19 @@ def _reduce_angle(angle: float) -> float:
     return reduced
 
 
-@dataclass(frozen=True)
-class SqueezeParams:
+class SqueezeParams(_Record):
     """Degree of squeezing s >= 0 and squeezing angle theta (radians).
 
     theta is reduced to [0, 2*pi) on construction.
     """
 
-    s: float
-    theta: float = 0.0
+    __slots__ = ("s", "theta")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.s) and self.s >= 0.0):
-            raise ValueError(f"squeeze magnitude s must be finite and >= 0, got {self.s!r}")
-        object.__setattr__(self, "theta", _reduce_angle(self.theta))
+    def __init__(self, s: float, theta: float = 0.0):
+        if not (math.isfinite(s) and s >= 0.0):
+            raise ValueError(f"squeeze magnitude s must be finite and >= 0, got {s!r}")
+        _set(self, "s", s)
+        _set(self, "theta", _reduce_angle(theta))
 
 
 class ImageBandCase(enum.Enum):
@@ -61,24 +121,22 @@ IMAGE_VACUUM_UNITS = {
 }
 
 
-@dataclass(frozen=True)
-class LoTone:
+class LoTone(_Record):
     """One local-oscillator tone: real amplitude, phase (radians), rad/s frequency."""
 
-    amplitude: float
-    phase: float
-    frequency: float
+    __slots__ = ("amplitude", "phase", "frequency")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.amplitude) and self.amplitude >= 0.0):
-            raise ValueError(f"LO amplitude must be finite and >= 0, got {self.amplitude!r}")
-        if not (math.isfinite(self.frequency) and self.frequency > 0.0):
-            raise ValueError(f"LO frequency must be finite and positive, got {self.frequency!r}")
-        object.__setattr__(self, "phase", _reduce_angle(self.phase))
+    def __init__(self, amplitude: float, phase: float, frequency: float):
+        if not (math.isfinite(amplitude) and amplitude >= 0.0):
+            raise ValueError(f"LO amplitude must be finite and >= 0, got {amplitude!r}")
+        if not (math.isfinite(frequency) and frequency > 0.0):
+            raise ValueError(f"LO frequency must be finite and positive, got {frequency!r}")
+        _set(self, "amplitude", amplitude)
+        _set(self, "phase", _reduce_angle(phase))
+        _set(self, "frequency", frequency)
 
 
-@dataclass(frozen=True)
-class FrequencyPlan:
+class FrequencyPlan(_Record):
     """All optical frequencies of a detection run, in rad/s.
 
     ``lo_frequencies`` holds one tone (single-LO scheme) or two tones, one
@@ -88,13 +146,14 @@ class FrequencyPlan:
     applicable.
     """
 
-    omega_plus: float
-    omega_minus: float
-    lo_frequencies: tuple[float, ...]
+    __slots__ = ("omega_plus", "omega_minus", "lo_frequencies")
 
-    def __post_init__(self):
-        lo = tuple(float(f) for f in self.lo_frequencies)
-        object.__setattr__(self, "lo_frequencies", lo)
+    def __init__(self, omega_plus: float, omega_minus: float,
+                 lo_frequencies: tuple[float, ...]):
+        _set(self, "omega_plus", omega_plus)
+        _set(self, "omega_minus", omega_minus)
+        lo = tuple(float(f) for f in lo_frequencies)
+        _set(self, "lo_frequencies", lo)
         if not all(map(math.isfinite, (self.omega_minus, self.omega_plus) + lo)):
             raise ValueError(f"frequencies must be finite, got {self.omega_minus!r}, "
                              f"{self.omega_plus!r}, {lo!r}")
@@ -175,8 +234,7 @@ def _squeeze_bracket(s: float, half_phase: float) -> float:
     ) * math.cos(half_phase) ** 2
 
 
-@dataclass(frozen=True)
-class VarianceReport:
+class VarianceReport(_Record):
     """A difference-signal variance with its shot-noise references.
 
     ``baseline`` is the declared global reference: the squeezing-free level
@@ -189,26 +247,29 @@ class VarianceReport:
     assume it is small, so consumers can check the strong-LO regime.
     """
 
-    variance: float
-    baseline: float
-    relative_db: float
-    case: ImageBandCase | None
-    case_baseline: float
-    case_relative_db: float
-    lo_flux_ratio: float
+    __slots__ = ("variance", "baseline", "relative_db", "case", "case_baseline",
+                 "case_relative_db", "lo_flux_ratio")
 
-    def __post_init__(self):
-        if not (0.0 <= self.variance < math.inf):
-            raise ValueError(f"variance must be finite and >= 0, got {self.variance!r}")
-        if not math.isfinite(self.lo_flux_ratio):
-            raise ValueError(f"lo_flux_ratio must be finite, got {self.lo_flux_ratio!r}")
-        for base, db in ((self.baseline, self.relative_db),
-                         (self.case_baseline, self.case_relative_db)):
+    def __init__(self, variance: float, baseline: float, relative_db: float,
+                 case: ImageBandCase | None, case_baseline: float, case_relative_db: float,
+                 lo_flux_ratio: float):
+        if not (0.0 <= variance < math.inf):
+            raise ValueError(f"variance must be finite and >= 0, got {variance!r}")
+        if not math.isfinite(lo_flux_ratio):
+            raise ValueError(f"lo_flux_ratio must be finite, got {lo_flux_ratio!r}")
+        for base, db in ((baseline, relative_db), (case_baseline, case_relative_db)):
             if not base > 0.0:
                 raise ValueError("baselines must be positive")
-            expected = _db(self.variance / base)
+            expected = _db(variance / base)
             if abs(db - expected) > 1e-12 * max(1.0, abs(expected)):
                 raise ValueError("relative_db is inconsistent with variance/baseline")
+        _set(self, "variance", variance)
+        _set(self, "baseline", baseline)
+        _set(self, "relative_db", relative_db)
+        _set(self, "case", case)
+        _set(self, "case_baseline", case_baseline)
+        _set(self, "case_relative_db", case_relative_db)
+        _set(self, "lo_flux_ratio", lo_flux_ratio)
 
 
 def _make_report(variance: float, baseline: float, case: ImageBandCase | None,

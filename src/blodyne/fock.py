@@ -40,9 +40,9 @@ from __future__ import annotations
 import cmath
 import importlib
 import math
-from dataclasses import dataclass
 
-from .detection import FrequencyPlan, ImageBandCase, SqueezeParams, classify_image_band_case
+from .detection import (FrequencyPlan, ImageBandCase, SqueezeParams, _Record, _set,
+                        classify_image_band_case)
 
 _INPUT_LEAKAGE_LIMIT = 1e-6
 
@@ -66,8 +66,7 @@ def __dir__():
     return sorted(set(globals()) | _DENSE_NAMES)
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
+class TruncationPolicy(_Record):
     """How to pick cutoffs: a target truncation leakage for the squeezed
     pair, the coherent-state rule for the LO tones.
 
@@ -78,8 +77,11 @@ class TruncationPolicy:
     built.
     """
 
-    target_leakage: float = 1e-8
-    max_dimension: int = 100_000_000
+    __slots__ = ("target_leakage", "max_dimension")
+
+    def __init__(self, target_leakage: float = 1e-8, max_dimension: int = 100_000_000):
+        _set(self, "target_leakage", target_leakage)
+        _set(self, "max_dimension", max_dimension)
 
     def tmss_cutoff(self, s: float) -> int:
         return tmss_cutoff_for_leakage(s, self.target_leakage)
@@ -234,8 +236,7 @@ def coherent_product_gram(tones, cutoff: int) -> list[list[complex]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BeatPairing:
+class BeatPairing(_Record):
     """Frequency assignment of every signal mode and every LO mode (rad/s).
 
     The order of ``signal_freqs`` must match the mode order of the signal
@@ -244,8 +245,11 @@ class BeatPairing:
     frequencies; the oracle groups equal beats exactly.
     """
 
-    signal_freqs: tuple[float, ...]
-    lo_freqs: tuple[float, ...]
+    __slots__ = ("signal_freqs", "lo_freqs")
+
+    def __init__(self, signal_freqs: tuple[float, ...], lo_freqs: tuple[float, ...]):
+        _set(self, "signal_freqs", signal_freqs)
+        _set(self, "lo_freqs", lo_freqs)
 
     @classmethod
     def for_standard(cls, fp: FrequencyPlan) -> "BeatPairing":

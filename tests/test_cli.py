@@ -123,6 +123,18 @@ class TestConfigValues:
         self.expect_config_error(tmp_path, capsys, "frequency_plan", {"frequency_plan": {
             "omega_plus_hz": 1e308, "omega_minus_hz": 299.999995e12, "lo_hz": [300.0e12]}})
 
+    @pytest.mark.parametrize("key,old,new", [
+        # beyond the float range as an integer literal, like 1e400
+        ("squeeze.s", '"s": 0.5', '"s": 1' + "0" * 400),
+        # beyond the int-string digit limit of json
+        ("exp.json", '"seed": 11', '"seed": 1' + "0" * 5000),
+        # nested deeper than the recursion limit
+        ("exp.json", '"seed": 11', '"seed": ' + "[" * 100_000 + "]" * 100_000),
+    ], ids=["int_beyond_float", "int_digit_limit", "deep_nesting"])
+    def test_unparseable_integer_or_nesting(self, tmp_path, capsys, key, old, new):
+        text = json.dumps(BASE_CONFIG).replace(old, new, 1)
+        self.expect_config_error(tmp_path, capsys, key, text=text)
+
     def test_squeeze_overflow(self, tmp_path, capsys):
         self.expect_config_error(tmp_path, capsys, "squeeze.s",
                                  {"squeeze": {"s": 400.0, "theta": 0.0}})
@@ -714,12 +726,13 @@ def test_package_names_resolve_lazily():
 SINGLE_TONE_PLAN = dict(PLAN_100KHZ, lo_hz=[300.0e12])
 
 
-def numpy_probe_stderr(cmd, path):
+def import_probe_stderr(cmd, path):
     """Run one subcommand in a fresh interpreter; its stderr, which is only
-    "True" or "False" for whether it loaded numpy."""
+    the sorted list of the slow start-up modules it loaded: numpy, and
+    dataclasses with the inspect it imports."""
     probe = ("import sys; from blodyne.cli import main; code = main(sys.argv[1:]); "
-             "sys.stdout.flush(); print('numpy' in sys.modules, file=sys.stderr); "
-             "sys.exit(code)")
+             "sys.stdout.flush(); print(sorted({'numpy', 'dataclasses', 'inspect'} "
+             "& set(sys.modules)), file=sys.stderr); sys.exit(code)")
     result = subprocess.run([sys.executable, "-c", probe, cmd, "--config", path],
                             capture_output=True, text=True, env=src_env())
     assert result.returncode == 0, result.stderr
@@ -731,18 +744,19 @@ def numpy_probe_stderr(cmd, path):
     ("imbalance", 2),
 ])
 def test_closed_form_subcommands_load_no_numpy(tmp_path, cmd, tones):
-    # the closed forms are pure Python: numpy would only add its import time
+    # the closed forms are pure Python: numpy, dataclasses and inspect would
+    # only add their import time
     overrides = {"frequency_plan": PLAN_100KHZ}
     if tones == 1:
         overrides = {"frequency_plan": SINGLE_TONE_PLAN,
                      "lo_tones": [{"amplitude": 2.0, "phase": 0.4}]}
-    assert numpy_probe_stderr(cmd, write_config(tmp_path, overrides)) == "False"
+    assert import_probe_stderr(cmd, write_config(tmp_path, overrides)) == "[]"
 
 
 def test_verify_without_draws_loads_no_numpy(tmp_path):
     # the oracle is pure Python; numpy is imported only to draw random points
     path = write_config(tmp_path, {"oracle": {"draws": 0}})
-    assert numpy_probe_stderr("verify", path) == "False"
+    assert import_probe_stderr("verify", path) == "[]"
 
 
 @pytest.mark.parametrize("cmd", ["variance", "scan", "cases", "imbalance", "spectrum",

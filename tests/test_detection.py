@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ from blodyne.detection import (ImageBandCase, FrequencyPlan, LoTone,
                                classify_image_band_case,
                                lo_quantization_correction, phase_grid, phase_scan,
                                standard_heterodyne_variance)
+from blodyne.config import ExperimentConfig
+from blodyne.fock import BeatPairing, TruncationPolicy
 from blodyne.gaussian import SqueezeParams
 
 CARRIER = 2.0e15
@@ -368,3 +372,67 @@ def test_report_consistency_enforced():
     with pytest.raises(ValueError, match="inconsistent"):
         VarianceReport(variance=1.0, baseline=2.0, relative_db=0.0, case=None,
                        case_baseline=2.0, case_relative_db=-3.0103, lo_flux_ratio=0.0)
+
+
+_PLAN = dict(omega_plus=3.0, omega_minus=1.0, lo_frequencies=(1.5, 2.5))
+
+# (type, constructor keywords, the fields they store, one field and another
+# value for it, whether records of the type hash)
+RECORD_CASES = [
+    # -1e-20 reduces to 2 pi exactly, which a second reduction would map to 0
+    (SqueezeParams, dict(s=0.5, theta=-1e-20), dict(s=0.5, theta=2.0 * math.pi),
+     ("s", 0.6), True),
+    (LoTone, dict(amplitude=2.0, phase=7.0, frequency=CARRIER),
+     dict(amplitude=2.0, phase=7.0 - 2.0 * math.pi, frequency=CARRIER),
+     ("amplitude", 3.0), True),
+    (FrequencyPlan, dict(omega_plus=3, omega_minus=1, lo_frequencies=[2]),
+     dict(omega_plus=3, omega_minus=1, lo_frequencies=(2.0,)),
+     ("omega_plus", 4.0), True),
+    (VarianceReport, dict(variance=1.0, baseline=1.0, relative_db=0.0, case=None,
+                          case_baseline=1.0, case_relative_db=0.0, lo_flux_ratio=0.5),
+     None, ("lo_flux_ratio", 0.25), True),
+    (TruncationPolicy, dict(target_leakage=1e-6, max_dimension=1000), None,
+     ("max_dimension", 999), True),
+    (BeatPairing, dict(signal_freqs=(0.0, 1.0), lo_freqs=(0.5,)), None,
+     ("lo_freqs", (0.25,)), True),
+    # the dict fields make a config unhashable
+    (ExperimentConfig, dict(plan=FrequencyPlan(**_PLAN), squeeze=SqueezeParams(s=0.5),
+                            tones=(tone(2.0, 0.0), tone(2.0, 1.0)),
+                            case=ImageBandCase.TWO_IMAGE_BANDS, seed=3, scan_points=8,
+                            imbalance_fractions=(0.1,), spectrum={"profile": "flat_top"},
+                            oracle={"draws": 0}, resolved={"seed": 3}),
+     None, ("seed", 4), False),
+]
+
+
+@pytest.mark.parametrize("cls,kwargs,stored,change,hashable", RECORD_CASES,
+                         ids=[case[0].__name__ for case in RECORD_CASES])
+def test_value_type_record_semantics(cls, kwargs, stored, change, hashable):
+    record = cls(**kwargs)
+    stored = kwargs if stored is None else stored
+    for name, value in stored.items():
+        got = getattr(record, name)
+        assert got == value and type(got) is type(value)
+    for name in stored:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+
+    twin = cls(**kwargs)
+    other = cls(**dict(kwargs, **dict([change])))
+    assert record == twin and not record != twin
+    assert record != other and not record == other
+    assert record != tuple(stored.values())
+    if hashable:
+        assert hash(record) == hash(twin)
+    else:
+        with pytest.raises(TypeError):
+            hash(record)
+    assert copy.copy(record) == record
+    assert pickle.loads(pickle.dumps(record)) == record
+
+    with pytest.raises(TypeError):
+        cls(**kwargs, bogus=1)
+    assert repr(record).startswith(f"{cls.__name__}({next(iter(stored))}=")
+    assert not any(f"{name}=" in repr(record) for name in cls._repr_omit)
