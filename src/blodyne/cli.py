@@ -1,23 +1,20 @@
 """Command-line front end.
 
-Subcommands map one-to-one onto the package's capabilities:
+Subcommands map one-to-one onto the package's capabilities; ``blodyne -h``
+lists them with the three options (``_HELP``). Every output (stdout and
+files) starts with a format-version line and the canonical resolved config,
+so runs are reproducible byte for byte from their own headers. Exit codes:
+0 success, 2 config or usage error, 3 physics invariant violation, 4 oracle
+disagreement beyond tolerance.
 
-* ``variance``   single-tone and two-tone variance reports
-* ``scan``       sweep of the controllable LO phase
-* ``cases``      the three image-band configurations side by side
-* ``imbalance``  tone-amplitude mismatch sweep
-* ``spectrum``   synthesized photocurrent spectrum and located feature
-* ``verify``     Fock-space oracle cross-check of the variance formulas
-
-Every output (stdout and files) starts with a format-version line and the
-canonical resolved config, so runs are reproducible byte for byte from
-their own headers. Exit codes: 0 success, 2 config error, 3 physics
-invariant violation, 4 oracle disagreement beyond tolerance.
+``parse_args`` reads the command line by argparse's grammar without loading
+argparse, which with the gettext and locale modules it pulls in costs a few
+milliseconds of every process; the closed-form subcommands compute for
+about one.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import json
 import math
@@ -291,57 +288,184 @@ def tmss_oracle_feasible(s: float) -> bool:
 
 
 def positive_float(text: str) -> float:
-    """argparse type: a finite number > 0 (nan or inf would pass any error)."""
+    """A finite number > 0 (nan or inf would pass any error); ValueError otherwise."""
     value = float(text)
     if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+        raise ValueError(f"must be finite and > 0, got {text!r}")
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="blodyne",
-        description="Balanced heterodyne detection of two-mode squeezed light: "
-                    "variance tables, phase scans, synthetic spectra, and a "
-                    "Fock-space oracle cross-check.",
-    )
-    parser.add_argument("command",
-                        choices=["variance", "scan", "cases", "imbalance",
-                                 "spectrum", "verify"])
-    parser.add_argument("--config", required=True, help="path to the JSON experiment config")
-    parser.add_argument("--output-dir", default=None,
-                        help="directory for output artifacts (default: config output_dir, "
-                             "else stdout only)")
-    parser.add_argument("--tolerance", type=positive_float, default=0.01,
-                        help="verify: maximum allowed oracle-to-analytic relative error")
-    return parser
+COMMANDS = ("variance", "scan", "cases", "imbalance", "spectrum", "verify")
+# in argparse's order, which its ambiguity message follows
+_FLAGS = ("-h", "--help", "--config", "--output-dir", "--tolerance")
+
+_USAGE = ("usage: blodyne [-h] --config CONFIG [--output-dir OUTPUT_DIR] "
+          f"[--tolerance TOLERANCE]\n               {{{','.join(COMMANDS)}}}\n")
+
+_HELP = _USAGE + """
+Balanced heterodyne detection of two-mode squeezed light: variance tables,
+phase scans, synthetic spectra, and a Fock-space oracle cross-check.
+
+commands:
+  variance    single-tone and two-tone variance reports
+  scan        sweep of the controllable LO phase
+  cases       the three image-band configurations side by side
+  imbalance   tone-amplitude mismatch sweep
+  spectrum    synthesized photocurrent spectrum and located feature
+  verify      Fock-space oracle cross-check of the variance formulas
+
+options:
+  -h, --help               show this help message and exit
+  --config CONFIG          path to the JSON experiment config (required)
+  --output-dir OUTPUT_DIR  directory for output artifacts (default: config
+                           output_dir, else stdout only)
+  --tolerance TOLERANCE    verify: maximum allowed oracle-to-analytic
+                           relative error (default: 0.01)
+
+An option's value may follow it or be joined to it with '=', and an option
+may be given by any unique prefix (--conf, --tol=1e-3).
+"""
+
+
+def _usage_error(message: str):
+    sys.stderr.write(f"{_USAGE}blodyne: error: {message}\n")
+    raise SystemExit(EXIT_CONFIG)
+
+
+def _is_negative_number(token: str) -> bool:
+    r"""argparse's ``^-\d+$|^-\d*\.\d+$``, whose ``$`` also matches before a final newline."""
+    body = token[1:-1] if token.endswith("\n") else token[1:]
+    whole, dot, frac = body.partition(".")
+    if not dot:
+        return whole.isdecimal()
+    return frac.isdecimal() and (whole == "" or whole.isdecimal())
+
+
+def _read_option(token: str):
+    """argparse's reading of one token: None for a word, else (flag, value
+    joined to it or None), with flag None for an unknown option."""
+    if not token or token[0] != "-":
+        return None
+    if token in _FLAGS:
+        return token, None
+    if len(token) == 1:
+        return None
+    name, eq, value = token.partition("=")
+    if eq and name in _FLAGS:
+        return name, value
+    if token[1] == "-":
+        matches = [flag for flag in _FLAGS if flag.startswith(name)]
+        if len(matches) > 1:
+            _usage_error(f"ambiguous option: {token} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], value if eq else None
+    elif token.startswith("-h"):
+        return "-h", token[2:]
+    if _is_negative_number(token) or " " in token:
+        return None
+    return None, token
+
+
+def parse_args(argv=None) -> tuple[str, str, str | None, float]:
+    """(command, config, output_dir, tolerance) from the command line.
+
+    The grammar and the order of evaluation are argparse's. Tokens are read
+    left to right: a bad command word, an option without its value and a bad
+    ``--tolerance`` fail at once, ``-h`` prints the help and exits 0, and
+    unrecognized tokens and a missing command or ``--config`` are reported
+    only at the end. A repeated option keeps its last value. A usage error
+    prints the usage line and ``blodyne: error: ...`` to stderr and exits 2.
+    One departure: argparse drops ``--`` from a joined value, so that
+    ``--config=--`` gave an empty list; here the value is ``--``.
+    """
+    args = list(sys.argv[1:] if argv is None else argv)
+    # first pass, as argparse: every token after the first "--" is a word
+    dash = args.index("--") if "--" in args else len(args)
+    options = {}
+    for i in range(dash):
+        option = _read_option(args[i])
+        if option is not None:
+            options[i] = option
+
+    command = config = output_dir = None
+    tolerance = 0.01
+    unrecognized = []
+    i = 0
+    while i < len(args):
+        if i in options:
+            flag, value = options[i]
+            i += 1
+            if flag is None:
+                unrecognized.append(args[i - 1])
+                continue
+            if flag in ("-h", "--help"):
+                if value is not None:
+                    # only more h's may be joined to -h: -hh is -h -h
+                    rest = value if flag == "--help" else value.lstrip("h")
+                    if rest or not value:
+                        _usage_error(f"argument -h/--help: ignored explicit argument {rest!r}")
+                sys.stdout.write(_HELP)
+                raise SystemExit(EXIT_OK)
+            if value is None:
+                if i == dash or i in options:
+                    _usage_error(f"argument {flag}: expected one argument")
+                value = args[i]
+                i += 1
+            if flag == "--config":
+                config = value
+            elif flag == "--output-dir":
+                output_dir = value
+            else:
+                try:
+                    tolerance = positive_float(value)
+                except ValueError as exc:
+                    _usage_error(f"argument --tolerance: {exc}")
+        elif command is None and (i != dash or i + 1 < len(args)):
+            # the command word, with a "--" just before or after it
+            if i == dash:
+                i += 1
+            command = args[i]
+            if command not in COMMANDS:
+                _usage_error(f"argument command: invalid choice: {command!r} (choose from "
+                             f"{', '.join(map(repr, COMMANDS))})")
+            i += 2 if i + 1 == dash else 1
+        else:
+            unrecognized.append(args[i])
+            i += 1
+    missing = [name for name, value in (("command", command), ("--config", config))
+               if value is None]
+    if missing:
+        _usage_error(f"the following arguments are required: {', '.join(missing)}")
+    if unrecognized:
+        _usage_error(f"unrecognized arguments: {' '.join(unrecognized)}")
+    return command, config, output_dir, tolerance
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    command, config_path, output_dir, tolerance = parse_args(argv)
     try:
-        cfg = load_config(args.config)
+        cfg = load_config(config_path)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if args.output_dir is not None:
-        out_dir, out_source = args.output_dir, "--output-dir"
+    if output_dir is not None:
+        out_dir, out_source = output_dir, "--output-dir"
     else:
         out_dir, out_source = cfg.resolved.get("output_dir"), "config output_dir"
     try:
-        if cfg.two_tone and args.command != "verify":
+        if cfg.two_tone and command != "verify":
             _require_opposite_detunings(cfg)
-        if args.command == "variance":
+        if command == "variance":
             return cmd_variance(cfg, out_dir)
-        if args.command == "scan":
+        if command == "scan":
             return cmd_scan(cfg, out_dir)
-        if args.command == "cases":
+        if command == "cases":
             return cmd_cases(cfg, out_dir)
-        if args.command == "imbalance":
+        if command == "imbalance":
             return cmd_imbalance(cfg, out_dir)
-        if args.command == "spectrum":
+        if command == "spectrum":
             return cmd_spectrum(cfg, out_dir)
-        return cmd_verify(cfg, out_dir, args.tolerance)
+        return cmd_verify(cfg, out_dir, tolerance)
     except OutputDirError as exc:
         print(f"config error: {out_source} {out_dir!r}: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -140,24 +140,25 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(lo_hz, list) or not 1 <= len(lo_hz) <= 2:
         raise ConfigError("frequency_plan.lo_hz: expected a list of one or two frequencies")
     two_pi = 2.0 * math.pi
+    # _number's errors name their key; the try blocks below prefix only the
+    # constructors' own errors with the section
+    omega_plus = two_pi * _number(fp_raw["omega_plus_hz"], "frequency_plan.omega_plus_hz")
+    omega_minus = two_pi * _number(fp_raw["omega_minus_hz"], "frequency_plan.omega_minus_hz")
+    lo_frequencies = tuple(
+        two_pi * _number(f, f"frequency_plan.lo_hz[{i}]") for i, f in enumerate(lo_hz)
+    )
     try:
-        plan = FrequencyPlan(
-            omega_plus=two_pi * _number(fp_raw["omega_plus_hz"], "frequency_plan.omega_plus_hz"),
-            omega_minus=two_pi * _number(fp_raw["omega_minus_hz"], "frequency_plan.omega_minus_hz"),
-            lo_frequencies=tuple(
-                two_pi * _number(f, f"frequency_plan.lo_hz[{i}]") for i, f in enumerate(lo_hz)
-            ),
-        )
+        plan = FrequencyPlan(omega_plus=omega_plus, omega_minus=omega_minus,
+                             lo_frequencies=lo_frequencies)
     except ValueError as exc:
         raise ConfigError(f"frequency_plan: {exc}") from exc
 
     sq_raw = raw["squeeze"]
     _require_keys(sq_raw, "squeeze", required=["s"], optional=["theta"])
+    s = _number(sq_raw["s"], "squeeze.s")
+    theta = _number(sq_raw.get("theta", 0.0), "squeeze.theta")
     try:
-        squeeze = SqueezeParams(
-            s=_number(sq_raw["s"], "squeeze.s"),
-            theta=_number(sq_raw.get("theta", 0.0), "squeeze.theta"),
-        )
+        squeeze = SqueezeParams(s=s, theta=theta)
     except ValueError as exc:
         raise ConfigError(f"squeeze: {exc}") from exc
     if 2.0 * squeeze.s >= _MAX_TWO_S:
@@ -174,12 +175,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
     tones = []
     for i, tone_raw in enumerate(tones_raw):
         _require_keys(tone_raw, f"lo_tones[{i}]", required=["amplitude"], optional=["phase"])
+        amplitude = _number(tone_raw["amplitude"], f"lo_tones[{i}].amplitude")
+        phase = _number(tone_raw.get("phase", 0.0), f"lo_tones[{i}].phase")
         try:
-            tones.append(LoTone(
-                amplitude=_number(tone_raw["amplitude"], f"lo_tones[{i}].amplitude"),
-                phase=_number(tone_raw.get("phase", 0.0), f"lo_tones[{i}].phase"),
-                frequency=plan.lo_frequencies[i],
-            ))
+            tones.append(LoTone(amplitude=amplitude, phase=phase,
+                                frequency=plan.lo_frequencies[i]))
         except ValueError as exc:
             raise ConfigError(f"lo_tones[{i}]: {exc}") from exc
         amp = tones[-1].amplitude

@@ -32,8 +32,9 @@ class _Record:
     ``AttributeError``, equality compares field values between records of
     the same class, the hash is that of the field values, the repr is
     ``Name(field=value, ...)`` without the fields named in ``_repr_omit``,
-    and copy and pickle restore the stored values without running
-    ``__init__`` again (angle reduction is not idempotent at 2 pi).
+    and copy and pickle rebuild a record by calling its class with the
+    stored values in slot order, which every ``__init__`` takes positionally
+    and stores unchanged.
 
     The standard-library modules (this one, ``config`` and ``fock``) use it
     because importing ``dataclasses`` loads ``inspect``, ``ast``, ``dis`` and
@@ -70,22 +71,17 @@ class _Record:
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        return _restore, (type(self), self._values())
-
-
-def _restore(cls, values):
-    """Rebuild a copied or unpickled record from its stored field values."""
-    record = object.__new__(cls)
-    for name, value in zip(cls.__slots__, values):
-        _set(record, name, value)
-    return record
+        return type(self), self._values()
 
 
 def _reduce_angle(angle: float) -> float:
-    """Reduce an angle to [0, 2*pi)."""
+    """Reduce an angle to [0, 2*pi); an angle already there is returned as is."""
     reduced = math.fmod(angle, 2.0 * math.pi)
     if reduced < 0.0:
         reduced += 2.0 * math.pi
+        # a tiny negative remainder plus 2 pi rounds to 2 pi itself
+        if reduced == 2.0 * math.pi:
+            reduced = 0.0
     return reduced
 
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from blodyne.cli import main
+from blodyne.cli import COMMANDS, main, parse_args, positive_float
 from blodyne.config import ConfigError, load_config, parse_config
 from blodyne.timeseries import PROFILES, SpectralModel
 
@@ -177,6 +178,52 @@ class TestConfigValues:
         assert code == 2
         assert out == ""
         assert "config error" in err and f"{section}.{key}" in err
+
+    @pytest.mark.parametrize("section,key", [
+        ("frequency_plan", "omega_plus_hz"), ("squeeze", "s"), ("lo_tones[0]", "amplitude"),
+    ])
+    def test_number_error_names_its_key_once(self, tmp_path, capsys, section, key):
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        (cfg["lo_tones"][0] if section == "lo_tones[0]" else cfg[section])[key] = "HUGE"
+        path = tmp_path / "exp.json"
+        # an integer literal beyond the float range
+        path.write_text(json.dumps(cfg).replace('"HUGE"', "1" + "0" * 400))
+        code, _, err = run(capsys, ["variance", "--config", str(path)])
+        assert code == 2
+        assert err.startswith(f"config error: {section}.{key}: expected a finite number")
+        assert err.count(section) == 1
+
+    @pytest.mark.parametrize("key,overrides", [
+        pytest.param("scan", {"scan": [72]}, id="section_not_an_object"),
+        pytest.param("squeeze.s", {"squeeze": {"s": "0.5"}}, id="not_a_number"),
+        pytest.param("scan.n_points", {"scan": {"n_points": 7.5}}, id="not_an_integer"),
+        pytest.param("frequency_plan.lo_hz",
+                     {"frequency_plan": dict(BASE_CONFIG["frequency_plan"], lo_hz=300.0e12)},
+                     id="lo_hz_not_a_list"),
+        pytest.param("image_band_case", {"image_band_case": "three"}, id="unknown_case"),
+        pytest.param("image_band_case", {
+            "frequency_plan": dict(BASE_CONFIG["frequency_plan"], lo_hz=[300.0e12]),
+            "lo_tones": [{"amplitude": 2.0}], "image_band_case": "two",
+        }, id="case_on_single_tone"),
+        pytest.param("seed", {"seed": -1}, id="negative_seed"),
+        pytest.param("imbalance.fractions", {"imbalance": {"fractions": []}},
+                     id="empty_fractions"),
+        pytest.param("imbalance.fractions", {"imbalance": {"fractions": 0.1}},
+                     id="fractions_not_a_list"),
+        pytest.param("imbalance.fractions", {"imbalance": {"fractions": [0.1, -1.0]}},
+                     id="fraction_at_minus_one"),
+        pytest.param("spectrum.profile", {"spectrum": {"profile": "gaussian"}},
+                     id="unknown_profile"),
+        pytest.param("output_dir", {"output_dir": 3}, id="output_dir_not_a_string"),
+        # no config is written: the path names a file that does not exist
+        pytest.param("missing.json", None, id="unreadable_path"),
+    ])
+    def test_rejected_value(self, tmp_path, capsys, key, overrides):
+        path = str(tmp_path / key) if overrides is None else write_config(tmp_path, overrides)
+        code, out, err = run(capsys, ["verify", "--config", path])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error: ") and key in err
 
 
 def tone_pair(amplitude):
@@ -440,6 +487,80 @@ class TestExitCodes:
         assert "--tolerance" in capsys.readouterr().err
 
 
+def argparse_reference(argv):
+    """The command line as the argparse parser it replaced reads it."""
+    parser = argparse.ArgumentParser(prog="blodyne")
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", required=True)
+    parser.add_argument("--output-dir", default=None)
+    parser.add_argument("--tolerance", type=positive_float, default=0.01)
+    args = parser.parse_args(argv)
+    return args.command, args.config, args.output_dir, args.tolerance
+
+
+def parse_outcome(parse, argv):
+    """The exit status of a parse that exits (0 help, 2 error), else what it read."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return parse(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+GRAMMAR_VALUES = ["a.json", "", "-1", "0", "nan", "1e-3"]
+# each option by every unique prefix, down to "--" and one letter
+GRAMMAR_FLAGS = [flag[:n] for flag in ("--config", "--output-dir", "--tolerance", "--help")
+                 for n in range(3, len(flag) + 1)]
+GRAMMAR_TOKENS = st.one_of(
+    st.sampled_from([*COMMANDS, "bogus", *GRAMMAR_VALUES, "--", "-h", "-x", "--bogus"]),
+    st.sampled_from(GRAMMAR_FLAGS),
+    st.builds("{}={}".format, st.sampled_from(GRAMMAR_FLAGS), st.sampled_from(GRAMMAR_VALUES)),
+)
+
+
+# the order of evaluation: a bad command fails before a later -h, an unknown
+# option does not; an option refuses an option as its value but takes a
+# negative number; "--" ends the options
+@example(argv=["bogus", "-h"])
+@example(argv=["--bogus", "-h"])
+@example(argv=["--config", "-x", "variance"])
+@example(argv=["--config", "-1", "variance"])
+@example(argv=["--tol=1e-3", "--conf", "a.json", "--", "verify"])
+@example(argv=["variance", "--config", "a.json", "--"])
+@example(argv=["--config", "a.json", "variance", "--"])
+@example(argv=["scan", "--config=a.json", "--config", "b.json", "--output-dir="])
+@settings(max_examples=1000, deadline=None)
+@given(argv=st.lists(GRAMMAR_TOKENS, max_size=6))
+def test_command_line_grammar_matches_argparse(argv):
+    assert parse_outcome(parse_args, argv) == parse_outcome(argparse_reference, argv)
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help", "--he"])
+def test_help_lists_commands_and_options(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["variance", flag, "--bogus"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert all(word in out for word in (*COMMANDS, "--config", "--output-dir", "--tolerance"))
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["bogus", "--config", "a.json"], "argument command: invalid choice: 'bogus'"),
+    (["variance", "--config"], "argument --config: expected one argument"),
+    (["variance", "--config", "a.json", "--bogus"], "unrecognized arguments: --bogus"),
+    (["variance"], "the following arguments are required: --config"),
+    (["variance", "--=a.json"], "ambiguous option: --=a.json could match --help, --config"),
+])
+def test_usage_error_names_the_argument(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == ""
+    assert lines[0].startswith("usage: blodyne ") and lines[-1].startswith(f"blodyne: error: {message}")
+
+
 class TestOutputs:
     def test_headers_and_determinism(self, tmp_path, capsys):
         path = write_config(tmp_path)
@@ -698,7 +819,7 @@ def src_env():
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
 
-@pytest.mark.parametrize("module", ["scipy", "numpy"])
+@pytest.mark.parametrize("module", ["scipy", "numpy", "argparse"])
 def test_cli_import_leaves_module_unloaded(module):
     probe = f"import sys, blodyne.cli; print({module!r} in sys.modules)"
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
@@ -726,12 +847,17 @@ def test_package_names_resolve_lazily():
 SINGLE_TONE_PLAN = dict(PLAN_100KHZ, lo_hz=[300.0e12])
 
 
+# modules whose import time a CLI process would pay for nothing: numpy,
+# dataclasses with the inspect it imports, and argparse with gettext and the
+# locale module its parser loads
+SLOW_START_MODULES = ("numpy", "dataclasses", "inspect", "argparse", "gettext", "locale")
+
+
 def import_probe_stderr(cmd, path):
     """Run one subcommand in a fresh interpreter; its stderr, which is only
-    the sorted list of the slow start-up modules it loaded: numpy, and
-    dataclasses with the inspect it imports."""
+    the sorted list of the SLOW_START_MODULES it loaded."""
     probe = ("import sys; from blodyne.cli import main; code = main(sys.argv[1:]); "
-             "sys.stdout.flush(); print(sorted({'numpy', 'dataclasses', 'inspect'} "
+             f"sys.stdout.flush(); print(sorted({set(SLOW_START_MODULES)!r} "
              "& set(sys.modules)), file=sys.stderr); sys.exit(code)")
     result = subprocess.run([sys.executable, "-c", probe, cmd, "--config", path],
                             capture_output=True, text=True, env=src_env())
@@ -744,8 +870,8 @@ def import_probe_stderr(cmd, path):
     ("imbalance", 2),
 ])
 def test_closed_form_subcommands_load_no_numpy(tmp_path, cmd, tones):
-    # the closed forms are pure Python: numpy, dataclasses and inspect would
-    # only add their import time
+    # the closed forms are pure Python: the slow start-up modules would only
+    # add their import time
     overrides = {"frequency_plan": PLAN_100KHZ}
     if tones == 1:
         overrides = {"frequency_plan": SINGLE_TONE_PLAN,

@@ -4,11 +4,11 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blodyne.detection import (ImageBandCase, FrequencyPlan, LoTone,
-                               VarianceReport, blo_variance,
+                               VarianceReport, _reduce_angle, blo_variance,
                                blo_variance_general, blo_variance_unbalanced,
                                classify_image_band_case,
                                lo_quantization_correction, phase_grid, phase_scan,
@@ -379,8 +379,8 @@ _PLAN = dict(omega_plus=3.0, omega_minus=1.0, lo_frequencies=(1.5, 2.5))
 # (type, constructor keywords, the fields they store, one field and another
 # value for it, whether records of the type hash)
 RECORD_CASES = [
-    # -1e-20 reduces to 2 pi exactly, which a second reduction would map to 0
-    (SqueezeParams, dict(s=0.5, theta=-1e-20), dict(s=0.5, theta=2.0 * math.pi),
+    # -1e-20 + 2 pi rounds to 2 pi, which lies outside [0, 2 pi): reduced to 0
+    (SqueezeParams, dict(s=0.5, theta=-1e-20), dict(s=0.5, theta=0.0),
      ("s", 0.6), True),
     (LoTone, dict(amplitude=2.0, phase=7.0, frequency=CARRIER),
      dict(amplitude=2.0, phase=7.0 - 2.0 * math.pi, frequency=CARRIER),
@@ -436,3 +436,13 @@ def test_value_type_record_semantics(cls, kwargs, stored, change, hashable):
         cls(**kwargs, bogus=1)
     assert repr(record).startswith(f"{cls.__name__}({next(iter(stored))}=")
     assert not any(f"{name}=" in repr(record) for name in cls._repr_omit)
+
+
+# a tiny negative angle, whose remainder plus 2 pi rounds to 2 pi
+@example(angle=-1e-20)
+@settings(max_examples=500, deadline=None)
+@given(angle=st.floats(allow_nan=False, allow_infinity=False))
+def test_reduced_angle_lies_in_range_and_stays(angle):
+    reduced = _reduce_angle(angle)
+    assert 0.0 <= reduced < 2.0 * math.pi
+    assert _reduce_angle(reduced) == reduced
