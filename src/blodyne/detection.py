@@ -77,9 +77,10 @@ class _Record:
 def _reduce_angle(angle: float) -> float:
     """Reduce an angle to [0, 2*pi); an angle already there is returned as is."""
     reduced = math.fmod(angle, 2.0 * math.pi)
-    if reduced < 0.0:
+    # fmod keeps the sign of a zero remainder, so -0.0 is lifted too
+    if reduced <= 0.0:
         reduced += 2.0 * math.pi
-        # a tiny negative remainder plus 2 pi rounds to 2 pi itself
+        # a zero or tiny negative remainder plus 2 pi rounds to 2 pi itself
         if reduced == 2.0 * math.pi:
             reduced = 0.0
     return reduced

@@ -146,16 +146,19 @@ class SynthesizedRecord:
     """A record of seeded white noise colored by an FIR filter, read in blocks.
 
     ``blocks()`` draws the noise in order from ``default_rng(seed)`` and
-    colors it by overlap-save, one FFT frame at a time, so reading the record
-    holds two frames, two blocks and the filter but never the record: the
-    ``size`` samples plus ``taps.size - 1`` of lead-in are drawn afresh on
-    each read. While the caller reads one block, a single worker thread
-    colors the next frame, and the caller's thread draws the noise of the
-    frame after it. Each frame is drawn and colored by the same operations in
-    the same order as in one thread, so the blocks do not depend on the
+    colors it by overlap-save, one FFT frame at a time: the ``size`` samples
+    plus ``taps.size - 1`` of lead-in are drawn afresh on each read. A read
+    allocates, once, two frames, one frame's spectrum, the filter's response
+    and a ``taps.size - 1``-sample carry, and never the record. Each frame is
+    colored in place, and its block is a read-only view of it, valid only
+    until the next block is read: a caller that keeps a block copies it.
+    While the caller reads one block, a single worker thread colors the next
+    frame, and the caller's thread then draws the frame after it into the
+    frame just read. Each frame is drawn and colored by the same operations
+    in the same order as in one thread, so the blocks do not depend on the
     threads. The worker is joined before ``blocks()`` finishes or is closed,
     and an exception raised in it is raised again, as itself, in the caller.
-    ``samples`` gathers every block into one read-only array, for tests and
+    ``samples`` copies every block into one read-only array, for tests and
     short records.
     """
 
@@ -172,34 +175,49 @@ class SynthesizedRecord:
                          1 << (self.size + keep - 1).bit_length())
         response = np.fft.rfft(self.taps, frame_size)
         rng = np.random.default_rng(self.seed)
+        # the worker colors one frame in place while this thread reads the
+        # block of the other and then draws the next frame into it
+        frame, other = np.zeros(frame_size), np.zeros(frame_size)
+        spectrum = np.empty_like(response)
+        carry = np.empty(keep)
 
         def color(frame, k):
-            spectrum = np.fft.rfft(frame)
-            spectrum *= response
+            np.fft.rfft(frame, out=spectrum)
+            np.multiply(spectrum, response, out=spectrum)
+            np.fft.irfft(spectrum, frame_size, out=frame)
             # output j reads frame[j - keep : j + 1]: from j = keep on, that is
             # the linear convolution, and a short last frame's stale end is unread
-            return np.fft.irfft(spectrum, frame_size)[keep : keep + k]
+            block = frame[keep : keep + k]
+            block.setflags(write=False)
+            return block
 
-        # this thread draws the noise of one frame while the worker colors
-        # the other, which the worker reads until its result is taken
-        frame, last = np.zeros(frame_size), np.zeros(frame_size)
         with ThreadPoolExecutor(max_workers=1) as worker:
             k = min(frame_size - keep, self.size)
             rng.standard_normal(out=frame[: keep + k])
-            pending = worker.submit(color, frame, k)
-            done = k
-            while done < self.size:
-                frame, last = last, frame
-                last_k, k = k, min(frame_size - keep, self.size - done)
-                # the frame continues the last one; a short one also keeps the
-                # last one's end, as a single frame refilled in place did: the
-                # end is never output, but it enters the FFT's rounding
-                frame[:keep] = last[last_k : last_k + keep]
-                frame[keep + k :] = last[keep + k :]
-                rng.standard_normal(out=frame[keep : keep + k])
-                block = pending.result()
+            done, pending = k, None
+            while True:
+                block = None if pending is None else pending.result()
+                next_k = min(frame_size - keep, self.size - done)
+                if 0 < next_k < frame_size - keep:
+                    # a short last frame also keeps this one's end, as a single
+                    # frame refilled in place did: the end is never output, but
+                    # it enters the FFT's rounding. Coloring overwrites that
+                    # end, so the other frame's block is read first
+                    if block is not None:
+                        yield block
+                        block = None
+                    other[keep + next_k :] = frame[keep + next_k :]
+                # the next frame starts with this one's raw end, which
+                # coloring overwrites
+                carry[:] = frame[k : k + keep]
                 pending = worker.submit(color, frame, k)
-                yield block
+                if block is not None:
+                    yield block
+                if not next_k:
+                    break
+                frame, other, k = other, frame, next_k
+                frame[:keep] = carry
+                rng.standard_normal(out=frame[keep : keep + k])
                 done += k
             yield pending.result()
 

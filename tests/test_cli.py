@@ -578,6 +578,21 @@ class TestOutputs:
         reparsed = parse_config(echoed)
         assert reparsed.resolved == load_config(path).resolved
 
+    def test_angles_reducing_to_zero_echo_one_header(self, tmp_path, capsys):
+        # -2 pi and -0.0 leave a remainder of -0.0, which must echo as 0.0
+        outs = []
+        for theta, phase in ((0, 0.0), (-2.0 * math.pi, -0.0)):
+            path = write_config(tmp_path, {
+                "squeeze": {"s": 0.5, "theta": theta},
+                "lo_tones": [{"amplitude": 2.0, "phase": phase},
+                             {"amplitude": 2.0, "phase": 1.0}],
+            })
+            code, out, _ = run(capsys, ["variance", "--config", path])
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert '"phase":0.0' in outs[1] and '"theta":0.0' in outs[1]
+
     def test_cases_table_headline_numbers(self, tmp_path, capsys):
         path = write_config(tmp_path, {
             "squeeze": {"s": 10.0, "theta": 0.0},

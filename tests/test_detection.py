@@ -438,11 +438,15 @@ def test_value_type_record_semantics(cls, kwargs, stored, change, hashable):
     assert not any(f"{name}=" in repr(record) for name in cls._repr_omit)
 
 
-# a tiny negative angle, whose remainder plus 2 pi rounds to 2 pi
+# a tiny negative angle, whose remainder plus 2 pi rounds to 2 pi, and
+# angles whose remainder is -0.0
 @example(angle=-1e-20)
+@example(angle=-0.0)
+@example(angle=-2.0 * math.pi)
 @settings(max_examples=500, deadline=None)
 @given(angle=st.floats(allow_nan=False, allow_infinity=False))
 def test_reduced_angle_lies_in_range_and_stays(angle):
     reduced = _reduce_angle(angle)
     assert 0.0 <= reduced < 2.0 * math.pi
+    assert math.copysign(1.0, reduced) == 1.0
     assert _reduce_angle(reduced) == reduced

@@ -366,6 +366,26 @@ class TestBitIdentity:
         assert np.array_equal(est.psd, psd)
 
 
+def one_thread_blocks(rec, frame_size):
+    """The record's blocks, colored by overlap-save in one frame refilled in place."""
+    keep = rec.taps.size - 1
+    response = np.fft.rfft(rec.taps, frame_size)
+    rng = np.random.default_rng(rec.seed)
+    frame = np.zeros(frame_size)
+    rng.standard_normal(out=frame[:keep])
+    expected = []
+    done = 0
+    while done < rec.size:
+        k = min(frame_size - keep, rec.size - done)
+        rng.standard_normal(out=frame[keep : keep + k])
+        spectrum = np.fft.rfft(frame)
+        spectrum *= response
+        expected.append(np.fft.irfft(spectrum, frame_size)[keep : keep + k])
+        frame[:keep] = frame[k : k + keep]
+        done += k
+    return expected
+
+
 class TestWorker:
     """A synthesized record colors its frames on one worker thread."""
 
@@ -380,22 +400,23 @@ class TestWorker:
         keep = rec.taps.size - 1
         frame_size = _WELCH_BLOCK_SAMPLES
         assert rec.size % (frame_size - keep) != 0
-        response = np.fft.rfft(rec.taps, frame_size)
-        rng = np.random.default_rng(22)
-        frame = np.zeros(frame_size)
-        rng.standard_normal(out=frame[:keep])
-        expected = []
-        done = 0
-        while done < rec.size:
-            k = min(frame_size - keep, rec.size - done)
-            rng.standard_normal(out=frame[keep : keep + k])
-            spectrum = np.fft.rfft(frame)
-            spectrum *= response
-            expected.append(np.fft.irfft(spectrum, frame_size)[keep : keep + k])
-            frame[:keep] = frame[k : k + keep]
-            done += k
+        expected = one_thread_blocks(rec, frame_size)
         blocks = [block.copy() for block in rec.blocks()]
         assert len(blocks) == len(expected) == 5
+        assert all(np.array_equal(a, b) for a, b in zip(blocks, expected))
+
+    @pytest.mark.parametrize("n,frame_size,frames", [
+        # one frame: the record's 2^16 samples and 8191 lead-in fit 2^17
+        (1 << 16, 1 << 17, 1),
+        # 2^18 samples with 16 384 taps: the second frame holds 16 383
+        (1 << 18, _WELCH_BLOCK_SAMPLES, 2),
+    ], ids=["one_frame", "short_second_frame"])
+    def test_end_of_record_matches_one_thread_coloring(self, n, frame_size, frames):
+        rec = synthesize_difference_current(dip_model("lorentzian"), n / FS_BLO, FS_BLO,
+                                            seed=23, segment_length=2048)
+        expected = one_thread_blocks(rec, frame_size)
+        blocks = [block.copy() for block in rec.blocks()]
+        assert len(blocks) == len(expected) == frames
         assert all(np.array_equal(a, b) for a, b in zip(blocks, expected))
 
     def test_worker_exception_surfaces_with_its_type(self, monkeypatch):
@@ -436,6 +457,20 @@ class TestWorker:
 
 
 class TestStream:
+    def test_blocks_are_read_only_and_copies_give_the_record(self):
+        # a block is a view of a frame that is colored again once the next
+        # block is read, so a consumer that keeps the record copies each block
+        rec = synthesize_difference_current(dip_model("lorentzian"), (1 << 20) / FS_BLO,
+                                            FS_BLO, seed=15, segment_length=2048)
+        copies = []
+        for block in rec.blocks():
+            assert not block.flags.writeable
+            with pytest.raises(ValueError):
+                block[0] = 0.0
+            copies.append(block.copy())
+        assert len(copies) == 5
+        assert np.array_equal(np.concatenate(copies), rec.samples)
+
     @pytest.mark.parametrize("n", [2, 4, 2048])
     def test_record_shorter_than_the_filter(self, n):
         # the Welch segment asks for 8 * 2048 taps; the record caps them at n / 8
@@ -550,3 +585,13 @@ class TestMemory:
         # a few block-sized arrays, whatever the record length; windowing
         # every segment of this record at once would take 17 to 83 MB
         assert peak < 8 << 20
+
+    def test_synthesized_welch_holds_five_frames(self):
+        rec = synthesize_difference_current(dip_model("lorentzian"), self.N / FS_BLO, FS_BLO,
+                                            seed=3, segment_length=2048)
+        # the first read imports numpy.random, which tracemalloc would count
+        estimate_psd(rec, 2048, 0.5)
+        peak, _ = traced_peak(estimate_psd, rec, 2048, 0.5)
+        # two frames, their spectrum, the filter response and Welch's fixed
+        # batch; fresh transform outputs for every frame took seven
+        assert peak < 5 * _WELCH_BLOCK_SAMPLES * 8
