@@ -7,27 +7,38 @@ so runs are reproducible byte for byte from their own headers. Exit codes:
 0 success, 2 config or usage error, 3 physics invariant violation, 4 oracle
 disagreement beyond tolerance.
 
+This module holds the argument grammar, the dispatch, output writing, the
+exit codes and the four closed-form subcommands. ``spectrum`` and ``verify``
+compute in :func:`blodyne.timeseries.spectrum_outputs` and
+:mod:`blodyne.verify`, which their thin wrappers here import when they run
+and whose lines they write. Unless its bytecode is cached, a process
+compiles every module it imports, so a closed-form call compiles only
+``blodyne``, ``config``, ``detection`` and this module. Neither of those two
+modules imports this one: run as ``python -m blodyne.cli``, this file is
+``__main__``, and importing ``blodyne.cli`` would compile and run it a
+second time, with a second ``OracleMismatch`` that ``main`` would not catch.
+For the same reason ``cli``, ``config``, ``detection`` and ``verify`` do
+without ``from __future__ import annotations``: it costs one more import,
+and makes the compiler write every annotation back out as a string.
+Python 3.10, the floor, evaluates their annotations as they stand.
+
 ``parse_args`` reads the command line by argparse's grammar without loading
 argparse, which with the gettext and locale modules it pulls in costs a few
 milliseconds of every process; the closed-form subcommands compute for
 about one.
 """
 
-from __future__ import annotations
-
-import contextlib
-import json
 import math
 import os
 import sys
 
-# numpy, fock and timeseries are imported inside the subcommands that use
-# them, so the closed-form subcommands, and verify without random draws,
+# numpy, fock, verify and timeseries are imported inside the subcommands that
+# use them, so the closed-form subcommands, and verify without random draws,
 # run on the standard library alone.
 from . import detection
-from .config import (FORMAT_VERSION, ORACLE_DRAW_BETA_MIN, ConfigError,
-                     ExperimentConfig, canonical_config_json, load_config)
-from .detection import ImageBandCase, LoTone, SqueezeParams
+# FORMAT_VERSION stays a name of this module, where the digest script reads it
+from .config import FORMAT_VERSION, ConfigError, ExperimentConfig, header_lines, load_config
+from .detection import ImageBandCase, LoTone
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -47,72 +58,63 @@ def _g(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _header_lines(cfg: ExperimentConfig):
-    return [f"format_version: {FORMAT_VERSION}", f"config: {canonical_config_json(cfg)}"]
-
-
-@contextlib.contextmanager
-def _output_file(out_dir: str, filename: str):
-    """Open a file under out_dir for writing; any OSError becomes OutputDirError."""
-    path = os.path.join(out_dir, filename)
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            yield fh
-    except OSError as exc:
-        raise OutputDirError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
-
-
-def _emit(lines, cfg: ExperimentConfig, out_dir: str | None, filename: str):
-    """Write the file first, so that a failed write leaves stdout empty."""
-    full = [f"# {h}" for h in _header_lines(cfg)] + list(lines)
-    text = "\n".join(full) + "\n"
+def _emit(lines, cfg: ExperimentConfig, out_dir: str | None, filename: str, files=()):
+    """Print the header and lines; under out_dir, first write the files,
+    (name, chunks of text) pairs, and then filename with what is printed,
+    so that a failed write, which raises OutputDirError, leaves stdout empty."""
+    text = "\n".join([f"# {h}" for h in header_lines(cfg)] + lines) + "\n"
     if out_dir:
-        with _output_file(out_dir, filename) as fh:
-            fh.write(text)
+        for name, chunks in (*files, (filename, (text,))):
+            path = os.path.join(out_dir, name)
+            try:
+                os.makedirs(out_dir, exist_ok=True)
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.writelines(chunks)
+            except OSError as exc:
+                raise OutputDirError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
     sys.stdout.write(text)
 
 
-def _standard_equivalent_tone(cfg: ExperimentConfig) -> LoTone:
-    """Single tone matching a two-tone config: same amplitude, mean phase."""
-    t1, t2 = cfg.tones
-    return LoTone(amplitude=t1.amplitude, phase=0.5 * (t1.phase + t2.phase),
-                  frequency=cfg.plan.omega_center)
-
-
-def _report_lines(tag: str, rep: detection.VarianceReport):
+def _report_line(tag: str, rep: detection.VarianceReport) -> str:
     case = rep.case.value if rep.case is not None else "standard"
-    return [
-        f"{tag},{case},{_g(rep.variance)},{_g(rep.baseline)},{_g(rep.relative_db)},"
-        f"{_g(rep.case_baseline)},{_g(rep.case_relative_db)},{_g(rep.lo_flux_ratio)}"
-    ]
+    return (f"{tag},{case},{_g(rep.variance)},{_g(rep.baseline)},{_g(rep.relative_db)},"
+            f"{_g(rep.case_baseline)},{_g(rep.case_relative_db)},{_g(rep.lo_flux_ratio)}")
 
 
-def _require_opposite_detunings(cfg: ExperimentConfig):
-    """The two-tone closed forms hold only for delta1 = -delta2; otherwise the
-    variance oscillates at (delta1 + delta2)/2pi."""
+def _require_stationary(cfg: ExperimentConfig):
+    """The closed forms hold only where the phase-sensitive term is static: two
+    tones need delta1 = -delta2, or it oscillates at (delta1 + delta2)/2pi,
+    and one tone needs 2 omega_L = omega_plus + omega_minus, or it
+    oscillates at |omega_plus + omega_minus - 2 omega_L|/2pi."""
     plan = cfg.plan
-    beat = plan.delta1 + plan.delta2
+    if cfg.two_tone:
+        need = "two-tone formulas need delta1 = -delta2, but delta1 + delta2"
+        beat = plan.delta1 + plan.delta2
+    else:
+        need = ("single-tone formulas need the tone midway between the signal modes, "
+                "but 2 omega_L - omega_plus - omega_minus")
+        beat = 2.0 * plan.lo_frequencies[0] - plan.omega_plus - plan.omega_minus
     tol = detection.detuning_tolerance(plan)
     if abs(beat) > tol:
         raise ValueError(
-            f"frequency_plan.lo_hz: the two-tone formulas need delta1 = -delta2, but "
-            f"delta1 + delta2 = {beat:.6g} rad/s (tolerance {tol:.3g} rad/s), so the "
-            f"variance oscillates at {abs(beat) / (2.0 * math.pi):.6g} Hz"
+            f"frequency_plan.lo_hz: the {need} = {beat:.6g} rad/s (tolerance {tol:.3g} "
+            f"rad/s), so the variance oscillates at {abs(beat) / (2.0 * math.pi):.6g} Hz"
         )
 
 
 def cmd_variance(cfg: ExperimentConfig, out_dir: str | None) -> int:
     lines = ["scheme,case,variance,baseline,db_vs_baseline,case_baseline,"
              "db_vs_case_baseline,lo_flux_ratio"]
+    tone = cfg.tones[0]
     if cfg.two_tone:
-        tone = _standard_equivalent_tone(cfg)
-        lines += _report_lines("standard", detection.standard_heterodyne_variance(cfg.squeeze, tone))
-        rep = detection.blo_variance(cfg.squeeze, cfg.tones[0], cfg.tones[1], cfg.case)
-        lines += _report_lines("blo", rep)
-    else:
-        lines += _report_lines("standard",
-                               detection.standard_heterodyne_variance(cfg.squeeze, cfg.tones[0]))
+        # the single tone matching the pair: same amplitude, mean phase
+        t1, t2 = cfg.tones
+        tone = LoTone(t1.amplitude, 0.5 * (t1.phase + t2.phase), cfg.plan.omega_center)
+    rep = detection.standard_heterodyne_variance(cfg.squeeze, tone)
+    lines.append(_report_line("standard", rep))
+    if cfg.two_tone:
+        rep = detection.blo_variance(cfg.squeeze, t1, t2, cfg.case)
+        lines.append(_report_line("blo", rep))
     _emit(lines, cfg, out_dir, "variance.csv")
     return EXIT_OK
 
@@ -138,17 +140,13 @@ def cmd_cases(cfg: ExperimentConfig, out_dir: str | None) -> int:
     beta = cfg.tones[0].amplitude
     if beta != cfg.tones[1].amplitude:
         raise ValueError("the cases table needs matched tone amplitudes")
-    theta = cfg.squeeze.theta
+    # the phase sum theta + pi puts each case at its floor
     freq = cfg.tones[0].frequency
+    floor_tones = LoTone(beta, cfg.squeeze.theta + math.pi, freq), LoTone(beta, 0.0, freq)
     lines = []
     for case in ImageBandCase:
         at_config = detection.blo_variance(cfg.squeeze, cfg.tones[0], cfg.tones[1], case)
-        floor_rep = detection.blo_variance(
-            cfg.squeeze,
-            LoTone(amplitude=beta, phase=theta + math.pi, frequency=freq),
-            LoTone(amplitude=beta, phase=0.0, frequency=freq),
-            case,
-        )
+        floor_rep = detection.blo_variance(cfg.squeeze, *floor_tones, case)
         lines.append(
             f"{case.value}, floor {_g(floor_rep.variance)}, "
             f"{floor_rep.relative_db:.2f} dB vs {_g(floor_rep.baseline)}, "
@@ -178,113 +176,21 @@ def cmd_imbalance(cfg: ExperimentConfig, out_dir: str | None) -> int:
 def cmd_spectrum(cfg: ExperimentConfig, out_dir: str | None) -> int:
     from . import timeseries
 
-    sp = cfg.spectrum
-    if cfg.two_tone:
-        model = timeseries.SpectralModel.for_blo(
-            cfg.squeeze, cfg.tones[0], cfg.tones[1], cfg.plan, cfg.case,
-            bandwidth=sp["squeezing_bandwidth_hz"], profile=sp["profile"],
-        )
-    else:
-        model = timeseries.SpectralModel.for_standard(
-            cfg.squeeze, cfg.tones[0], cfg.plan,
-            bandwidth=sp["squeezing_bandwidth_hz"], profile=sp["profile"],
-        )
-    segment_length = int(sp["segment_length"])
-    rec = timeseries.synthesize_difference_current(
-        model, duration=sp["duration_s"], sample_rate=sp["sample_rate_hz"], seed=cfg.seed,
-        segment_length=segment_length,
-    )
-    est = timeseries.estimate_psd(rec, segment_length, sp["overlap"])
-    feature = timeseries.locate_squeezing_feature(est, model.noise_floor)
-    summary = ["model_center_hz,model_floor,model_level,n_averages",
-               f"{_g(model.center_frequency)},{_g(model.noise_floor)},"
-               f"{_g(model.dip_or_peak_level)},{est.n_averages}"]
-    if feature is None:
-        summary.append("feature: none")
-    else:
-        summary.append(f"feature: center_hz {_g(feature.center)} depth_db {_g(feature.depth_db)}")
-    if out_dir:
-        csv_lines = timeseries.spectrum_csv_lines(est, _header_lines(cfg))
-        with _output_file(out_dir, "spectrum.csv") as fh:
-            fh.write("\n".join(csv_lines) + "\n")
-        payload = {"format_version": FORMAT_VERSION,
-                   "config": cfg.resolved,
-                   "spectrum": timeseries.spectrum_to_json_dict(est)}
-        with _output_file(out_dir, "spectrum.json") as fh:
-            json.dump(payload, fh, sort_keys=True)
-            fh.write("\n")
-    _emit(summary, cfg, out_dir, "spectrum_summary.txt")
+    summary, files = timeseries.spectrum_outputs(cfg, bool(out_dir))
+    _emit(summary, cfg, out_dir, "spectrum_summary.txt", files)
     return EXIT_OK
 
 
-def _oracle_error(measured: float, p: SqueezeParams, beta: float, chi1: float,
-                  chi2: float, case: ImageBandCase) -> float:
-    """Relative error of an oracle variance against the closed form."""
-    rep = detection.blo_variance(
-        p,
-        LoTone(amplitude=beta, phase=chi1, frequency=2.0e15),
-        LoTone(amplitude=beta, phase=chi2, frequency=2.0e15),
-        case,
-    )
-    analytic = rep.variance + detection.lo_quantization_correction(p, n_tones=2)
-    return abs(measured / analytic - 1.0)
-
-
 def cmd_verify(cfg: ExperimentConfig, out_dir: str | None, tolerance: float) -> int:
-    from . import fock
+    from . import verify
 
-    orc = cfg.oracle
-    policy = fock.TruncationPolicy(target_leakage=orc["target_leakage"],
-                                   max_dimension=int(orc["max_dimension"]))
-    caps = {
-        ImageBandCase.NO_IMAGE_BANDS: orc["beta_cap_no_image"],
-        ImageBandCase.SHARED_IMAGE_BAND: orc["beta_cap_shared"],
-        ImageBandCase.TWO_IMAGE_BANDS: orc["beta_cap_two"],
-    }
-    cases = list(ImageBandCase)
-    lines = ["draw,case,s,theta,beta,chi1,chi2,rel_error"]
-    max_err = 0.0
-    checks = []
-    if cfg.two_tone and cfg.tones[0].amplitude == cfg.tones[1].amplitude:
-        beta = min(cfg.tones[0].amplitude, caps[cfg.case])
-        if beta >= 1.0 and tmss_oracle_feasible(cfg.squeeze.s):
-            checks.append((cfg.squeeze, beta, cfg.tones[0].phase, cfg.tones[1].phase, cfg.case))
-    draws = int(orc["draws"])
-    if draws:
-        # the oracle itself is pure Python; numpy only draws the points
-        import numpy as np
-
-        rng = np.random.default_rng(cfg.seed)
-        for _ in range(draws):
-            case = cases[int(rng.integers(0, 3))]
-            s = float(rng.uniform(0.1, 0.75))
-            beta = float(np.exp(rng.uniform(np.log(ORACLE_DRAW_BETA_MIN), np.log(caps[case]))))
-            p = SqueezeParams(s=s, theta=float(rng.uniform(0.0, 2.0 * math.pi)))
-            checks.append((p, beta, float(rng.uniform(0.0, 2.0 * math.pi)),
-                           float(rng.uniform(0.0, 2.0 * math.pi)), case))
-    for i, (p, beta, chi1, chi2, case) in enumerate(checks):
-        measured = fock.oracle_blo_run(p, beta, chi1, chi2, case, policy=policy)
-        err = _oracle_error(measured, p, beta, chi1, chi2, case)
-        max_err = max(max_err, err)
-        lines.append(f"{i},{case.value},{_g(p.s)},{_g(p.theta)},{_g(beta)},"
-                     f"{_g(chi1)},{_g(chi2)},{_g(err)}")
-    lines.append(f"max_relative_error: {_g(max_err)}")
-    lines.append(f"tolerance: {_g(tolerance)}")
+    lines, max_err = verify.check_lines(cfg, tolerance)
     _emit(lines, cfg, out_dir, "verify.csv")
     if max_err > tolerance:
         raise OracleMismatch(
             f"oracle disagrees with the closed forms: {max_err:g} > {tolerance:g}"
         )
     return EXIT_OK
-
-
-def tmss_oracle_feasible(s: float) -> bool:
-    """Whether the squeezed-pair cutoff at the default leakage stays desk-sized (<= 64)."""
-    from . import fock
-
-    if s <= 0.0:
-        return True
-    return math.tanh(s) < 1.0 and fock.tmss_cutoff_for_leakage(s, 1e-8) <= 64
 
 
 def positive_float(text: str) -> float:
@@ -332,15 +238,6 @@ def _usage_error(message: str):
     raise SystemExit(EXIT_CONFIG)
 
 
-def _is_negative_number(token: str) -> bool:
-    r"""argparse's ``^-\d+$|^-\d*\.\d+$``, whose ``$`` also matches before a final newline."""
-    body = token[1:-1] if token.endswith("\n") else token[1:]
-    whole, dot, frac = body.partition(".")
-    if not dot:
-        return whole.isdecimal()
-    return frac.isdecimal() and (whole == "" or whole.isdecimal())
-
-
 def _read_option(token: str):
     """argparse's reading of one token: None for a word, else (flag, value
     joined to it or None), with flag None for an unknown option."""
@@ -361,7 +258,10 @@ def _read_option(token: str):
             return matches[0], value if eq else None
     elif token.startswith("-h"):
         return "-h", token[2:]
-    if _is_negative_number(token) or " " in token:
+    # argparse's test for a negative number, which it reads as a word
+    import re
+
+    if re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token:
         return None
     return None, token
 
@@ -453,19 +353,13 @@ def main(argv=None) -> int:
     else:
         out_dir, out_source = cfg.resolved.get("output_dir"), "config output_dir"
     try:
-        if cfg.two_tone and command != "verify":
-            _require_opposite_detunings(cfg)
-        if command == "variance":
-            return cmd_variance(cfg, out_dir)
-        if command == "scan":
-            return cmd_scan(cfg, out_dir)
-        if command == "cases":
-            return cmd_cases(cfg, out_dir)
-        if command == "imbalance":
-            return cmd_imbalance(cfg, out_dir)
-        if command == "spectrum":
-            return cmd_spectrum(cfg, out_dir)
-        return cmd_verify(cfg, out_dir, tolerance)
+        if command == "verify":
+            return cmd_verify(cfg, out_dir, tolerance)
+        # cases and imbalance first name their own need of two tones
+        if cfg.two_tone or command in ("variance", "scan", "spectrum"):
+            _require_stationary(cfg)
+        # looked up by name at each call, so a wrapper set on the module is called
+        return globals()[f"cmd_{command}"](cfg, out_dir)
     except OutputDirError as exc:
         print(f"config error: {out_source} {out_dir!r}: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -7,14 +7,12 @@ experiment. Frequencies in the file are plain Hz; the single 2*pi conversion
 to rad/s happens here.
 """
 
-from __future__ import annotations
-
 import json
 import math
 import sys
 
 from .detection import (FrequencyPlan, ImageBandCase, LoTone, SqueezeParams, _Record,
-                        _set, classify_image_band_case)
+                        classify_image_band_case)
 
 FORMAT_VERSION = "blodyne-output/1"
 
@@ -63,6 +61,37 @@ def _integer(obj, path: str) -> int:
     return obj
 
 
+def _make(path: str, cls, *args):
+    """cls(*args), with a ValueError it raises made a ConfigError naming path."""
+    try:
+        return cls(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _section(raw: dict, name: str, defaults: dict) -> dict:
+    """The optional object ``raw[name]`` over its defaults. Each value given
+    is read as its default is typed: an int as an integer, a float as a
+    number, a list as a non-empty list of numbers, and a str as one of
+    PROFILES (``spectrum.profile`` is the only one)."""
+    section = raw.get(name, {})
+    _require_keys(section, name, (), defaults)
+    values = dict(defaults)
+    for key, value in section.items():
+        path, kind = f"{name}.{key}", type(defaults[key])
+        if kind is str:
+            if value not in PROFILES:
+                raise ConfigError(f"{path}: expected {' or '.join(map(repr, PROFILES))}")
+        elif kind is list:
+            if not isinstance(value, list) or not value:
+                raise ConfigError(f"{path}: expected a non-empty list")
+            value = [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
+        else:
+            value = (_integer if kind is int else _number)(value, path)
+        values[key] = value
+    return values
+
+
 _SPECTRUM_DEFAULTS = {
     "squeezing_bandwidth_hz": 5.0e4,
     "profile": "lorentzian",
@@ -97,27 +126,13 @@ class ExperimentConfig(_Record):
     """A fully resolved experiment: physics objects plus run settings.
 
     ``case`` is None for a single-tone plan. The dict fields make it
-    unhashable, and are left out of its repr.
+    unhashable, and are left out of its repr. It validates nothing, so it
+    keeps the base's ``__init__``.
     """
 
     __slots__ = ("plan", "squeeze", "tones", "case", "seed", "scan_points",
                  "imbalance_fractions", "spectrum", "oracle", "resolved")
     _repr_omit = ("spectrum", "oracle", "resolved")
-
-    def __init__(self, plan: FrequencyPlan, squeeze: SqueezeParams, tones: tuple[LoTone, ...],
-                 case: ImageBandCase | None, seed: int, scan_points: int,
-                 imbalance_fractions: tuple[float, ...], spectrum: dict, oracle: dict,
-                 resolved: dict):
-        _set(self, "plan", plan)
-        _set(self, "squeeze", squeeze)
-        _set(self, "tones", tones)
-        _set(self, "case", case)
-        _set(self, "seed", seed)
-        _set(self, "scan_points", scan_points)
-        _set(self, "imbalance_fractions", imbalance_fractions)
-        _set(self, "spectrum", spectrum)
-        _set(self, "oracle", oracle)
-        _set(self, "resolved", resolved)
 
     @property
     def two_tone(self) -> bool:
@@ -126,41 +141,30 @@ class ExperimentConfig(_Record):
 
 def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a parsed JSON object and build the experiment."""
-    _require_keys(
-        raw, "config",
-        required=["frequency_plan", "squeeze", "lo_tones"],
-        optional=["image_band_case", "seed", "scan", "imbalance", "spectrum",
-                  "oracle", "output_dir"],
-    )
+    _require_keys(raw, "config", ["frequency_plan", "squeeze", "lo_tones"],
+                  ["image_band_case", "seed", "scan", "imbalance", "spectrum", "oracle",
+                   "output_dir"])
 
     fp_raw = raw["frequency_plan"]
-    _require_keys(fp_raw, "frequency_plan",
-                  required=["omega_plus_hz", "omega_minus_hz", "lo_hz"])
+    _require_keys(fp_raw, "frequency_plan", ["omega_plus_hz", "omega_minus_hz", "lo_hz"])
     lo_hz = fp_raw["lo_hz"]
     if not isinstance(lo_hz, list) or not 1 <= len(lo_hz) <= 2:
         raise ConfigError("frequency_plan.lo_hz: expected a list of one or two frequencies")
     two_pi = 2.0 * math.pi
-    # _number's errors name their key; the try blocks below prefix only the
-    # constructors' own errors with the section
+    # _number's errors name their key; _make prefixes only the constructors'
+    # own errors with the section
     omega_plus = two_pi * _number(fp_raw["omega_plus_hz"], "frequency_plan.omega_plus_hz")
     omega_minus = two_pi * _number(fp_raw["omega_minus_hz"], "frequency_plan.omega_minus_hz")
     lo_frequencies = tuple(
         two_pi * _number(f, f"frequency_plan.lo_hz[{i}]") for i, f in enumerate(lo_hz)
     )
-    try:
-        plan = FrequencyPlan(omega_plus=omega_plus, omega_minus=omega_minus,
-                             lo_frequencies=lo_frequencies)
-    except ValueError as exc:
-        raise ConfigError(f"frequency_plan: {exc}") from exc
+    plan = _make("frequency_plan", FrequencyPlan, omega_plus, omega_minus, lo_frequencies)
 
     sq_raw = raw["squeeze"]
-    _require_keys(sq_raw, "squeeze", required=["s"], optional=["theta"])
+    _require_keys(sq_raw, "squeeze", ["s"], ["theta"])
     s = _number(sq_raw["s"], "squeeze.s")
     theta = _number(sq_raw.get("theta", 0.0), "squeeze.theta")
-    try:
-        squeeze = SqueezeParams(s=s, theta=theta)
-    except ValueError as exc:
-        raise ConfigError(f"squeeze: {exc}") from exc
+    squeeze = _make("squeeze", SqueezeParams, s, theta)
     if 2.0 * squeeze.s >= _MAX_TWO_S:
         raise ConfigError(
             f"squeeze.s: {squeeze.s!r} overflows the squeeze factor exp(2s); "
@@ -174,14 +178,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
         )
     tones = []
     for i, tone_raw in enumerate(tones_raw):
-        _require_keys(tone_raw, f"lo_tones[{i}]", required=["amplitude"], optional=["phase"])
-        amplitude = _number(tone_raw["amplitude"], f"lo_tones[{i}].amplitude")
-        phase = _number(tone_raw.get("phase", 0.0), f"lo_tones[{i}].phase")
-        try:
-            tones.append(LoTone(amplitude=amplitude, phase=phase,
-                                frequency=plan.lo_frequencies[i]))
-        except ValueError as exc:
-            raise ConfigError(f"lo_tones[{i}]: {exc}") from exc
+        path = f"lo_tones[{i}]"
+        _require_keys(tone_raw, path, ["amplitude"], ["phase"])
+        amplitude = _number(tone_raw["amplitude"], f"{path}.amplitude")
+        phase = _number(tone_raw.get("phase", 0.0), f"{path}.phase")
+        tones.append(_make(path, LoTone, amplitude, phase, plan.lo_frequencies[i]))
         amp = tones[-1].amplitude
         # the closed forms scale by |beta|^2 and divide by it (lo_flux_ratio);
         # an amplitude of 0 is left to them, and they reject it as a physics error
@@ -195,49 +196,29 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(
             f"image_band_case: expected one of {sorted(_CASE_NAMES)}, got {case_requested!r}"
         )
-    if len(tones) == 2:
-        case = _CASE_NAMES[case_requested] if case_requested != "auto" \
-            else classify_image_band_case(plan)
-    else:
-        if case_requested != "auto":
+    case = _CASE_NAMES[case_requested]  # None for "auto"
+    if len(tones) == 1:
+        if case is not None:
             raise ConfigError("image_band_case applies only to two-tone plans")
-        case = None
+    elif case is None:
+        case = classify_image_band_case(plan)
 
     seed = _integer(raw.get("seed", 0), "seed")
     if seed < 0:
         raise ConfigError("seed: must be >= 0")
 
-    scan_raw = raw.get("scan", {})
-    _require_keys(scan_raw, "scan", required=[], optional=["n_points"])
-    scan_points = _integer(scan_raw.get("n_points", 72), "scan.n_points")
+    scan_points = _section(raw, "scan", {"n_points": 72})["n_points"]
     if not 2 <= scan_points <= _MAX_SCAN_POINTS:
         raise ConfigError(f"scan.n_points: must lie in [2, {_MAX_SCAN_POINTS}]")
 
-    imb_raw = raw.get("imbalance", {})
-    _require_keys(imb_raw, "imbalance", required=[], optional=["fractions"])
-    fractions = imb_raw.get("fractions", [0.01, 0.02, 0.05, 0.1])
-    if not isinstance(fractions, list) or not fractions:
-        raise ConfigError("imbalance.fractions: expected a non-empty list")
-    fractions = tuple(_number(f, f"imbalance.fractions[{i}]") for i, f in enumerate(fractions))
+    fractions = _section(raw, "imbalance", {"fractions": [0.01, 0.02, 0.05, 0.1]})["fractions"]
     if any(not -1.0 < f for f in fractions):
         raise ConfigError("imbalance.fractions: each fraction must exceed -1")
     for i, f in enumerate(fractions):
         if f * f == math.inf:
             raise ConfigError(f"imbalance.fractions[{i}]: {f!r} squared overflows a float")
 
-    spec_raw = raw.get("spectrum", {})
-    _require_keys(spec_raw, "spectrum", required=[], optional=list(_SPECTRUM_DEFAULTS))
-    spectrum = dict(_SPECTRUM_DEFAULTS)
-    for key, value in spec_raw.items():
-        if key == "profile":
-            if value not in PROFILES:
-                raise ConfigError(
-                    f"spectrum.profile: expected {' or '.join(map(repr, PROFILES))}")
-            spectrum[key] = value
-        elif key == "segment_length":
-            spectrum[key] = _integer(value, f"spectrum.{key}")
-        else:
-            spectrum[key] = _number(value, f"spectrum.{key}")
+    spectrum = _section(raw, "spectrum", _SPECTRUM_DEFAULTS)
     seg = spectrum["segment_length"]
     if seg < 4 or seg & (seg - 1):
         raise ConfigError(f"spectrum.segment_length: {seg!r} is not a power of two >= 4")
@@ -255,14 +236,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
             "and squared is not a finite normal float (lorentzian profile)"
         )
 
-    oracle_raw = raw.get("oracle", {})
-    _require_keys(oracle_raw, "oracle", required=[], optional=list(_ORACLE_DEFAULTS))
-    oracle = dict(_ORACLE_DEFAULTS)
-    for key, value in oracle_raw.items():
-        if key in ("draws", "max_dimension"):
-            oracle[key] = _integer(value, f"oracle.{key}")
-        else:
-            oracle[key] = _number(value, f"oracle.{key}")
+    oracle = _section(raw, "oracle", _ORACLE_DEFAULTS)
     if oracle["draws"] < 0:
         raise ConfigError("oracle.draws: must be >= 0")
     if oracle["max_dimension"] < 1:
@@ -303,18 +277,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if output_dir is not None:
         resolved["output_dir"] = output_dir
 
-    return ExperimentConfig(
-        plan=plan,
-        squeeze=squeeze,
-        tones=tuple(tones),
-        case=case,
-        seed=seed,
-        scan_points=scan_points,
-        imbalance_fractions=fractions,
-        spectrum=spectrum,
-        oracle=oracle,
-        resolved=resolved,
-    )
+    return ExperimentConfig(plan, squeeze, tuple(tones), case, seed, scan_points,
+                            tuple(fractions), spectrum, oracle, resolved)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -334,6 +298,8 @@ def load_config(path: str) -> ExperimentConfig:
     return parse_config(raw)
 
 
-def canonical_config_json(cfg: ExperimentConfig) -> str:
-    """One-line canonical form embedded in every output header."""
-    return json.dumps(cfg.resolved, sort_keys=True, separators=(",", ":"))
+def header_lines(cfg: ExperimentConfig) -> list[str]:
+    """The format version and the one-line canonical resolved config that
+    head every output."""
+    return [f"format_version: {FORMAT_VERSION}",
+            f"config: {json.dumps(cfg.resolved, sort_keys=True, separators=(',', ':'))}"]

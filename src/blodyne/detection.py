@@ -13,8 +13,6 @@ it also owns ``SqueezeParams``, which every other module imports from here,
 and ``_Record``, the slotted base of the standard-library value types.
 """
 
-from __future__ import annotations
-
 import enum
 import math
 import sys
@@ -25,16 +23,17 @@ _set = object.__setattr__
 class _Record:
     """Immutable value type with its fields in ``__slots__``.
 
-    A subclass declares ``__slots__`` (the field order) and an explicit
-    ``__init__`` that validates its arguments and stores each field once with
-    ``object.__setattr__``. From the slots this base gives what
-    ``@dataclass(frozen=True)`` gave: assignment and deletion raise
-    ``AttributeError``, equality compares field values between records of
-    the same class, the hash is that of the field values, the repr is
-    ``Name(field=value, ...)`` without the fields named in ``_repr_omit``,
-    and copy and pickle rebuild a record by calling its class with the
-    stored values in slot order, which every ``__init__`` takes positionally
-    and stores unchanged.
+    A subclass declares ``__slots__`` (the field order). One that validates
+    its arguments defines an ``__init__`` that stores each field once with
+    ``object.__setattr__``; one that validates nothing keeps this base's,
+    which stores its arguments, given by position or name, unchanged. From
+    the slots this base gives what ``@dataclass(frozen=True)`` gave:
+    assignment and deletion raise ``AttributeError``, equality compares
+    field values between records of the same class, the hash is that of the
+    field values, the repr is ``Name(field=value, ...)`` without the fields
+    named in ``_repr_omit``, and copy and pickle rebuild a record by calling
+    its class with the stored values in slot order, which every ``__init__``
+    takes positionally and stores unchanged.
 
     The standard-library modules (this one, ``config`` and ``fock``) use it
     because importing ``dataclasses`` loads ``inspect``, ``ast``, ``dis`` and
@@ -47,6 +46,17 @@ class _Record:
 
     __slots__ = ()
     _repr_omit = ()
+
+    def __init__(self, *values, **named):
+        names = self.__slots__
+        try:
+            values += tuple([named.pop(name) for name in names[len(values):]])
+        except KeyError:
+            named = True
+        if named or len(values) != len(names):
+            raise TypeError(f"{type(self).__qualname__} takes the fields {names}")
+        for name, value in zip(names, values):
+            _set(self, name, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
@@ -151,19 +161,19 @@ class FrequencyPlan(_Record):
         _set(self, "omega_minus", omega_minus)
         lo = tuple(float(f) for f in lo_frequencies)
         _set(self, "lo_frequencies", lo)
-        if not all(map(math.isfinite, (self.omega_minus, self.omega_plus) + lo)):
-            raise ValueError(f"frequencies must be finite, got {self.omega_minus!r}, "
-                             f"{self.omega_plus!r}, {lo!r}")
-        if not (0.0 < self.omega_minus < self.omega_plus):
+        if not all(map(math.isfinite, (omega_minus, omega_plus) + lo)):
+            raise ValueError(f"frequencies must be finite, got {omega_minus!r}, "
+                             f"{omega_plus!r}, {lo!r}")
+        if not (0.0 < omega_minus < omega_plus):
             raise ValueError(
-                f"need 0 < omega_minus < omega_plus, got {self.omega_minus!r}, {self.omega_plus!r}"
+                f"need 0 < omega_minus < omega_plus, got {omega_minus!r}, {omega_plus!r}"
             )
         if len(lo) not in (1, 2):
             raise ValueError(f"expected one or two LO frequencies, got {len(lo)}")
         if any(f <= 0.0 for f in lo):
             raise ValueError("LO frequencies must be positive")
         if len(lo) == 1:
-            if not (self.omega_minus < lo[0] < self.omega_plus):
+            if not (omega_minus < lo[0] < omega_plus):
                 raise ValueError(
                     "a single LO tone must lie between the two signal mode frequencies"
                 )
@@ -271,15 +281,8 @@ class VarianceReport(_Record):
 
 def _make_report(variance: float, baseline: float, case: ImageBandCase | None,
                  case_baseline: float, lo_flux_ratio: float) -> VarianceReport:
-    return VarianceReport(
-        variance=variance,
-        baseline=baseline,
-        relative_db=_db(variance / baseline),
-        case=case,
-        case_baseline=case_baseline,
-        case_relative_db=_db(variance / case_baseline),
-        lo_flux_ratio=lo_flux_ratio,
-    )
+    return VarianceReport(variance, baseline, _db(variance / baseline), case, case_baseline,
+                          _db(variance / case_baseline), lo_flux_ratio)
 
 
 def standard_heterodyne_variance(p: SqueezeParams, lo: LoTone) -> VarianceReport:
@@ -448,20 +451,17 @@ def phase_scan(p: SqueezeParams, lo_config, case: ImageBandCase | None = None,
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
     phases = phase_grid(n_points)
-    out = []
     if isinstance(lo_config, LoTone):
-        for chi in phases:
-            tone = LoTone(amplitude=lo_config.amplitude, phase=chi,
-                          frequency=lo_config.frequency)
-            out.append((chi, standard_heterodyne_variance(p, tone)))
-        return out
+        amplitude, frequency = lo_config.amplitude, lo_config.frequency
+        return [(chi, standard_heterodyne_variance(p, LoTone(amplitude, chi, frequency)))
+                for chi in phases]
     lo1, lo2 = lo_config
     if case is None:
         raise ValueError("phase_scan over a tone pair needs an ImageBandCase")
     if lo1.amplitude != lo2.amplitude:
         raise ValueError("phase_scan expects matched tone amplitudes")
-    for phase_sum in phases:
-        t1 = LoTone(amplitude=lo1.amplitude, phase=phase_sum, frequency=lo1.frequency)
-        t2 = LoTone(amplitude=lo2.amplitude, phase=0.0, frequency=lo2.frequency)
-        out.append((phase_sum, blo_variance(p, t1, t2, case)))
-    return out
+    # the phase sum rides on the first tone
+    amplitude, frequency = lo1.amplitude, lo1.frequency
+    lo2 = LoTone(lo2.amplitude, 0.0, lo2.frequency)
+    return [(phase_sum, blo_variance(p, LoTone(amplitude, phase_sum, frequency), lo2, case))
+            for phase_sum in phases]

@@ -247,10 +247,6 @@ class BeatPairing(_Record):
 
     __slots__ = ("signal_freqs", "lo_freqs")
 
-    def __init__(self, signal_freqs: tuple[float, ...], lo_freqs: tuple[float, ...]):
-        _set(self, "signal_freqs", signal_freqs)
-        _set(self, "lo_freqs", lo_freqs)
-
     @classmethod
     def for_standard(cls, fp: FrequencyPlan) -> "BeatPairing":
         """Single-tone scheme: signal modes (minus, plus) against one tone.

@@ -9,20 +9,24 @@ recover the model as the blocks stream past. The finite feature bandwidth is
 a modeling extension (the variance formulas treat single-frequency modes);
 the feature's extremum level is the detection-module variance, and the flat
 floor is numerically equal to the configuration's squeezing-free variance,
-read as a density per Hz.
+read as a density per Hz. :func:`spectrum_outputs` is the ``spectrum``
+subcommand, from a resolved config to the text it writes.
 """
 
 from __future__ import annotations
 
+import itertools
+import json
 import math
+import queue
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import PROFILES
+from .config import FORMAT_VERSION, PROFILES, ExperimentConfig, header_lines
 from .detection import (FrequencyPlan, ImageBandCase, LoTone, SqueezeParams,
                         blo_variance, standard_heterodyne_variance)
 
@@ -154,12 +158,16 @@ class SynthesizedRecord:
     until the next block is read: a caller that keeps a block copies it.
     While the caller reads one block, a single worker thread colors the next
     frame, and the caller's thread then draws the frame after it into the
-    frame just read. Each frame is drawn and colored by the same operations
-    in the same order as in one thread, so the blocks do not depend on the
-    threads. The worker is joined before ``blocks()`` finishes or is closed,
-    and an exception raised in it is raised again, as itself, in the caller.
+    frame just read. Frames go to the worker and blocks come back through two
+    ``queue.SimpleQueue``s, and the caller takes each block before it hands
+    over the next frame, so at most one frame is colored ahead.
+    Each frame is drawn and colored by the same operations in the same order
+    as in one thread, so the blocks do not depend on the threads. The worker
+    is joined before ``blocks()`` finishes, fails or is closed, and an
+    exception raised in it is raised again, as itself, in the caller.
     ``samples`` copies every block into one read-only array, for tests and
-    short records.
+    short records. A plain ``threading.Thread`` keeps ``concurrent.futures``,
+    with the ``logging`` it imports, out of the ``spectrum`` process.
     """
 
     model: SpectralModel
@@ -191,12 +199,32 @@ class SynthesizedRecord:
             block.setflags(write=False)
             return block
 
-        with ThreadPoolExecutor(max_workers=1) as worker:
+        # one worker colors the frames handed to it, one at a time, and hands
+        # back each block, or the exception that coloring raised
+        jobs, results = queue.SimpleQueue(), queue.SimpleQueue()
+
+        def work():
+            for job in iter(jobs.get, None):
+                try:
+                    results.put(color(*job))
+                except BaseException as exc:
+                    # whatever it is, the caller raises it again; left here,
+                    # it would end this thread and leave the caller waiting
+                    results.put(exc)
+
+        def colored():
+            block = results.get()
+            if isinstance(block, BaseException):
+                raise block
+            return block
+
+        worker = threading.Thread(target=work, daemon=True)
+        worker.start()
+        try:
             k = min(frame_size - keep, self.size)
             rng.standard_normal(out=frame[: keep + k])
-            done, pending = k, None
+            done, block = k, None
             while True:
-                block = None if pending is None else pending.result()
                 next_k = min(frame_size - keep, self.size - done)
                 if 0 < next_k < frame_size - keep:
                     # a short last frame also keeps this one's end, as a single
@@ -210,7 +238,7 @@ class SynthesizedRecord:
                 # the next frame starts with this one's raw end, which
                 # coloring overwrites
                 carry[:] = frame[k : k + keep]
-                pending = worker.submit(color, frame, k)
+                jobs.put((frame, k))
                 if block is not None:
                     yield block
                 if not next_k:
@@ -219,7 +247,12 @@ class SynthesizedRecord:
                 frame[:keep] = carry
                 rng.standard_normal(out=frame[keep : keep + k])
                 done += k
-            yield pending.result()
+                block = colored()
+            yield colored()
+        finally:
+            # the worker finishes the frame it holds, if any, and ends
+            jobs.put(None)
+            worker.join()
 
     @property
     def duration(self) -> float:
@@ -508,3 +541,50 @@ def spectrum_to_json_dict(est: SpectrumEstimate) -> dict:
         "psd_variance_per_hz": [float(s) for s in est.psd],
     }
 
+
+def spectrum_outputs(cfg: ExperimentConfig, with_files: bool):
+    """What the ``spectrum`` subcommand writes for a resolved config.
+
+    Builds the config's spectral model, synthesizes its record, estimates
+    the PSD and locates the feature. Returns the summary lines and, if
+    ``with_files``, the names of ``spectrum.csv`` and ``spectrum.json``
+    with their text in chunks, else no files; the JSON is encoded chunk by
+    chunk as it is written, as ``json.dump`` does. Synthesis, estimation
+    and location are looked up as this module's names at each call, so a
+    wrapper set on one of them sees the call.
+    """
+    sp = cfg.spectrum
+    if cfg.two_tone:
+        model = SpectralModel.for_blo(
+            cfg.squeeze, cfg.tones[0], cfg.tones[1], cfg.plan, cfg.case,
+            bandwidth=sp["squeezing_bandwidth_hz"], profile=sp["profile"],
+        )
+    else:
+        model = SpectralModel.for_standard(
+            cfg.squeeze, cfg.tones[0], cfg.plan,
+            bandwidth=sp["squeezing_bandwidth_hz"], profile=sp["profile"],
+        )
+    segment_length = sp["segment_length"]
+    rec = synthesize_difference_current(
+        model, duration=sp["duration_s"], sample_rate=sp["sample_rate_hz"], seed=cfg.seed,
+        segment_length=segment_length,
+    )
+    est = estimate_psd(rec, segment_length, sp["overlap"])
+    feature = locate_squeezing_feature(est, model.noise_floor)
+    summary = ["model_center_hz,model_floor,model_level,n_averages",
+               f"{model.center_frequency:.17g},{model.noise_floor:.17g},"
+               f"{model.dip_or_peak_level:.17g},{est.n_averages}"]
+    if feature is None:
+        summary.append("feature: none")
+    else:
+        summary.append(f"feature: center_hz {feature.center:.17g} "
+                       f"depth_db {feature.depth_db:.17g}")
+    if not with_files:
+        return summary, ()
+    payload = {"format_version": FORMAT_VERSION, "config": cfg.resolved,
+               "spectrum": spectrum_to_json_dict(est)}
+    return summary, (
+        ("spectrum.csv", ("\n".join(spectrum_csv_lines(est, header_lines(cfg))) + "\n",)),
+        ("spectrum.json", itertools.chain(json.JSONEncoder(sort_keys=True).iterencode(payload),
+                                          ("\n",))),
+    )

@@ -1,0 +1,91 @@
+"""The checks of the ``verify`` subcommand: the Fock-space oracle against the
+closed forms.
+
+Each check runs :func:`blodyne.fock.oracle_blo_run` at one (squeeze, |beta|,
+chi1, chi2, case) point on the case's reference plan and compares the
+result with the matched two-tone closed form plus the LO quantization
+offset. The checks are the configured point, when the config has matched
+tones and the oracle can reach it, and then ``oracle.draws`` points drawn
+from the seed. :func:`check_lines` returns the CSV lines that
+``blodyne.cli.cmd_verify`` writes, which also raises the exit-4 error.
+
+Only ``verify`` imports this module, so the closed-form subcommands never
+compile it. It imports nothing from ``blodyne.cli``: under
+``python -m blodyne.cli`` that would compile and run the command line a
+second time. The oracle and the closed forms are called through their
+modules, so a wrapper set on ``fock.oracle_blo_run`` or on a
+``detection`` function sees each call.
+"""
+
+import math
+
+from . import detection, fock
+from .config import ORACLE_DRAW_BETA_MIN, ExperimentConfig
+from .detection import ImageBandCase, LoTone, SqueezeParams
+
+
+def tmss_oracle_feasible(s: float) -> bool:
+    """Whether the squeezed-pair cutoff at the default leakage stays desk-sized (<= 64)."""
+    if s <= 0.0:
+        return True
+    return math.tanh(s) < 1.0 and fock.tmss_cutoff_for_leakage(s, 1e-8) <= 64
+
+
+def oracle_error(measured: float, p: SqueezeParams, beta: float, chi1: float,
+                 chi2: float, case: ImageBandCase) -> float:
+    """Relative error of an oracle variance against the closed form."""
+    rep = detection.blo_variance(
+        p,
+        LoTone(amplitude=beta, phase=chi1, frequency=2.0e15),
+        LoTone(amplitude=beta, phase=chi2, frequency=2.0e15),
+        case,
+    )
+    analytic = rep.variance + detection.lo_quantization_correction(p, n_tones=2)
+    return abs(measured / analytic - 1.0)
+
+
+def check_points(cfg: ExperimentConfig, caps: dict) -> list:
+    """The (squeeze, |beta|, chi1, chi2, case) of every check, in order."""
+    checks = []
+    if cfg.two_tone and cfg.tones[0].amplitude == cfg.tones[1].amplitude:
+        beta = min(cfg.tones[0].amplitude, caps[cfg.case])
+        if beta >= 1.0 and tmss_oracle_feasible(cfg.squeeze.s):
+            checks.append((cfg.squeeze, beta, cfg.tones[0].phase, cfg.tones[1].phase, cfg.case))
+    draws = int(cfg.oracle["draws"])
+    if draws:
+        # the oracle itself is pure Python; numpy only draws the points
+        import numpy as np
+
+        cases = list(ImageBandCase)
+        rng = np.random.default_rng(cfg.seed)
+        for _ in range(draws):
+            case = cases[int(rng.integers(0, 3))]
+            s = float(rng.uniform(0.1, 0.75))
+            beta = float(np.exp(rng.uniform(np.log(ORACLE_DRAW_BETA_MIN), np.log(caps[case]))))
+            p = SqueezeParams(s=s, theta=float(rng.uniform(0.0, 2.0 * math.pi)))
+            checks.append((p, beta, float(rng.uniform(0.0, 2.0 * math.pi)),
+                           float(rng.uniform(0.0, 2.0 * math.pi)), case))
+    return checks
+
+
+def check_lines(cfg: ExperimentConfig, tolerance: float) -> tuple[list, float]:
+    """The CSV lines of every check with the summary, and the largest relative error."""
+    orc = cfg.oracle
+    policy = fock.TruncationPolicy(target_leakage=orc["target_leakage"],
+                                   max_dimension=int(orc["max_dimension"]))
+    caps = {
+        ImageBandCase.NO_IMAGE_BANDS: orc["beta_cap_no_image"],
+        ImageBandCase.SHARED_IMAGE_BAND: orc["beta_cap_shared"],
+        ImageBandCase.TWO_IMAGE_BANDS: orc["beta_cap_two"],
+    }
+    lines = ["draw,case,s,theta,beta,chi1,chi2,rel_error"]
+    max_err = 0.0
+    for i, (p, beta, chi1, chi2, case) in enumerate(check_points(cfg, caps)):
+        measured = fock.oracle_blo_run(p, beta, chi1, chi2, case, policy=policy)
+        err = oracle_error(measured, p, beta, chi1, chi2, case)
+        max_err = max(max_err, err)
+        lines.append(f"{i},{case.value},{p.s:.17g},{p.theta:.17g},{beta:.17g},"
+                     f"{chi1:.17g},{chi2:.17g},{err:.17g}")
+    lines.append(f"max_relative_error: {max_err:.17g}")
+    lines.append(f"tolerance: {tolerance:.17g}")
+    return lines, max_err

@@ -360,6 +360,10 @@ def generated_configs(draw):
     omega_minus = number("omega_minus", minus - 0.5e6, minus + 0.5e6)
     if n_tones == 1:
         lo_hz = [number("lo0", minus + 1.0e6, plus - 1.0e6)]
+        # centred half the time, since only a centred tone reaches the
+        # single-tone formulas (any other tone exits 3)
+        if "lo0" not in wild and draw(st.booleans()):
+            lo_hz = [0.5 * (omega_plus + omega_minus)]
     else:
         lo_hz = [number(f"lo{k}", f - 3.0e6, f + 3.0e6) for k, f in enumerate((minus, plus))]
         # opposite detunings half the time, since only those reach the
@@ -827,6 +831,36 @@ class TestAsymmetricDetunings:
         assert "frequency_plan.lo_hz" in err and "delta1 + delta2 = 62831" in err
 
 
+class TestOffCentreSingleTone:
+    """The single-tone closed form assumes 2 omega_L = omega_plus + omega_minus;
+    a tone off that centre makes the phase-sensitive term oscillate at
+    |omega_plus + omega_minus - 2 omega_L|/2pi, so it exits 3."""
+
+    # 1 MHz below the 300 THz centre of modes 10 MHz apart
+    OVERRIDES = {"frequency_plan": dict(PLAN_100KHZ, lo_hz=[299.999999e12]),
+                 "lo_tones": [{"amplitude": 2.0, "phase": 0.4}], "oracle": {"draws": 0}}
+
+    @pytest.mark.parametrize("cmd", ["variance", "scan", "spectrum"])
+    def test_exits_3_naming_the_plan(self, tmp_path, capsys, cmd):
+        code, out, err = run(capsys, [cmd, "--config", write_config(tmp_path, self.OVERRIDES)])
+        assert code == 3
+        assert out == ""
+        assert "frequency_plan.lo_hz" in err
+        assert "2 omega_L - omega_plus - omega_minus = -1.25664e+07 rad/s" in err
+        assert "oscillates at 2e+06 Hz" in err
+
+    @pytest.mark.parametrize("cmd,need", [("cases", "the cases table"),
+                                          ("imbalance", "the imbalance sweep")])
+    def test_two_tone_commands_name_their_own_need(self, tmp_path, capsys, cmd, need):
+        code, _, err = run(capsys, [cmd, "--config", write_config(tmp_path, self.OVERRIDES)])
+        assert code == 3
+        assert err == f"invariant violation: {need} needs a two-tone configuration\n"
+
+    def test_verify_does_not_read_the_plan(self, tmp_path, capsys):
+        code, _, _ = run(capsys, ["verify", "--config", write_config(tmp_path, self.OVERRIDES)])
+        assert code == 0
+
+
 def src_env():
     """The environment with this checkout's ``src`` first on PYTHONPATH."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -898,6 +932,44 @@ def test_verify_without_draws_loads_no_numpy(tmp_path):
     # the oracle is pure Python; numpy is imported only to draw random points
     path = write_config(tmp_path, {"oracle": {"draws": 0}})
     assert import_probe_stderr("verify", path) == "[]"
+
+
+# what each subcommand loads of the package beside blodyne, config and detection
+SUBCOMMAND_MODULES = {
+    "variance": set(), "scan": set(), "cases": set(), "imbalance": set(),
+    "spectrum": {"blodyne.timeseries"},
+    "verify": {"blodyne.fock", "blodyne.verify"},
+}
+
+
+@pytest.mark.parametrize("cmd,tones", [(cmd, tones) for cmd in sorted(SUBCOMMAND_MODULES)
+                                       for tones in (1, 2)
+                                       if tones == 2 or cmd not in ("cases", "imbalance")])
+def test_subcommand_loads_only_what_it_runs(tmp_path, cmd, tones):
+    # run as "python -m blodyne.cli" runs it: cli.py is __main__, so an import
+    # of blodyne.cli would compile and run it a second time
+    overrides = {"frequency_plan": PLAN_100KHZ, "spectrum": {"duration_s": 0.03125},
+                 "oracle": {"draws": 0}}
+    if tones == 1:
+        # the single-tone feature sits at 5 MHz: 2^16 samples at 16.8 MHz
+        overrides.update(frequency_plan=SINGLE_TONE_PLAN,
+                         lo_tones=[{"amplitude": 2.0, "phase": 0.4}],
+                         spectrum={"sample_rate_hz": 16777216.0, "duration_s": 2.0**-8})
+    probe = ("import runpy, sys\n"
+             "try:\n"
+             "    runpy.run_module('blodyne.cli', run_name='__main__', alter_sys=True)\n"
+             "except SystemExit as exc:\n"
+             "    code = exc.code\n"
+             "sys.stdout.flush()\n"
+             "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'blodyne'\n"
+             "             or m in ('logging', 'concurrent.futures')), file=sys.stderr)\n"
+             "sys.exit(code)\n")
+    result = subprocess.run([sys.executable, "-c", probe, cmd, "--config",
+                             write_config(tmp_path, overrides)],
+                            capture_output=True, text=True, env=src_env())
+    assert result.returncode == 0, result.stderr
+    expected = {"blodyne", "blodyne.config", "blodyne.detection"} | SUBCOMMAND_MODULES[cmd]
+    assert result.stderr.strip() == repr(sorted(expected))
 
 
 @pytest.mark.parametrize("cmd", ["variance", "scan", "cases", "imbalance", "spectrum",
