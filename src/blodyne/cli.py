@@ -26,8 +26,15 @@ Python 3.10, the floor, evaluates their annotations as they stand.
 argparse, which with the gettext and locale modules it pulls in costs a few
 milliseconds of every process; the closed-form subcommands compute for
 about one.
+
+A process ends through :func:`run`, which skips the interpreter's teardown
+(clearing every module and a last garbage collection): 5-10 ms, about a
+tenth of a closed-form call. Every output file is closed before ``main``
+returns, so teardown has nothing left to write. ``main`` itself returns the
+exit code, for callers in the same process.
 """
 
+import atexit
 import math
 import os
 import sys
@@ -371,5 +378,33 @@ def main(argv=None) -> int:
         return EXIT_INVARIANT
 
 
+def run(argv=None):
+    """Run :func:`main` and end the process with its exit code: the entry of
+    ``python -m blodyne.cli`` and of the ``blodyne`` script.
+
+    What the interpreter's own exit would do next, it does without the
+    teardown: the ``atexit`` handlers run, stdout and stderr are flushed, and
+    ``os._exit`` ends the process. The ordinary exit is taken instead when
+    ``main`` raises (usage errors, ``-h``, tracebacks), when a flush fails
+    (the interpreter then reports the error and exits 120), when a
+    non-daemon thread other than the main one is alive, under ``python -i``,
+    and where ``atexit._run_exitfuncs``, a CPython function, is missing.
+    """
+    code = main(argv)
+    threading = sys.modules.get("threading")
+    run_exitfuncs = getattr(atexit, "_run_exitfuncs", None)
+    if run_exitfuncs is None or sys.flags.inspect or threading is not None and any(
+            not t.daemon and t is not threading.main_thread() for t in threading.enumerate()):
+        sys.exit(code)
+    run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:
+        # the ordinary exit flushes again and reports what fails
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

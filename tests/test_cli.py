@@ -955,7 +955,12 @@ def test_subcommand_loads_only_what_it_runs(tmp_path, cmd, tones):
         overrides.update(frequency_plan=SINGLE_TONE_PLAN,
                          lo_tones=[{"amplitude": 2.0, "phase": 0.4}],
                          spectrum={"sample_rate_hz": 16777216.0, "duration_s": 2.0**-8})
-    probe = ("import runpy, sys\n"
+    # the program entry ends the process with os._exit, before the probe
+    # could read sys.modules: here it raises SystemExit instead
+    probe = ("import os, runpy, sys\n"
+             "def _exit(code):\n"
+             "    raise SystemExit(code)\n"
+             "os._exit = _exit\n"
              "try:\n"
              "    runpy.run_module('blodyne.cli', run_name='__main__', alter_sys=True)\n"
              "except SystemExit as exc:\n"
@@ -970,6 +975,119 @@ def test_subcommand_loads_only_what_it_runs(tmp_path, cmd, tones):
     assert result.returncode == 0, result.stderr
     expected = {"blodyne", "blodyne.config", "blodyne.detection"} | SUBCOMMAND_MODULES[cmd]
     assert result.stderr.strip() == repr(sorted(expected))
+
+
+# "python -m blodyne.cli" ends through cli.run, without the interpreter's
+# teardown; sys.exit(main()) is how it ended before, with the whole of it
+ENTRY_ARGV = {
+    "run": [sys.executable, "-m", "blodyne.cli"],
+    "main": [sys.executable, "-c", "import sys; from blodyne.cli import main; sys.exit(main())"],
+}
+
+
+def entry_outcome(argv, tmp_path, cmd, *options, stdin=b""):
+    """(exit status, stdout bytes, stderr bytes, {name: bytes} of the files
+    written) of one subprocess run of the CLI on tmp_path's exp.json."""
+    out_dir = tmp_path / f"out{len(list(tmp_path.iterdir()))}"
+    # with stdout buffered, what main printed is still to be flushed when it returns
+    env = src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    result = subprocess.run([*argv, cmd, "--config", str(tmp_path / "exp.json"),
+                             "--output-dir", str(out_dir), *options],
+                            input=stdin, capture_output=True, env=env)
+    files = {p.name: p.read_bytes() for p in out_dir.iterdir()} if out_dir.exists() else {}
+    return result.returncode, result.stdout, result.stderr, files
+
+
+@pytest.mark.parametrize("code,cmd,overrides,options", [
+    (0, "variance", {}, ()),
+    # 2^16 samples
+    (0, "spectrum", {"frequency_plan": PLAN_100KHZ, "spectrum": {"duration_s": 0.03125}}, ()),
+    (2, "variance", {"squeeze": None}, ()),
+    (3, "variance", {"frequency_plan": dict(PLAN_100KHZ,
+                                            lo_hz=[299.9999951e12, 300.00000491e12])}, ()),
+    (4, "verify", {"oracle": {"draws": 0}}, ("--tolerance", "1e-30")),
+])
+def test_program_entry_ends_as_sys_exit_main(tmp_path, code, cmd, overrides, options):
+    write_config(tmp_path, overrides)
+    ends = {entry: entry_outcome(argv, tmp_path, cmd, *options)
+            for entry, argv in ENTRY_ARGV.items()}
+    assert ends["run"][0] == code
+    assert ends["run"] == ends["main"]
+
+
+@pytest.mark.parametrize("setup", [
+    "import atexit; atexit.register(print, 'ran at exit')",
+    # the interpreter's exit waits for a non-daemon thread
+    "import threading, time\n"
+    "threading.Thread(target=lambda: (time.sleep(0.2), print('ran at exit'))).start()",
+], ids=["atexit", "thread"])
+def test_program_entry_ends_after_what_the_exit_waits_for(tmp_path, setup):
+    write_config(tmp_path)
+    probe = f"{setup}\nimport runpy\nrunpy.run_module('blodyne.cli', run_name='__main__')\n"
+    code, out, err, files = entry_outcome([sys.executable, "-c", probe], tmp_path, "variance")
+    assert (code, err) == (0, b"")
+    assert b"ran at exit\n" in out
+    assert out.replace(b"ran at exit\n", b"", 1) == files["variance.csv"]
+
+
+def without_frames(stderr):
+    """stderr's lines without the frames of a traceback, which are each
+    entry's own."""
+    return [line for line in stderr.decode().splitlines() if not line.startswith(" ")]
+
+
+def test_program_entry_stays_interactive_under_python_i(tmp_path):
+    # under -i, SystemExit prints a traceback and the interpreter reads stdin
+    write_config(tmp_path)
+    ends = {}
+    for entry, argv in ENTRY_ARGV.items():
+        code, out, err, files = entry_outcome([argv[0], "-i", *argv[1:]], tmp_path, "variance",
+                                              stdin=b"print('inspected')\n")
+        ends[entry] = code, out, without_frames(err), files
+    assert b"inspected\n" in ends["run"][1]
+    assert ends["run"] == ends["main"]
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_program_entry_reports_a_closed_stdout(tmp_path, unbuffered):
+    # buffered, stdout fails at the flush after main returns and the
+    # interpreter exits 120; unbuffered, the write in main raises
+    path = write_config(tmp_path)
+    env = src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    ends = {}
+    for entry, argv in ENTRY_ARGV.items():
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run([*argv, "variance", "--config", path], stdout=write_end,
+                                    stderr=subprocess.PIPE, env=env)
+        finally:
+            os.close(write_end)
+        ends[entry] = result.returncode, without_frames(result.stderr)
+    assert ends["run"] == ends["main"]
+    assert ends["run"][0] == (1 if unbuffered else 120)
+    assert ends["run"][1][-1].startswith("BrokenPipeError")
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+def test_script_entry_ends_as_module_run(tmp_path):
+    import tomllib
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        module, _, name = tomllib.load(fh)["project"]["scripts"]["blodyne"].partition(":")
+    # what an installed script runs
+    script = f"import sys; from {module} import {name}; sys.exit({name}())"
+    write_config(tmp_path)
+    ends = {entry: entry_outcome(argv, tmp_path, "variance")
+            for entry, argv in (("script", [sys.executable, "-c", script]),
+                                ("module", ENTRY_ARGV["run"]))}
+    assert ends["script"][0] == 0
+    assert ends["script"] == ends["module"]
 
 
 @pytest.mark.parametrize("cmd", ["variance", "scan", "cases", "imbalance", "spectrum",
