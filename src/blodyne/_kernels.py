@@ -38,16 +38,13 @@ Norm deficits from truncation are reported as leakage and never silently
 renormalized.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
 from . import fock
-from .detection import FrequencyPlan, ImageBandCase, SqueezeParams
+from .detection import FrequencyPlan, ImageBandCase, SqueezeParams, _Record
 
 _UNITARY_MAX_DIMENSION = 10_000_000
 
@@ -117,8 +114,7 @@ def norm_sq(x: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FockStateVector:
+class FockStateVector(_Record):
     """Dense complex amplitudes over a truncated multi-mode number basis.
 
     The array shape is (N_0 + 1, ..., N_{K-1} + 1) for per-mode cutoffs N_k.
@@ -126,13 +122,13 @@ class FockStateVector:
     leakage and is exposed, not hidden.
     """
 
-    amplitudes: np.ndarray
+    __slots__ = ("amplitudes",)
 
-    def __post_init__(self):
-        amp = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
+    def __init__(self, amplitudes: np.ndarray):
+        amp = np.ascontiguousarray(amplitudes, dtype=np.complex128)
         fock._check_norm(norm_sq(amp))
         amp.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amp)
+        _Record.__init__(self, amp)
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -319,13 +315,8 @@ def apply_balanced_bs(state: FockStateVector, mode_a: int, mode_b: int) -> FockS
     return FockStateVector(np.moveaxis(mixed, (0, 1), (mode_a, mode_b)))
 
 
-@dataclass(frozen=True)
-class UnitaryOracleResult:
-    variance: float
-    norm_before: float
-    norm_after: float
-    photons_in: float
-    photons_out: float
+class UnitaryOracleResult(_Record):
+    __slots__ = ("variance", "norm_before", "norm_after", "photons_in", "photons_out")
 
 
 def oracle_difference_variance_unitary(signal: FockStateVector, lo: FockStateVector,

@@ -10,7 +10,7 @@ Every function here is pure; scan points may be evaluated in parallel and
 results do not depend on evaluation order. The module needs only the
 standard library, so the closed-form CLI subcommands never import numpy;
 it also owns ``SqueezeParams``, which every other module imports from here,
-and ``_Record``, the slotted base of the standard-library value types.
+and ``_Record``, the slotted base of every value type in the package.
 """
 
 import enum
@@ -35,13 +35,11 @@ class _Record:
     its class with the stored values in slot order, which every ``__init__``
     takes positionally and stores unchanged.
 
-    The standard-library modules (this one, ``config`` and ``fock``) use it
-    because importing ``dataclasses`` loads ``inspect``, ``ast``, ``dis`` and
-    ``tokenize`` (about 8 ms on a 2-vCPU x86 host, Python 3.11) and
-    generating each class costs about 1 ms more: about half of the package's
-    import time on the closed-form CLI path. The numpy modules
-    (``timeseries``, ``gaussian``, ``_kernels``) keep ``@dataclass``; numpy's
-    own import (about 150 ms) dwarfs it.
+    Every value type in the package derives from it, rather than from
+    ``@dataclass``: importing ``dataclasses`` loads ``inspect``, ``ast``,
+    ``dis`` and ``tokenize`` (about 8 ms on a 2-vCPU x86 host, Python 3.11)
+    and generating each class costs about 1 ms more, about half of the
+    package's import time on the closed-form CLI path.
     """
 
     __slots__ = ()

@@ -35,8 +35,6 @@ explicit-unitary self-check. The few of those names that the benchmark
 takes from this module resolve here too, on first access.
 """
 
-from __future__ import annotations
-
 import cmath
 import importlib
 import math

@@ -9,15 +9,12 @@ construction and all operations are pure functions returning new states, so
 they are safe to evaluate concurrently.
 """
 
-from __future__ import annotations
-
 import cmath
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detection import SqueezeParams
+from .detection import SqueezeParams, _Record
 
 _SYMMETRY_RTOL = 1e-12
 _PHYSICALITY_SLACK = 1e-10
@@ -28,23 +25,21 @@ class PhysicalityError(ValueError):
     """A covariance matrix violates the Heisenberg positivity condition."""
 
 
-@dataclass(frozen=True)
-class ModeLabel:
+class ModeLabel(_Record):
     """An addressable bosonic mode: opaque id plus angular frequency in rad/s."""
 
-    id: str
-    angular_frequency: float
+    __slots__ = ("id", "angular_frequency")
 
-    def __post_init__(self):
-        if not (self.angular_frequency > 0.0 and math.isfinite(self.angular_frequency)):
+    def __init__(self, id: str, angular_frequency: float):
+        if not (angular_frequency > 0.0 and math.isfinite(angular_frequency)):
             raise ValueError(
-                f"mode {self.id!r}: angular_frequency must be finite and positive, "
-                f"got {self.angular_frequency!r}"
+                f"mode {id!r}: angular_frequency must be finite and positive, "
+                f"got {angular_frequency!r}"
             )
+        _Record.__init__(self, id, angular_frequency)
 
 
-@dataclass(frozen=True)
-class BeamSplitterSpec:
+class BeamSplitterSpec(_Record):
     """Complex transmissivity/reflectivity pair of a lossless beam splitter.
 
     The pair must satisfy |t|^2 + |r|^2 = 1 and conj(t)*r = i|rt| (the phase
@@ -52,11 +47,11 @@ class BeamSplitterSpec:
     reduces to the pure interference term).
     """
 
-    t: complex
-    r: complex
+    __slots__ = ("t", "r")
 
-    def __post_init__(self):
-        t, r = complex(self.t), complex(self.r)
+    def __init__(self, t: complex, r: complex):
+        _Record.__init__(self, t, r)
+        t, r = complex(t), complex(r)
         if abs(abs(t) ** 2 + abs(r) ** 2 - 1.0) > 1e-12:
             raise ValueError(
                 f"non-unitary beam splitter: |t|^2 + |r|^2 = {abs(t)**2 + abs(r)**2!r}"
@@ -83,8 +78,7 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return omega
 
 
-@dataclass(frozen=True)
-class GaussianState:
+class GaussianState(_Record):
     """Mean vector and symmetric covariance matrix over labeled modes.
 
     Invariants, enforced on construction:
@@ -97,20 +91,19 @@ class GaussianState:
       states).
     """
 
-    modes: tuple[ModeLabel, ...]
-    mean: np.ndarray = field(repr=False)
-    cov: np.ndarray = field(repr=False)
+    __slots__ = ("modes", "mean", "cov")
+    _repr_omit = ("mean", "cov")
 
-    def __post_init__(self):
-        modes = tuple(self.modes)
+    def __init__(self, modes: tuple[ModeLabel, ...], mean: np.ndarray, cov: np.ndarray):
+        modes = tuple(modes)
         if not modes:
             raise ValueError("a Gaussian state needs at least one mode")
         ids = [m.id for m in modes]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate mode ids in state: {ids}")
         n = len(modes)
-        mean = np.array(self.mean, dtype=float)
-        cov = np.array(self.cov, dtype=float)
+        mean = np.array(mean, dtype=float)
+        cov = np.array(cov, dtype=float)
         if mean.shape != (2 * n,):
             raise ValueError(f"mean must have shape ({2 * n},), got {mean.shape}")
         if cov.shape != (2 * n, 2 * n):
@@ -128,9 +121,7 @@ class GaussianState:
             )
         mean.setflags(write=False)
         cov.setflags(write=False)
-        object.__setattr__(self, "modes", modes)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
+        _Record.__init__(self, modes, mean, cov)
 
     @property
     def n_modes(self) -> int:

@@ -13,8 +13,6 @@ read as a density per Hz. :func:`spectrum_outputs` is the ``spectrum``
 subcommand, from a resolved config to the text it writes.
 """
 
-from __future__ import annotations
-
 import itertools
 import json
 import math
@@ -22,48 +20,50 @@ import queue
 import sys
 import threading
 from contextlib import closing
-from dataclasses import dataclass
 
 import numpy as np
 
 from .config import FORMAT_VERSION, PROFILES, ExperimentConfig, header_lines
-from .detection import (FrequencyPlan, ImageBandCase, LoTone, SqueezeParams,
+from .detection import (FrequencyPlan, ImageBandCase, LoTone, SqueezeParams, _Record,
                         blo_variance, standard_heterodyne_variance)
 
 
-@dataclass(frozen=True)
-class SpectralModel:
+class SpectralModel(_Record):
     """One-sided target PSD: a flat floor with one feature at a center frequency.
 
     ``noise_floor`` is the off-feature level and ``dip_or_peak_level`` the
     level at the feature center, both in variance density per Hz;
     ``squeezing_bandwidth`` is the feature's full width at half depth. The
     lorentzian profile interpolates smoothly, flat_top switches inside
-    +-bandwidth/2. The lorentzian profile squares the half width, so that
-    square must be a finite normal float.
+    +-bandwidth/2. The four numbers must be finite, and the lorentzian
+    profile squares the half width, so that square must be a finite normal
+    float.
     """
 
-    center_frequency: float
-    squeezing_bandwidth: float
-    noise_floor: float
-    dip_or_peak_level: float
-    profile: str = "lorentzian"
+    __slots__ = ("center_frequency", "squeezing_bandwidth", "noise_floor",
+                 "dip_or_peak_level", "profile")
 
-    def __post_init__(self):
-        if self.center_frequency < 0.0:
+    def __init__(self, center_frequency: float, squeezing_bandwidth: float,
+                 noise_floor: float, dip_or_peak_level: float, profile: str = "lorentzian"):
+        values = (center_frequency, squeezing_bandwidth, noise_floor, dip_or_peak_level)
+        for name, value in zip(self.__slots__, values):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        if center_frequency < 0.0:
             raise ValueError("center_frequency must be >= 0")
-        if self.squeezing_bandwidth <= 0.0:
+        if squeezing_bandwidth <= 0.0:
             raise ValueError("squeezing_bandwidth must be > 0")
-        if self.noise_floor < 0.0 or self.dip_or_peak_level < 0.0:
+        if noise_floor < 0.0 or dip_or_peak_level < 0.0:
             raise ValueError("levels must be >= 0")
-        if self.profile not in PROFILES:
-            raise ValueError(f"profile must be one of {PROFILES}, got {self.profile!r}")
-        half = 0.5 * self.squeezing_bandwidth
-        if self.profile == "lorentzian" and not sys.float_info.min <= half * half < math.inf:
+        if profile not in PROFILES:
+            raise ValueError(f"profile must be one of {PROFILES}, got {profile!r}")
+        half = 0.5 * squeezing_bandwidth
+        if profile == "lorentzian" and not sys.float_info.min <= half * half < math.inf:
             raise ValueError(
-                f"squeezing_bandwidth {self.squeezing_bandwidth!r}: its half squared is not "
+                f"squeezing_bandwidth {squeezing_bandwidth!r}: its half squared is not "
                 "a finite normal float, which the lorentzian profile needs"
             )
+        _Record.__init__(self, *values, profile)
 
     def psd(self, frequencies: np.ndarray) -> np.ndarray:
         """Evaluate the target one-sided PSD on a frequency grid (Hz)."""
@@ -111,27 +111,24 @@ class SpectralModel:
         )
 
 
-@dataclass(frozen=True)
-class PhotocurrentRecord:
+class PhotocurrentRecord(_Record):
     """A difference-current record given by its samples, with its provenance.
 
     :func:`estimate_psd` reads a record through ``size`` and ``blocks()``;
     this one is a single block.
     """
 
-    samples: np.ndarray
-    sample_rate: float
-    seed: int
-    model: SpectralModel
+    __slots__ = ("samples", "sample_rate", "seed", "model")
 
-    def __post_init__(self):
+    def __init__(self, samples: np.ndarray, sample_rate: float, seed: int,
+                 model: SpectralModel):
         # a view, so freezing it leaves the caller's own array writeable
-        samples = np.asarray(self.samples, dtype=float).view()
+        samples = np.asarray(samples, dtype=float).view()
         n = samples.size
         if n < 2 or (n & (n - 1)) != 0:
             raise ValueError(f"record length must be a power of two, got {n}")
         samples.setflags(write=False)
-        object.__setattr__(self, "samples", samples)
+        _Record.__init__(self, samples, sample_rate, seed, model)
 
     @property
     def size(self) -> int:
@@ -145,8 +142,7 @@ class PhotocurrentRecord:
         yield self.samples
 
 
-@dataclass(frozen=True, eq=False)
-class SynthesizedRecord:
+class SynthesizedRecord(_Record):
     """A record of seeded white noise colored by an FIR filter, read in blocks.
 
     ``blocks()`` draws the noise in order from ``default_rng(seed)`` and
@@ -168,13 +164,12 @@ class SynthesizedRecord:
     ``samples`` copies every block into one read-only array, for tests and
     short records. A plain ``threading.Thread`` keeps ``concurrent.futures``,
     with the ``logging`` it imports, out of the ``spectrum`` process.
+    A record equals only itself, and hashes by identity.
     """
 
-    model: SpectralModel
-    size: int
-    sample_rate: float
-    seed: int
-    taps: np.ndarray
+    __slots__ = ("model", "size", "sample_rate", "seed", "taps")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def blocks(self):
         keep = self.taps.size - 1
@@ -269,24 +264,20 @@ class SynthesizedRecord:
         return out
 
 
-@dataclass(frozen=True)
-class SpectrumEstimate:
+class SpectrumEstimate(_Record):
     """One-sided Welch PSD estimate."""
 
-    frequencies: np.ndarray
-    psd: np.ndarray
-    resolution: float
-    n_averages: int
+    __slots__ = ("frequencies", "psd", "resolution", "n_averages")
 
-    def __post_init__(self):
-        f = np.asarray(self.frequencies, dtype=float).view()
-        s = np.asarray(self.psd, dtype=float).view()
+    def __init__(self, frequencies: np.ndarray, psd: np.ndarray, resolution: float,
+                 n_averages: int):
+        f = np.asarray(frequencies, dtype=float).view()
+        s = np.asarray(psd, dtype=float).view()
         if f.shape != s.shape:
             raise ValueError("frequency and PSD arrays must match")
         f.setflags(write=False)
         s.setflags(write=False)
-        object.__setattr__(self, "frequencies", f)
-        object.__setattr__(self, "psd", s)
+        _Record.__init__(self, f, s, resolution, n_averages)
 
     def total_power(self) -> float:
         return float(np.sum(self.psd) * self.resolution)
@@ -448,12 +439,10 @@ def estimate_psd(rec: PhotocurrentRecord | SynthesizedRecord, segment_length: in
     )
 
 
-@dataclass(frozen=True)
-class SqueezingFeature:
+class SqueezingFeature(_Record):
     """A located spectral feature: center in Hz, depth in dB (negative = dip)."""
 
-    center: float
-    depth_db: float
+    __slots__ = ("center", "depth_db")
 
 
 def locate_squeezing_feature(spec: SpectrumEstimate,

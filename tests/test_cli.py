@@ -967,7 +967,8 @@ def test_subcommand_loads_only_what_it_runs(tmp_path, cmd, tones):
              "    code = exc.code\n"
              "sys.stdout.flush()\n"
              "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'blodyne'\n"
-             "             or m in ('logging', 'concurrent.futures')), file=sys.stderr)\n"
+             "             or m in ('logging', 'concurrent.futures', 'dataclasses',\n"
+             "                      '__future__')), file=sys.stderr)\n"
              "sys.exit(code)\n")
     result = subprocess.run([sys.executable, "-c", probe, cmd, "--config",
                              write_config(tmp_path, overrides)],

@@ -13,9 +13,13 @@ from blodyne.detection import (ImageBandCase, FrequencyPlan, LoTone,
                                classify_image_band_case,
                                lo_quantization_correction, phase_grid, phase_scan,
                                standard_heterodyne_variance)
+from blodyne._kernels import FockStateVector, UnitaryOracleResult
 from blodyne.config import ExperimentConfig
 from blodyne.fock import BeatPairing, TruncationPolicy
-from blodyne.gaussian import SqueezeParams
+from blodyne.gaussian import BeamSplitterSpec, GaussianState, ModeLabel, SqueezeParams
+from blodyne.timeseries import (PhotocurrentRecord, SpectralModel, SpectrumEstimate,
+                                SqueezingFeature, SynthesizedRecord,
+                                synthesize_difference_current)
 
 CARRIER = 2.0e15
 
@@ -402,11 +406,28 @@ RECORD_CASES = [
                             imbalance_fractions=(0.1,), spectrum={"profile": "flat_top"},
                             oracle={"draws": 0}, resolved={"seed": 3}),
      None, ("seed", 4), False),
+    # profile left at its default, then given
+    (SpectralModel, dict(center_frequency=1e5, squeezing_bandwidth=5e4, noise_floor=8.0,
+                         dip_or_peak_level=4.0),
+     dict(center_frequency=1e5, squeezing_bandwidth=5e4, noise_floor=8.0,
+          dip_or_peak_level=4.0, profile="lorentzian"),
+     ("noise_floor", 6.0), True),
+    (SpectralModel, dict(center_frequency=0.0, squeezing_bandwidth=5e4, noise_floor=4.0,
+                         dip_or_peak_level=8.0, profile="flat_top"), None,
+     ("profile", "lorentzian"), True),
+    (SqueezingFeature, dict(center=1e5, depth_db=-3.0), None, ("depth_db", -2.5), True),
+    (ModeLabel, dict(id="plus", angular_frequency=CARRIER), None,
+     ("angular_frequency", 2.0 * CARRIER), True),
+    (BeamSplitterSpec, dict(t=1.0, r=0j), None, ("t", -1.0), True),
+    (UnitaryOracleResult, dict(variance=9.5, norm_before=1.0, norm_after=1.0,
+                               photons_in=8.25, photons_out=8.25), None,
+     ("variance", 9.0), True),
 ]
 
 
 @pytest.mark.parametrize("cls,kwargs,stored,change,hashable", RECORD_CASES,
-                         ids=[case[0].__name__ for case in RECORD_CASES])
+                         ids=[case[0].__name__ + ("-profile" if "profile" in case[1] else "")
+                              for case in RECORD_CASES])
 def test_value_type_record_semantics(cls, kwargs, stored, change, hashable):
     record = cls(**kwargs)
     stored = kwargs if stored is None else stored
@@ -436,6 +457,52 @@ def test_value_type_record_semantics(cls, kwargs, stored, change, hashable):
         cls(**kwargs, bogus=1)
     assert repr(record).startswith(f"{cls.__name__}({next(iter(stored))}=")
     assert not any(f"{name}=" in repr(record) for name in cls._repr_omit)
+
+
+_MODEL = SpectralModel(1e5, 5e4, 8.0, 4.0)
+ARRAY_RECORDS = [
+    PhotocurrentRecord(np.linspace(-1.0, 1.0, 8), 2.097152e6, 3, _MODEL),
+    SpectrumEstimate(np.arange(5.0), np.linspace(8.0, 4.0, 5), 1.5, 7),
+    GaussianState((ModeLabel("plus", CARRIER),), np.array([0.5, -0.25]),
+                  np.diag([0.125, 0.5])),
+    FockStateVector(np.array([0.6, 0.8j])),
+    synthesize_difference_current(_MODEL, 4e-6, 2.097152e6, 3, 4),
+]
+
+
+@pytest.mark.parametrize("record", ARRAY_RECORDS, ids=lambda record: type(record).__name__)
+def test_array_records_are_frozen_and_round_trip(record):
+    names = type(record).__slots__
+    for name in names:
+        value = getattr(record, name)
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    arrays = [name for name in names if isinstance(getattr(record, name), np.ndarray)]
+    assert arrays and not any(getattr(record, name).flags.writeable for name in arrays)
+    for twin in (copy.copy(record), copy.deepcopy(record),
+                 pickle.loads(pickle.dumps(record))):
+        assert type(twin) is type(record)
+        for name in names:
+            got, want = getattr(twin, name), getattr(record, name)
+            if name in arrays:
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+            else:
+                assert got == want
+
+
+def test_gaussian_state_repr_leaves_out_the_moments():
+    state = ARRAY_RECORDS[2]
+    assert repr(state) == f"GaussianState(modes=({ModeLabel('plus', CARRIER)!r},))"
+
+
+def test_synthesized_record_equals_only_itself():
+    record = ARRAY_RECORDS[4]
+    twin = SynthesizedRecord(*record._values())
+    assert record == record and record != twin and record != copy.copy(record)
+    assert len({record, record, twin}) == 2 and hash(record) == hash(record)
 
 
 # a tiny negative angle, whose remainder plus 2 pi rounds to 2 pi, and

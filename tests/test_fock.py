@@ -214,6 +214,24 @@ class TestOracle:
         value = oracle_blo_run(p, beta=10.0, chi1=0.0, chi2=0.0, case=case)
         assert value == pytest.approx(analytic_blo(p, 10.0, 0.0, 0.0, case), rel=1e-2)
 
+    @pytest.mark.parametrize("case", list(ImageBandCase))
+    @pytest.mark.parametrize("s,beta,frac", [(0.5, 3.0, 0.1), (0.3, 4.0, 0.3),
+                                             (0.7, 2.0, -0.4)])
+    def test_unbalanced_agreement(self, case, s, beta, frac):
+        # tones |beta| and |beta| + delta_beta, with delta_beta = frac * |beta|
+        p = SqueezeParams(s=s, theta=0.7)
+        chi1, chi2 = 0.4, 1.1
+        delta_beta = frac * beta
+        beta2 = beta + delta_beta
+        plan = reference_plan(case)
+        g_sig = signal_gram(p, TruncationPolicy().tmss_cutoff(s), _N_IMAGES[case])
+        g_lo = coherent_product_gram([(beta, chi1), (beta2, chi2)],
+                                     coherent_cutoff(max(beta, beta2)))
+        value = oracle_from_grams(g_sig, g_lo, BeatPairing.for_blo(plan, case), plan)
+        rep = detection.blo_variance_unbalanced(p, beta, delta_beta, chi1, chi2, case)
+        expected = rep.variance + detection.lo_quantization_correction(p, 2)
+        assert value == pytest.approx(expected, rel=1e-6)
+
     def test_case_gap_at_optimal_phase(self):
         p = SqueezeParams(s=0.4, theta=0.0)
         beta = 5.0

@@ -48,6 +48,17 @@ class TestSpectralModel:
             SpectralModel(center_frequency=0.0, squeezing_bandwidth=1.0,
                           noise_floor=1.0, dip_or_peak_level=1.0, profile="boxcar")
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["center_frequency", "squeezing_bandwidth",
+                                      "noise_floor", "dip_or_peak_level"])
+    def test_rejects_non_finite_fields(self, name, value):
+        # flat_top has no check of its own on the bandwidth: a nan one would
+        # make a model with no feature, which synthesis then cannot color
+        fields = dict(center_frequency=1e5, squeezing_bandwidth=5e4, noise_floor=8.0,
+                      dip_or_peak_level=4.0, profile="flat_top")
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            SpectralModel(**dict(fields, **{name: value}))
+
     def test_from_detection_reports(self):
         p = SqueezeParams(s=10.0, theta=0.0)
         omega_minus = float(2**50)
