@@ -127,7 +127,6 @@ class FockStateVector(_Record):
     def __init__(self, amplitudes: np.ndarray):
         amp = np.ascontiguousarray(amplitudes, dtype=np.complex128)
         fock._check_norm(norm_sq(amp))
-        amp.setflags(write=False)
         _Record.__init__(self, amp)
 
     @property

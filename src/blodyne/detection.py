@@ -24,16 +24,18 @@ class _Record:
     """Immutable value type with its fields in ``__slots__``.
 
     A subclass declares ``__slots__`` (the field order). One that validates
-    its arguments defines an ``__init__`` that stores each field once with
-    ``object.__setattr__``; one that validates nothing keeps this base's,
-    which stores its arguments, given by position or name, unchanged. From
-    the slots this base gives what ``@dataclass(frozen=True)`` gave:
+    its arguments defines an ``__init__`` that stores each field once, with
+    ``object.__setattr__`` or through this base's; one that validates
+    nothing keeps this base's, which takes its arguments by position or
+    name. This base stores an array (``ndim >= 1``) as a read-only view,
+    which leaves the caller's array writeable, and any other value as is.
+    From the slots it gives what ``@dataclass(frozen=True)`` gave:
     assignment and deletion raise ``AttributeError``, equality compares
     field values between records of the same class, the hash is that of the
     field values, the repr is ``Name(field=value, ...)`` without the fields
     named in ``_repr_omit``, and copy and pickle rebuild a record by calling
     its class with the stored values in slot order, which every ``__init__``
-    takes positionally and stores unchanged.
+    takes positionally.
 
     Every value type in the package derives from it, rather than from
     ``@dataclass``: importing ``dataclasses`` loads ``inspect``, ``ast``,
@@ -54,6 +56,9 @@ class _Record:
         if named or len(values) != len(names):
             raise TypeError(f"{type(self).__qualname__} takes the fields {names}")
         for name, value in zip(names, values):
+            if getattr(value, "ndim", 0):
+                value = value.view()
+                value.setflags(write=False)
             _set(self, name, value)
 
     def _values(self) -> tuple:
@@ -252,35 +257,31 @@ class VarianceReport(_Record):
     assume it is small, so consumers can check the strong-LO regime.
     """
 
-    __slots__ = ("variance", "baseline", "relative_db", "case", "case_baseline",
-                 "case_relative_db", "lo_flux_ratio")
+    __slots__ = ("variance", "baseline", "case", "case_baseline", "lo_flux_ratio")
 
-    def __init__(self, variance: float, baseline: float, relative_db: float,
-                 case: ImageBandCase | None, case_baseline: float, case_relative_db: float,
-                 lo_flux_ratio: float):
-        if not (0.0 <= variance < math.inf):
-            raise ValueError(f"variance must be finite and >= 0, got {variance!r}")
+    def __init__(self, variance: float, baseline: float, case: ImageBandCase | None,
+                 case_baseline: float, lo_flux_ratio: float):
+        if not (0.0 < variance < math.inf):
+            raise ValueError(f"variance must be finite and > 0, got {variance!r}")
+        if not (baseline > 0.0 and case_baseline > 0.0):
+            raise ValueError("baselines must be positive")
         if not math.isfinite(lo_flux_ratio):
             raise ValueError(f"lo_flux_ratio must be finite, got {lo_flux_ratio!r}")
-        for base, db in ((baseline, relative_db), (case_baseline, case_relative_db)):
-            if not base > 0.0:
-                raise ValueError("baselines must be positive")
-            expected = _db(variance / base)
-            if abs(db - expected) > 1e-12 * max(1.0, abs(expected)):
-                raise ValueError("relative_db is inconsistent with variance/baseline")
         _set(self, "variance", variance)
         _set(self, "baseline", baseline)
-        _set(self, "relative_db", relative_db)
         _set(self, "case", case)
         _set(self, "case_baseline", case_baseline)
-        _set(self, "case_relative_db", case_relative_db)
         _set(self, "lo_flux_ratio", lo_flux_ratio)
 
+    @property
+    def relative_db(self) -> float:
+        """The variance in dB against ``baseline``."""
+        return _db(self.variance / self.baseline)
 
-def _make_report(variance: float, baseline: float, case: ImageBandCase | None,
-                 case_baseline: float, lo_flux_ratio: float) -> VarianceReport:
-    return VarianceReport(variance, baseline, _db(variance / baseline), case, case_baseline,
-                          _db(variance / case_baseline), lo_flux_ratio)
+    @property
+    def case_relative_db(self) -> float:
+        """The variance in dB against ``case_baseline``."""
+        return _db(self.variance / self.case_baseline)
 
 
 def standard_heterodyne_variance(p: SqueezeParams, lo: LoTone) -> VarianceReport:
@@ -298,7 +299,7 @@ def standard_heterodyne_variance(p: SqueezeParams, lo: LoTone) -> VarianceReport
     variance = 2.0 * b2 * _squeeze_bracket(p.s, lo.phase - 0.5 * p.theta)
     baseline = 2.0 * b2
     ratio = math.sinh(p.s) ** 2 / b2
-    return _make_report(variance, baseline, None, baseline, ratio)
+    return VarianceReport(variance, baseline, None, baseline, ratio)
 
 
 def detuning_tolerance(fp: FrequencyPlan) -> float:
@@ -368,7 +369,7 @@ def _blo_report(p: SqueezeParams, beta_mag: float, variance: float,
     b2 = beta_mag**2
     baseline = 8.0 * b2  # squeezing-free level of the two-image-band configuration
     case_baseline = 4.0 * b2 * (1.0 + 0.5 * IMAGE_VACUUM_UNITS[case])
-    return _make_report(variance, baseline, case, case_baseline, math.sinh(p.s) ** 2 / b2)
+    return VarianceReport(variance, baseline, case, case_baseline, math.sinh(p.s) ** 2 / b2)
 
 
 def blo_variance(p: SqueezeParams, lo1: LoTone, lo2: LoTone,

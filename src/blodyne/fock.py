@@ -425,13 +425,7 @@ def oracle_blo_run(p: SqueezeParams, beta: float, chi1: float, chi2: float,
                    policy: TruncationPolicy | None = None) -> float:
     """Run the oracle for a two-tone configuration on the case's reference
     plan. The guard refuses oversized states before any is built."""
-    policy = policy if policy is not None else TruncationPolicy()
-    plan = reference_plan(case)
-    n_sig, n_lo = policy.tmss_cutoff(p.s), policy.coherent_cutoff(beta)
-    _check_factor_dims(policy, (n_sig + 1,) * 2 + (1,) * _N_IMAGES[case], (n_lo + 1,) * 2)
-    g_sig = signal_gram(p, n_sig, _N_IMAGES[case])
-    g_lo = coherent_product_gram([(beta, chi1), (beta, chi2)], n_lo)
-    return oracle_from_grams(g_sig, g_lo, BeatPairing.for_blo(plan, case), plan)
+    return _oracle_run(p, beta, (chi1, chi2), case, policy)
 
 
 def oracle_standard_run(p: SqueezeParams, beta: float, chi: float, *,
@@ -439,10 +433,19 @@ def oracle_standard_run(p: SqueezeParams, beta: float, chi: float, *,
     """Run the oracle for the single-tone configuration on the single-tone
     reference plan. The guard refuses oversized states before any is
     built."""
+    return _oracle_run(p, beta, (chi,), None, policy)
+
+
+def _oracle_run(p: SqueezeParams, beta: float, phases: tuple, case: ImageBandCase | None,
+                policy: TruncationPolicy | None) -> float:
+    """The oracle with tones of amplitude ``beta`` at ``phases`` on the
+    reference plan of ``case``, where ``None`` means one tone."""
     policy = policy if policy is not None else TruncationPolicy()
-    plan = reference_plan(None)
+    plan = reference_plan(case)
+    n_images = 0 if case is None else _N_IMAGES[case]
     n_sig, n_lo = policy.tmss_cutoff(p.s), policy.coherent_cutoff(beta)
-    _check_factor_dims(policy, (n_sig + 1,) * 2, (n_lo + 1,))
-    g_sig = signal_gram(p, n_sig, 0)
-    g_lo = coherent_product_gram([(beta, chi)], n_lo)
-    return oracle_from_grams(g_sig, g_lo, BeatPairing.for_standard(plan), plan)
+    _check_factor_dims(policy, (n_sig + 1,) * 2 + (1,) * n_images, (n_lo + 1,) * len(phases))
+    g_sig = signal_gram(p, n_sig, n_images)
+    g_lo = coherent_product_gram([(beta, chi) for chi in phases], n_lo)
+    pairing = BeatPairing.for_standard(plan) if case is None else BeatPairing.for_blo(plan, case)
+    return oracle_from_grams(g_sig, g_lo, pairing, plan)

@@ -119,8 +119,6 @@ class GaussianState(_Record):
                 f"covariance violates the Heisenberg condition: min eigenvalue of "
                 f"cov + (i/4)*Omega is {min_eig:g}"
             )
-        mean.setflags(write=False)
-        cov.setflags(write=False)
         _Record.__init__(self, modes, mean, cov)
 
     @property

@@ -122,12 +122,10 @@ class PhotocurrentRecord(_Record):
 
     def __init__(self, samples: np.ndarray, sample_rate: float, seed: int,
                  model: SpectralModel):
-        # a view, so freezing it leaves the caller's own array writeable
-        samples = np.asarray(samples, dtype=float).view()
+        samples = np.asarray(samples, dtype=float)
         n = samples.size
         if n < 2 or (n & (n - 1)) != 0:
             raise ValueError(f"record length must be a power of two, got {n}")
-        samples.setflags(write=False)
         _Record.__init__(self, samples, sample_rate, seed, model)
 
     @property
@@ -271,12 +269,11 @@ class SpectrumEstimate(_Record):
 
     def __init__(self, frequencies: np.ndarray, psd: np.ndarray, resolution: float,
                  n_averages: int):
-        f = np.asarray(frequencies, dtype=float).view()
-        s = np.asarray(psd, dtype=float).view()
-        if f.shape != s.shape:
-            raise ValueError("frequency and PSD arrays must match")
-        f.setflags(write=False)
-        s.setflags(write=False)
+        f = np.asarray(frequencies, dtype=float)
+        s = np.asarray(psd, dtype=float)
+        # one-dimensional, so that the record stores them as read-only views
+        if f.ndim != 1 or f.shape != s.shape:
+            raise ValueError("frequency and PSD arrays must be one-dimensional and match")
         _Record.__init__(self, f, s, resolution, n_averages)
 
     def total_power(self) -> float:
@@ -353,7 +350,6 @@ def synthesize_difference_current(model: SpectralModel, duration: float,
     amplitude *= 0.5 * sample_rate
     np.sqrt(amplitude, out=amplitude)
     taps = np.fft.fftshift(np.fft.irfft(amplitude, m))
-    taps.setflags(write=False)
     return SynthesizedRecord(model=model, size=n, sample_rate=sample_rate, seed=seed,
                              taps=taps)
 

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from blodyne.cli import COMMANDS, main, parse_args, positive_float
+from blodyne.cli import COMMANDS, FORMAT_VERSION, main, parse_args, positive_float
 from blodyne.config import ConfigError, load_config, parse_config
 from blodyne.timeseries import PROFILES, SpectralModel
 
@@ -814,6 +815,31 @@ def test_verify_output_bytes_are_pinned(tmp_path, capsys, draws):
     assert code == 0
     assert out.encode("utf-8") == (out_dir / "verify.csv").read_bytes()
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_VERIFY_SHA256[draws]
+
+
+def test_closed_form_outputs_match_the_benchmark_digests(tmp_path, capsys, monkeypatch):
+    # the benchmark's own configs and digests; nothing is written under perfbench/
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", os.path.join(root, "perfbench", "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    pinned = json.loads(workloads.DIGESTS_FILE.read_text(encoding="utf-8"))
+    assert pinned["format_version"] == FORMAT_VERSION
+    digests = {}
+    for variant in range(workloads.N_DIGEST_VARIANTS):
+        paths = {}
+        for tone, cfg in workloads.closed_form_configs(variant).items():
+            paths[tone] = tmp_path / f"{variant}-{tone}.json"
+            paths[tone].write_text(json.dumps(cfg, indent=1) + "\n", encoding="utf-8")
+        for tone, command in workloads.CLOSED_FORM_COMMANDS:
+            code, out, _ = run(capsys, [command, "--config", str(paths[tone])])
+            assert code == 0
+            digests.setdefault(str(variant), {})[f"{tone}:{command}"] = \
+                hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digests == pinned["digests"]
 
 
 class TestAsymmetricDetunings:

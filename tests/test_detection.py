@@ -372,10 +372,34 @@ class TestLoQuantization:
         assert rep.lo_flux_ratio == pytest.approx(math.sinh(0.5) ** 2 / 16.0, rel=1e-12)
 
 
-def test_report_consistency_enforced():
-    with pytest.raises(ValueError, match="inconsistent"):
-        VarianceReport(variance=1.0, baseline=2.0, relative_db=0.0, case=None,
-                       case_baseline=2.0, case_relative_db=-3.0103, lo_flux_ratio=0.0)
+@settings(max_examples=200, deadline=None)
+@given(variance=st.floats(1e-100, 1e100), baseline=st.floats(1e-100, 1e100),
+       case_baseline=st.floats(1e-100, 1e100))
+def test_report_derives_its_db_values(variance, baseline, case_baseline):
+    rep = VarianceReport(variance, baseline, None, case_baseline, 0.0)
+    assert rep.relative_db == 10.0 * math.log10(variance / baseline)
+    assert rep.case_relative_db == 10.0 * math.log10(variance / case_baseline)
+
+
+# (variance, baseline, case_baseline, lo_flux_ratio) and the refusal
+REPORT_REFUSALS = {
+    "zero-variance": ((0.0, 1.0, 1.0, 0.0), "variance must be finite and > 0"),
+    "negative-variance": ((-1.0, 1.0, 1.0, 0.0), "variance must be finite and > 0"),
+    "inf-variance": ((math.inf, 1.0, 1.0, 0.0), "variance must be finite and > 0"),
+    "nan-variance": ((math.nan, 1.0, 1.0, 0.0), "variance must be finite and > 0"),
+    "zero-baseline": ((1.0, 0.0, 1.0, 0.0), "baselines must be positive"),
+    "nan-baseline": ((1.0, math.nan, 1.0, 0.0), "baselines must be positive"),
+    "negative-case-baseline": ((1.0, 1.0, -2.0, 0.0), "baselines must be positive"),
+    "inf-flux-ratio": ((1.0, 1.0, 1.0, math.inf), "lo_flux_ratio must be finite"),
+    "nan-flux-ratio": ((1.0, 1.0, 1.0, math.nan), "lo_flux_ratio must be finite"),
+}
+
+
+@pytest.mark.parametrize("fields,message", REPORT_REFUSALS.values(), ids=REPORT_REFUSALS)
+def test_report_refuses_invalid_fields(fields, message):
+    variance, baseline, case_baseline, ratio = fields
+    with pytest.raises(ValueError, match=message):
+        VarianceReport(variance, baseline, None, case_baseline, ratio)
 
 
 _PLAN = dict(omega_plus=3.0, omega_minus=1.0, lo_frequencies=(1.5, 2.5))
@@ -392,8 +416,8 @@ RECORD_CASES = [
     (FrequencyPlan, dict(omega_plus=3, omega_minus=1, lo_frequencies=[2]),
      dict(omega_plus=3, omega_minus=1, lo_frequencies=(2.0,)),
      ("omega_plus", 4.0), True),
-    (VarianceReport, dict(variance=1.0, baseline=1.0, relative_db=0.0, case=None,
-                          case_baseline=1.0, case_relative_db=0.0, lo_flux_ratio=0.5),
+    (VarianceReport, dict(variance=1.0, baseline=1.0, case=None, case_baseline=1.0,
+                          lo_flux_ratio=0.5),
      None, ("lo_flux_ratio", 0.25), True),
     (TruncationPolicy, dict(target_leakage=1e-6, max_dimension=1000), None,
      ("max_dimension", 999), True),
@@ -460,19 +484,26 @@ def test_value_type_record_semantics(cls, kwargs, stored, change, hashable):
 
 
 _MODEL = SpectralModel(1e5, 5e4, 8.0, 4.0)
-ARRAY_RECORDS = [
-    PhotocurrentRecord(np.linspace(-1.0, 1.0, 8), 2.097152e6, 3, _MODEL),
-    SpectrumEstimate(np.arange(5.0), np.linspace(8.0, 4.0, 5), 1.5, 7),
-    GaussianState((ModeLabel("plus", CARRIER),), np.array([0.5, -0.25]),
-                  np.diag([0.125, 0.5])),
-    FockStateVector(np.array([0.6, 0.8j])),
-    synthesize_difference_current(_MODEL, 4e-6, 2.097152e6, 3, 4),
+_SYNTHESIZED = synthesize_difference_current(_MODEL, 4e-6, 2.097152e6, 3, 4)
+# each array record type with arguments to build one from; the SynthesizedRecord
+# row builds one directly, as pickle and copy do
+ARRAY_CASES = [
+    (PhotocurrentRecord, (np.linspace(-1.0, 1.0, 8), 2.097152e6, 3, _MODEL)),
+    (SpectrumEstimate, (np.arange(5.0), np.linspace(8.0, 4.0, 5), 1.5, 7)),
+    (GaussianState, ((ModeLabel("plus", CARRIER),), np.array([0.5, -0.25]),
+                     np.diag([0.125, 0.5]))),
+    (FockStateVector, (np.array([0.6, 0.8j]),)),
+    (SynthesizedRecord, _SYNTHESIZED._values()[:4] + (_SYNTHESIZED.taps.copy(),)),
 ]
 
 
-@pytest.mark.parametrize("record", ARRAY_RECORDS, ids=lambda record: type(record).__name__)
-def test_array_records_are_frozen_and_round_trip(record):
-    names = type(record).__slots__
+@pytest.mark.parametrize("cls,args", ARRAY_CASES, ids=[cls.__name__ for cls, _ in ARRAY_CASES])
+def test_array_records_are_frozen_and_round_trip(cls, args):
+    # the caller's own arrays, which the record must leave writeable
+    args = tuple(arg.copy() if isinstance(arg, np.ndarray) else arg for arg in args)
+    record = cls(*args)
+    assert all(arg.flags.writeable for arg in args if isinstance(arg, np.ndarray))
+    names = cls.__slots__
     for name in names:
         value = getattr(record, name)
         with pytest.raises(AttributeError):
@@ -480,13 +511,14 @@ def test_array_records_are_frozen_and_round_trip(record):
         with pytest.raises(AttributeError):
             delattr(record, name)
     arrays = [name for name in names if isinstance(getattr(record, name), np.ndarray)]
-    assert arrays and not any(getattr(record, name).flags.writeable for name in arrays)
-    for twin in (copy.copy(record), copy.deepcopy(record),
+    assert arrays
+    for twin in (record, copy.copy(record), copy.deepcopy(record),
                  pickle.loads(pickle.dumps(record))):
-        assert type(twin) is type(record)
+        assert type(twin) is cls
         for name in names:
             got, want = getattr(twin, name), getattr(record, name)
             if name in arrays:
+                assert not got.flags.writeable
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
             else:
@@ -494,12 +526,12 @@ def test_array_records_are_frozen_and_round_trip(record):
 
 
 def test_gaussian_state_repr_leaves_out_the_moments():
-    state = ARRAY_RECORDS[2]
+    state = GaussianState(*ARRAY_CASES[2][1])
     assert repr(state) == f"GaussianState(modes=({ModeLabel('plus', CARRIER)!r},))"
 
 
 def test_synthesized_record_equals_only_itself():
-    record = ARRAY_RECORDS[4]
+    record = _SYNTHESIZED
     twin = SynthesizedRecord(*record._values())
     assert record == record and record != twin and record != copy.copy(record)
     assert len({record, record, twin}) == 2 and hash(record) == hash(record)

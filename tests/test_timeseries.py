@@ -229,6 +229,14 @@ class TestEmission:
         with pytest.raises(ValueError):
             est.psd[0] = 2.0
 
+    # a 0-d pair would be stored as the caller's own writeable arrays
+    @pytest.mark.parametrize("freqs,psd", [(np.array(1.0), np.array(2.0)),
+                                           (np.arange(4.0), np.ones(3))],
+                             ids=["zero-dimensional", "mismatched"])
+    def test_estimate_arrays_must_be_one_dimensional_and_match(self, freqs, psd):
+        with pytest.raises(ValueError, match="one-dimensional and match"):
+            SpectrumEstimate(frequencies=freqs, psd=psd, resolution=1.0, n_averages=1)
+
     def test_records_leave_the_callers_arrays_writeable(self):
         samples, freqs, psd = np.zeros(4096), np.arange(4.0), np.ones(4)
         rec = PhotocurrentRecord(samples=samples, sample_rate=FS_BLO, seed=0,
