@@ -4,13 +4,15 @@ builders, and the dense oracle routes built on them.
 :mod:`blodyne.fock` is standard library only and runs ``verify`` on
 structured Grams. This module holds the dense form of the same objects, for
 the tests and the benchmark to check that route against, and nothing on the
-command line imports it. ``fock`` resolves the public names below on first
-access, so ``from blodyne.fock import build_tmss`` keeps working.
+command line imports it. ``fock`` resolves four of its names on first
+access, ``build_blo_signal_state``, ``build_coherent_product`` and the two
+``oracle_difference_variance`` routes, so ``from blodyne.fock import
+build_coherent_product`` works; every other name is imported from here.
 
 This is the one module that knows how a ladder operator acts on an axis of
 a dense complex tensor: each operator takes an ``np.moveaxis`` view with
 the affected axis or axes last, shifts it by one level and multiplies by
-sqrt(1..d-1). The benchmark probes these by name:
+sqrt(1..d-1). The benchmark probes the last three by name:
 
 * ``lowered``           the annihilation operator along one axis
 * ``raised``            the creation operator along one axis

@@ -116,7 +116,7 @@ def cmd_variance(cfg: ExperimentConfig, out_dir: str | None) -> int:
     if cfg.two_tone:
         # the single tone matching the pair: same amplitude, mean phase
         t1, t2 = cfg.tones
-        tone = LoTone(t1.amplitude, 0.5 * (t1.phase + t2.phase), cfg.plan.omega_center)
+        tone = LoTone(t1.amplitude, 0.5 * (t1.phase + t2.phase))
     rep = detection.standard_heterodyne_variance(cfg.squeeze, tone)
     lines.append(_report_line("standard", rep))
     if cfg.two_tone:
@@ -148,8 +148,7 @@ def cmd_cases(cfg: ExperimentConfig, out_dir: str | None) -> int:
     if beta != cfg.tones[1].amplitude:
         raise ValueError("the cases table needs matched tone amplitudes")
     # the phase sum theta + pi puts each case at its floor
-    freq = cfg.tones[0].frequency
-    floor_tones = LoTone(beta, cfg.squeeze.theta + math.pi, freq), LoTone(beta, 0.0, freq)
+    floor_tones = LoTone(beta, cfg.squeeze.theta + math.pi), LoTone(beta, 0.0)
     lines = []
     for case in ImageBandCase:
         at_config = detection.blo_variance(cfg.squeeze, cfg.tones[0], cfg.tones[1], case)

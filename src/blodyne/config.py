@@ -182,7 +182,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         _require_keys(tone_raw, path, ["amplitude"], ["phase"])
         amplitude = _number(tone_raw["amplitude"], f"{path}.amplitude")
         phase = _number(tone_raw.get("phase", 0.0), f"{path}.phase")
-        tones.append(_make(path, LoTone, amplitude, phase, plan.lo_frequencies[i]))
+        tones.append(_make(path, LoTone, amplitude, phase))
         amp = tones[-1].amplitude
         # the closed forms scale by |beta|^2 and divide by it (lo_flux_ratio);
         # an amplitude of 0 is left to them, and they reject it as a physics error

@@ -31,8 +31,9 @@ class _Record:
     which leaves the caller's array writeable, and any other value as is.
     From the slots it gives what ``@dataclass(frozen=True)`` gave:
     assignment and deletion raise ``AttributeError``, equality compares
-    field values between records of the same class, the hash is that of the
-    field values, the repr is ``Name(field=value, ...)`` without the fields
+    field values between records of the same class, an array by shape, dtype
+    and bytes, the hash is that of the field values (none if one is an
+    array), the repr is ``Name(field=value, ...)`` without the fields
     named in ``_repr_omit``, and copy and pickle rebuild a record by calling
     its class with the stored values in slot order, which every ``__init__``
     takes positionally.
@@ -64,6 +65,11 @@ class _Record:
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
 
+    def _keys(self) -> list:
+        # an array's == is elementwise, so an array compares by what it holds
+        return [(v.shape, v.dtype, v.tobytes()) if getattr(v, "ndim", 0) else v
+                for v in self._values()]
+
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
@@ -73,7 +79,7 @@ class _Record:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return self._keys() == other._keys()
 
     def __hash__(self):
         return hash(self._values())
@@ -132,18 +138,18 @@ IMAGE_VACUUM_UNITS = {
 
 
 class LoTone(_Record):
-    """One local-oscillator tone: real amplitude, phase (radians), rad/s frequency."""
+    """One local-oscillator tone: real amplitude and phase (radians).
 
-    __slots__ = ("amplitude", "phase", "frequency")
+    Its frequency is kept once, in ``FrequencyPlan.lo_frequencies``.
+    """
 
-    def __init__(self, amplitude: float, phase: float, frequency: float):
+    __slots__ = ("amplitude", "phase")
+
+    def __init__(self, amplitude: float, phase: float):
         if not (math.isfinite(amplitude) and amplitude >= 0.0):
             raise ValueError(f"LO amplitude must be finite and >= 0, got {amplitude!r}")
-        if not (math.isfinite(frequency) and frequency > 0.0):
-            raise ValueError(f"LO frequency must be finite and positive, got {frequency!r}")
         _set(self, "amplitude", amplitude)
         _set(self, "phase", _reduce_angle(phase))
-        _set(self, "frequency", frequency)
 
 
 class FrequencyPlan(_Record):
@@ -197,10 +203,6 @@ class FrequencyPlan(_Record):
     def beat_delta(self) -> float:
         """Half the mode splitting: the single-LO beat-note frequency."""
         return 0.5 * self.delta
-
-    @property
-    def omega_center(self) -> float:
-        return 0.5 * (self.omega_plus + self.omega_minus)
 
     def _require_two_tone(self):
         if len(self.lo_frequencies) != 2:
@@ -443,16 +445,17 @@ def phase_scan(p: SqueezeParams, lo_config, case: ImageBandCase | None = None,
     ``lo_config`` is either a single :class:`LoTone` (single-tone scheme; the
     tone phase chi is swept) or a pair of tones (two-tone scheme; the phase
     sum chi1 + chi2 is swept, which is the only phase combination the
-    variance depends on). Returns a list of (phase, VarianceReport). The
-    variance minimum sits at phase = theta + pi (mod 2*pi) and the maximum at
-    theta, up to the single-tone phase halving.
+    variance depends on); only the tone amplitudes are read. Returns a list
+    of (phase, VarianceReport). The variance minimum sits at phase = theta +
+    pi (mod 2*pi) and the maximum at theta, up to the single-tone phase
+    halving.
     """
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
     phases = phase_grid(n_points)
     if isinstance(lo_config, LoTone):
-        amplitude, frequency = lo_config.amplitude, lo_config.frequency
-        return [(chi, standard_heterodyne_variance(p, LoTone(amplitude, chi, frequency)))
+        amplitude = lo_config.amplitude
+        return [(chi, standard_heterodyne_variance(p, LoTone(amplitude, chi)))
                 for chi in phases]
     lo1, lo2 = lo_config
     if case is None:
@@ -460,7 +463,7 @@ def phase_scan(p: SqueezeParams, lo_config, case: ImageBandCase | None = None,
     if lo1.amplitude != lo2.amplitude:
         raise ValueError("phase_scan expects matched tone amplitudes")
     # the phase sum rides on the first tone
-    amplitude, frequency = lo1.amplitude, lo1.frequency
-    lo2 = LoTone(lo2.amplitude, 0.0, lo2.frequency)
-    return [(phase_sum, blo_variance(p, LoTone(amplitude, phase_sum, frequency), lo2, case))
+    amplitude = lo1.amplitude
+    lo2 = LoTone(lo2.amplitude, 0.0)
+    return [(phase_sum, blo_variance(p, LoTone(amplitude, phase_sum), lo2, case))
             for phase_sum in phases]

@@ -112,21 +112,20 @@ class SpectralModel(_Record):
 
 
 class PhotocurrentRecord(_Record):
-    """A difference-current record given by its samples, with its provenance.
+    """A difference-current record given by its samples and sample rate (Hz).
 
     :func:`estimate_psd` reads a record through ``size`` and ``blocks()``;
     this one is a single block.
     """
 
-    __slots__ = ("samples", "sample_rate", "seed", "model")
+    __slots__ = ("samples", "sample_rate")
 
-    def __init__(self, samples: np.ndarray, sample_rate: float, seed: int,
-                 model: SpectralModel):
+    def __init__(self, samples: np.ndarray, sample_rate: float):
         samples = np.asarray(samples, dtype=float)
         n = samples.size
         if n < 2 or (n & (n - 1)) != 0:
             raise ValueError(f"record length must be a power of two, got {n}")
-        _Record.__init__(self, samples, sample_rate, seed, model)
+        _Record.__init__(self, samples, sample_rate)
 
     @property
     def size(self) -> int:
@@ -143,6 +142,7 @@ class PhotocurrentRecord(_Record):
 class SynthesizedRecord(_Record):
     """A record of seeded white noise colored by an FIR filter, read in blocks.
 
+    Its samples follow from ``size``, ``seed`` and ``taps`` alone.
     ``blocks()`` draws the noise in order from ``default_rng(seed)`` and
     colors it by overlap-save, one FFT frame at a time: the ``size`` samples
     plus ``taps.size - 1`` of lead-in are drawn afresh on each read. A read
@@ -165,14 +165,14 @@ class SynthesizedRecord(_Record):
     A record equals only itself, and hashes by identity.
     """
 
-    __slots__ = ("model", "size", "sample_rate", "seed", "taps")
+    __slots__ = ("size", "sample_rate", "seed", "taps")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
     def blocks(self):
         keep = self.taps.size - 1
         # at least two filter lengths a frame, and no longer than the record needs
-        frame_size = min(max(_WELCH_BLOCK_SAMPLES, 2 * self.taps.size),
+        frame_size = min(max(_FRAME_SAMPLES, 2 * self.taps.size),
                          1 << (self.size + keep - 1).bit_length())
         response = np.fft.rfft(self.taps, frame_size)
         rng = np.random.default_rng(self.seed)
@@ -288,7 +288,7 @@ _MAX_SAMPLES = 1 << 26
 # Synthesis colors its noise in FFT frames of at least this many samples; the
 # frame size fixes the rounding of every sample, so changing it changes the
 # records of every seed
-_WELCH_BLOCK_SAMPLES = 1 << 18
+_FRAME_SAMPLES = 1 << 18
 
 # Welch windows and transforms its segments in batches of this many samples
 # (at least one segment); the batch size only bounds the working set and
@@ -350,8 +350,7 @@ def synthesize_difference_current(model: SpectralModel, duration: float,
     amplitude *= 0.5 * sample_rate
     np.sqrt(amplitude, out=amplitude)
     taps = np.fft.fftshift(np.fft.irfft(amplitude, m))
-    return SynthesizedRecord(model=model, size=n, sample_rate=sample_rate, seed=seed,
-                             taps=taps)
+    return SynthesizedRecord(n, sample_rate, seed, taps)
 
 
 def estimate_psd(rec: PhotocurrentRecord | SynthesizedRecord, segment_length: int,

@@ -34,12 +34,7 @@ def tmss_oracle_feasible(s: float) -> bool:
 def oracle_error(measured: float, p: SqueezeParams, beta: float, chi1: float,
                  chi2: float, case: ImageBandCase) -> float:
     """Relative error of an oracle variance against the closed form."""
-    rep = detection.blo_variance(
-        p,
-        LoTone(amplitude=beta, phase=chi1, frequency=2.0e15),
-        LoTone(amplitude=beta, phase=chi2, frequency=2.0e15),
-        case,
-    )
+    rep = detection.blo_variance(p, LoTone(beta, chi1), LoTone(beta, chi2), case)
     analytic = rep.variance + detection.lo_quantization_correction(p, n_tones=2)
     return abs(measured / analytic - 1.0)
 

@@ -23,7 +23,7 @@ SEED = 20260808
 
 
 def tone(amplitude, phase):
-    return LoTone(amplitude=amplitude, phase=phase, frequency=CARRIER)
+    return LoTone(amplitude=amplitude, phase=phase)
 
 
 def criterion(num, desc):
@@ -198,8 +198,7 @@ def test_criterion_7_spectral_relocation():
     fp_std = FrequencyPlan(omega_plus=omega_minus + delta, omega_minus=omega_minus,
                            lo_frequencies=(omega_minus + 0.5 * delta,))
     p_std = SqueezeParams(s=1.0, theta=0.0)
-    lo_std = LoTone(amplitude=1.0, phase=math.pi / 2.0,
-                    frequency=fp_std.lo_frequencies[0])
+    lo_std = LoTone(amplitude=1.0, phase=math.pi / 2.0)
     model = SpectralModel.for_standard(p_std, lo_std, fp_std, bandwidth=1.0e5)
     # carrier-scale rounding leaves the center a few mHz off the nominal value
     assert model.center_frequency == pytest.approx(5.0e6, abs=1.0)
@@ -218,8 +217,8 @@ def test_criterion_7_spectral_relocation():
     fp_blo = FrequencyPlan(omega_plus=omega_minus + delta, omega_minus=omega_minus,
                            lo_frequencies=(omega_minus + d1, omega_minus + delta - d1))
     p_blo = SqueezeParams(s=10.0, theta=0.0)
-    lo1 = LoTone(amplitude=1.0, phase=math.pi, frequency=fp_blo.lo_frequencies[0])
-    lo2 = LoTone(amplitude=1.0, phase=0.0, frequency=fp_blo.lo_frequencies[1])
+    lo1 = LoTone(amplitude=1.0, phase=math.pi)
+    lo2 = LoTone(amplitude=1.0, phase=0.0)
     case = detection.classify_image_band_case(fp_blo)
     assert case is ImageBandCase.TWO_IMAGE_BANDS
     model = SpectralModel.for_blo(p_blo, lo1, lo2, fp_blo, case, bandwidth=5.0e4)

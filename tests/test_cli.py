@@ -566,6 +566,25 @@ def test_usage_error_names_the_argument(capsys, argv, message):
     assert lines[0].startswith("usage: blodyne ") and lines[-1].startswith(f"blodyne: error: {message}")
 
 
+# verify with no draws: config overrides, and whether the configured point is
+# checked (matched tones, |beta| >= 1 after the cap, squeezed-pair cutoff <= 64)
+VERIFY_CONFIGURED_POINTS = {
+    "cutoff_61": ({"squeeze": {"s": 1.3, "theta": 0.3}}, True),
+    # the cutoff, 68, exceeds the cap of 64
+    "cutoff_above_cap": ({"squeeze": {"s": 1.35, "theta": 0.3}}, False),
+    # tanh(s) rounds to 1: skipped, not a crash
+    "tanh_rounds_to_1": ({"squeeze": {"s": 20.0, "theta": 0.0}}, False),
+    "unequal_amplitudes": ({"lo_tones": [{"amplitude": 3.0, "phase": 0.2},
+                                         {"amplitude": 3.5, "phase": 1.0}]}, False),
+    "beta_below_1": ({"lo_tones": [{"amplitude": 0.5, "phase": 0.2},
+                                   {"amplitude": 0.5, "phase": 1.0}]}, False),
+    "single_tone": ({"frequency_plan": {"omega_plus_hz": 300.000005e12,
+                                        "omega_minus_hz": 299.999995e12,
+                                        "lo_hz": [300.0e12]},
+                     "lo_tones": [{"amplitude": 2.0, "phase": 0.4}]}, False),
+}
+
+
 class TestOutputs:
     def test_headers_and_determinism(self, tmp_path, capsys):
         path = write_config(tmp_path)
@@ -734,13 +753,23 @@ class TestOutputs:
         assert code == 3
         assert out == "" and reason in err
 
-    def test_verify_beyond_tanh_precision(self, tmp_path, capsys):
-        # tanh(s) rounds to 1: the configured point is skipped, not a crash
-        path = write_config(tmp_path, {"squeeze": {"s": 20.0, "theta": 0.0},
-                                       "oracle": {"draws": 0}})
+    @pytest.mark.parametrize("overrides,checked", VERIFY_CONFIGURED_POINTS.values(),
+                             ids=VERIFY_CONFIGURED_POINTS)
+    def test_verify_checks_the_configured_point_where_reachable(self, tmp_path, capsys,
+                                                               overrides, checked):
+        path = write_config(tmp_path, dict(overrides, oracle={"draws": 0}))
         code, out, _ = run(capsys, ["verify", "--config", path])
         assert code == 0
-        assert "max_relative_error: 0" in out
+        lines = out.splitlines()
+        rows = lines[lines.index("draw,case,s,theta,beta,chi1,chi2,rel_error") + 1 : -2]
+        if checked:
+            # the configured (s, |beta|), at full precision
+            assert len(rows) == 1
+            assert [float(v) for v in rows[0].split(",")[2:5:2]] == [
+                overrides["squeeze"]["s"], BASE_CONFIG["lo_tones"][0]["amplitude"]]
+        else:
+            # nothing checked passes by silence
+            assert rows == [] and "max_relative_error: 0" in lines
 
     def test_single_tone_config(self, tmp_path, capsys):
         path = write_config(tmp_path, {

@@ -29,8 +29,8 @@ from blodyne import _kernels
 def analytic_blo(p, beta, chi1, chi2, case, include_lo_term=True):
     rep = detection.blo_variance(
         p,
-        LoTone(amplitude=beta, phase=chi1, frequency=2.0e15),
-        LoTone(amplitude=beta, phase=chi2, frequency=2.0e15),
+        LoTone(amplitude=beta, phase=chi1),
+        LoTone(amplitude=beta, phase=chi2),
         case,
     )
     corr = detection.lo_quantization_correction(p, 2) if include_lo_term else 0.0
@@ -204,7 +204,7 @@ class TestOracle:
         p = SqueezeParams(s=0.4, theta=0.7)
         value = oracle_standard_run(p, beta=10.0, chi=1.1)
         rep = detection.standard_heterodyne_variance(
-            p, LoTone(amplitude=10.0, phase=1.1, frequency=2.0e15))
+            p, LoTone(amplitude=10.0, phase=1.1))
         analytic = rep.variance + detection.lo_quantization_correction(p, 1)
         assert value == pytest.approx(analytic, rel=1e-4)
 

@@ -8,7 +8,7 @@ import pytest
 
 from blodyne.detection import FrequencyPlan, ImageBandCase, LoTone
 from blodyne.gaussian import SqueezeParams
-from blodyne.timeseries import (_WELCH_BLOCK_SAMPLES, _WELCH_ROW_SAMPLES,
+from blodyne.timeseries import (_FRAME_SAMPLES, _WELCH_ROW_SAMPLES,
                                 PhotocurrentRecord, SpectralModel, SpectrumEstimate,
                                 SynthesizedRecord, estimate_psd,
                                 locate_squeezing_feature, spectrum_csv_lines,
@@ -66,8 +66,8 @@ class TestSpectralModel:
         fp = FrequencyPlan(omega_plus=omega_minus + delta, omega_minus=omega_minus,
                            lo_frequencies=(omega_minus + 2**18,
                                            omega_minus + delta - 2**18))
-        lo1 = LoTone(amplitude=1.0, phase=math.pi, frequency=fp.lo_frequencies[0])
-        lo2 = LoTone(amplitude=1.0, phase=0.0, frequency=fp.lo_frequencies[1])
+        lo1 = LoTone(amplitude=1.0, phase=math.pi)
+        lo2 = LoTone(amplitude=1.0, phase=0.0)
         m = SpectralModel.for_blo(p, lo1, lo2, fp, ImageBandCase.TWO_IMAGE_BANDS,
                                   bandwidth=5e4)
         assert m.center_frequency == pytest.approx(2**18 / (2 * math.pi))
@@ -121,21 +121,19 @@ class TestWelch:
         n = 1 << 20
         t = np.arange(n) / fs
         x = np.cos(2.0 * math.pi * 1.0e4 * t)  # on-bin for a 4096 segment
-        rec = PhotocurrentRecord(samples=x, sample_rate=fs, seed=0, model=flat_model())
+        rec = PhotocurrentRecord(samples=x, sample_rate=fs)
         est = estimate_psd(rec, 4096, 0.5)
         k0 = int(round(1.0e4 / est.resolution))
         peak = float(np.sum(est.psd[k0 - 5 : k0 + 6]) * est.resolution)
         assert peak == pytest.approx(0.5, rel=1e-2)
 
     def test_zero_record(self):
-        rec = PhotocurrentRecord(samples=np.zeros(4096), sample_rate=FS_BLO, seed=0,
-                                 model=flat_model())
+        rec = PhotocurrentRecord(samples=np.zeros(4096), sample_rate=FS_BLO)
         est = estimate_psd(rec, 1024, 0.5)
         assert np.all(est.psd == 0.0)
 
     def test_segment_validation(self):
-        rec = PhotocurrentRecord(samples=np.zeros(2048), sample_rate=FS_BLO, seed=0,
-                                 model=flat_model())
+        rec = PhotocurrentRecord(samples=np.zeros(2048), sample_rate=FS_BLO)
         with pytest.raises(ValueError, match="exceeds record"):
             estimate_psd(rec, 4096, 0.5)
         with pytest.raises(ValueError, match="power of two"):
@@ -145,8 +143,7 @@ class TestWelch:
 
     def test_record_length_validation(self):
         with pytest.raises(ValueError, match="power of two"):
-            PhotocurrentRecord(samples=np.zeros(1000), sample_rate=FS_BLO, seed=0,
-                               model=flat_model())
+            PhotocurrentRecord(samples=np.zeros(1000), sample_rate=FS_BLO)
 
 
 class TestFeatureLocation:
@@ -239,8 +236,7 @@ class TestEmission:
 
     def test_records_leave_the_callers_arrays_writeable(self):
         samples, freqs, psd = np.zeros(4096), np.arange(4.0), np.ones(4)
-        rec = PhotocurrentRecord(samples=samples, sample_rate=FS_BLO, seed=0,
-                                 model=flat_model())
+        rec = PhotocurrentRecord(samples=samples, sample_rate=FS_BLO)
         est = SpectrumEstimate(frequencies=freqs, psd=psd, resolution=1.0, n_averages=1)
         for given, stored in ((samples, rec.samples), (freqs, est.frequencies),
                               (psd, est.psd)):
@@ -417,7 +413,7 @@ class TestWorker:
         # the last of the five frames is short, so its stale end counts too
         rec = self.record(22)
         keep = rec.taps.size - 1
-        frame_size = _WELCH_BLOCK_SAMPLES
+        frame_size = _FRAME_SAMPLES
         assert rec.size % (frame_size - keep) != 0
         expected = one_thread_blocks(rec, frame_size)
         blocks = [block.copy() for block in rec.blocks()]
@@ -428,7 +424,7 @@ class TestWorker:
         # one frame: the record's 2^16 samples and 8191 lead-in fit 2^17
         (1 << 16, 1 << 17, 1),
         # 2^18 samples with 16 384 taps: the second frame holds 16 383
-        (1 << 18, _WELCH_BLOCK_SAMPLES, 2),
+        (1 << 18, _FRAME_SAMPLES, 2),
     ], ids=["one_frame", "short_second_frame"])
     def test_end_of_record_matches_one_thread_coloring(self, n, frame_size, frames):
         rec = synthesize_difference_current(dip_model("lorentzian"), n / FS_BLO, FS_BLO,
@@ -598,8 +594,7 @@ class TestMemory:
         synthesized = synthesize_difference_current(dip_model("lorentzian"), self.N / FS_BLO,
                                                     FS_BLO, seed=3,
                                                     segment_length=segment_length)
-        rec = PhotocurrentRecord(samples=synthesized.samples, sample_rate=FS_BLO, seed=3,
-                                 model=synthesized.model)
+        rec = PhotocurrentRecord(samples=synthesized.samples, sample_rate=FS_BLO)
         peak, _ = traced_peak(estimate_psd, rec, segment_length, overlap)
         # a few block-sized arrays, whatever the record length; windowing
         # every segment of this record at once would take 17 to 83 MB
@@ -613,4 +608,4 @@ class TestMemory:
         peak, _ = traced_peak(estimate_psd, rec, 2048, 0.5)
         # two frames, their spectrum, the filter response and Welch's fixed
         # batch; fresh transform outputs for every frame took seven
-        assert peak < 5 * _WELCH_BLOCK_SAMPLES * 8
+        assert peak < 5 * _FRAME_SAMPLES * 8
