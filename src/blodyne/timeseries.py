@@ -79,6 +79,35 @@ class SpectralModel(_Record):
             shape = shape.astype(float)
         return self.noise_floor + (self.dip_or_peak_level - self.noise_floor) * shape
 
+    def cell_means(self, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+        """The target PSD averaged over each band [lower, upper] (Hz), lower < upper.
+
+        The profiles integrate in closed form: the lorentzian to an arctan
+        difference, the flat_top to the length of the band inside the
+        feature. So a feature much narrower than a band still adds its whole
+        area to the band's mean, however narrow it is.
+        """
+        c = self.center_frequency
+        half = 0.5 * self.squeezing_bandwidth
+        if self.profile == "lorentzian":
+            # detunings in half widths may overflow to inf, whose arctan is
+            # exact; an edge at the center divides by zero, in a branch not taken
+            with np.errstate(over="ignore", divide="ignore"):
+                straddling = (np.arctan((upper - c) / half)
+                              - np.arctan((lower - c) / half))
+                # both edges on one side: the difference of the arctans of
+                # the reciprocals, which does not cancel far from the center
+                one_side = np.arctan(half / (lower - c)) - np.arctan(half / (upper - c))
+            angle = np.where((lower > c) | (upper < c), one_side, straddling)
+            shape = half * angle / (upper - lower)
+        else:
+            inside = np.minimum(upper, c + half) - np.maximum(lower, c - half)
+            shape = np.maximum(inside, 0.0) / (upper - lower)
+        # rounding may leave the lorentzian mean a hair above 1, which could
+        # take a dip below zero
+        np.clip(shape, 0.0, 1.0, out=shape)
+        return self.noise_floor + (self.dip_or_peak_level - self.noise_floor) * shape
+
     @classmethod
     def for_standard(cls, p: SqueezeParams, lo: LoTone, fp: FrequencyPlan,
                      bandwidth: float, profile: str = "lorentzian") -> "SpectralModel":
@@ -285,10 +314,12 @@ class SpectrumEstimate(_Record):
 # 1e300 samples from running for ever
 _MAX_SAMPLES = 1 << 26
 
-# Synthesis colors its noise in FFT frames of at least this many samples; the
-# frame size fixes the rounding of every sample, so changing it changes the
-# records of every seed
-_FRAME_SAMPLES = 1 << 18
+# Synthesis colors its noise in FFT frames of at least this many samples (and
+# at least two filter lengths): eight filter lengths at the default Welch
+# segment of 2048. On 2^24 samples, frames of 2^16 took a fifth more time,
+# and frames of 2^18 6 MB more peak RSS. The frame size fixes the rounding
+# of every sample, so changing it changes the records of every seed
+_FRAME_SAMPLES = 1 << 17
 
 # Welch windows and transforms its segments in batches of this many samples
 # (at least one segment); the batch size only bounds the working set and
@@ -302,13 +333,15 @@ def synthesize_difference_current(model: SpectralModel, duration: float,
     """Stationary Gaussian record whose one-sided PSD matches the model.
 
     White Gaussian noise from ``default_rng(seed)`` is convolved with a
-    zero-phase FIR filter ``h = fftshift(irfft(sqrt(fs * S(f) / 2)))`` taken
-    on an m-point grid. Its response equals the target exactly at the m grid
-    frequencies, and sum(h^2) is the integral of the one-sided target, which
-    is the record's variance. The grid spacing is at most an eighth of the
-    feature bandwidth and an eighth of a bin of the Welch ``segment_length``
-    the record is meant for; m is the smallest power of two that does both,
-    capped at an eighth of the record length (at least 1).
+    zero-phase FIR filter ``h = fftshift(irfft(sqrt(fs * S_k / 2)))`` of m
+    taps. The grid of m points has spacing fs / m, an eighth of a bin of the
+    Welch ``segment_length`` the record is meant for: m = 8 * segment_length,
+    capped at an eighth of the record length (at least 1). A Welch estimate
+    shows the PSD convolved with its window, so a finer grid would show
+    nothing more, however narrow the feature. S_k is the target averaged
+    over the grid cell of point k (cut to [0, fs / 2] at DC and Nyquist), not
+    its value at the point, so sum(h^2), the record's variance, is the
+    integral of the one-sided target for any feature width.
 
     The record is colored block by block as it is read (see
     :class:`SynthesizedRecord`) and is fully determined by the seed. The
@@ -340,13 +373,12 @@ def synthesize_difference_current(model: SpectralModel, duration: float,
             f"PSD level {level:g} times n * sample_rate = {n * sample_rate:g} overflows; "
             "the record cannot be colored"
         )
-    # the aliasing check makes the first at least 80; it may overflow to inf
-    grid_points = max(8.0 * sample_rate / model.squeezing_bandwidth, 8.0 * segment_length)
     # a longer filter's overlap-save frames would take as much memory as
     # coloring the whole record at once
-    longest = max(1, n // 8)
-    m = longest if grid_points >= longest else 1 << math.ceil(math.log2(grid_points))
-    amplitude = model.psd(np.fft.rfftfreq(m, d=1.0 / sample_rate))
+    m = min(8 * segment_length, max(1, n // 8))
+    edges = np.arange(-0.5, m // 2 + 1) * (sample_rate / m)
+    np.clip(edges, 0.0, 0.5 * sample_rate, out=edges)
+    amplitude = model.cell_means(edges[:-1], edges[1:])
     amplitude *= 0.5 * sample_rate
     np.sqrt(amplitude, out=amplitude)
     taps = np.fft.fftshift(np.fft.irfft(amplitude, m))
@@ -518,7 +550,7 @@ def spectrum_csv_lines(est: SpectrumEstimate, header_lines=()):
 def spectrum_to_json_dict(est: SpectrumEstimate) -> dict:
     """JSON layout: schema name, scalars, then parallel frequency/psd arrays."""
     return {
-        "schema": "blodyne.spectrum_estimate/2",
+        "schema": "blodyne.spectrum_estimate/3",
         "resolution_hz": est.resolution,
         "n_averages": est.n_averages,
         "frequencies_hz": [float(f) for f in est.frequencies],

@@ -24,11 +24,12 @@ from .config import ORACLE_DRAW_BETA_MIN, ExperimentConfig
 from .detection import ImageBandCase, LoTone, SqueezeParams
 
 
-def tmss_oracle_feasible(s: float) -> bool:
-    """Whether the squeezed-pair cutoff at the default leakage stays desk-sized (<= 64)."""
+def tmss_oracle_feasible(s: float, leakage: float) -> bool:
+    """Whether the squeezed-pair cutoff at the oracle's target leakage stays
+    desk-sized (<= 64)."""
     if s <= 0.0:
         return True
-    return math.tanh(s) < 1.0 and fock.tmss_cutoff_for_leakage(s, 1e-8) <= 64
+    return math.tanh(s) < 1.0 and fock.tmss_cutoff_for_leakage(s, leakage) <= 64
 
 
 def oracle_error(measured: float, p: SqueezeParams, beta: float, chi1: float,
@@ -44,7 +45,7 @@ def check_points(cfg: ExperimentConfig, caps: dict) -> list:
     checks = []
     if cfg.two_tone and cfg.tones[0].amplitude == cfg.tones[1].amplitude:
         beta = min(cfg.tones[0].amplitude, caps[cfg.case])
-        if beta >= 1.0 and tmss_oracle_feasible(cfg.squeeze.s):
+        if beta >= 1.0 and tmss_oracle_feasible(cfg.squeeze.s, cfg.oracle["target_leakage"]):
             checks.append((cfg.squeeze, beta, cfg.tones[0].phase, cfg.tones[1].phase, cfg.case))
     draws = int(cfg.oracle["draws"])
     if draws:

@@ -572,6 +572,12 @@ VERIFY_CONFIGURED_POINTS = {
     "cutoff_61": ({"squeeze": {"s": 1.3, "theta": 0.3}}, True),
     # the cutoff, 68, exceeds the cap of 64
     "cutoff_above_cap": ({"squeeze": {"s": 1.35, "theta": 0.3}}, False),
+    # the cap is judged at the configured leakage: 1e-6 cuts s = 1.35 at 51,
+    # and 1e-12 cuts s = 1.3 at 92
+    "leakage_1e-6_cutoff_51": ({"squeeze": {"s": 1.35, "theta": 0.3},
+                                "oracle": {"target_leakage": 1e-6}}, True),
+    "leakage_1e-12_cutoff_92": ({"squeeze": {"s": 1.3, "theta": 0.3},
+                                 "oracle": {"target_leakage": 1e-12}}, False),
     # tanh(s) rounds to 1: skipped, not a crash
     "tanh_rounds_to_1": ({"squeeze": {"s": 20.0, "theta": 0.0}}, False),
     "unequal_amplitudes": ({"lo_tones": [{"amplitude": 3.0, "phase": 0.2},
@@ -669,7 +675,7 @@ class TestOutputs:
         assert "frequency_hz,psd_variance_per_hz" in csv_text
         doc = json.loads((out_dir / "spectrum.json").read_text())
         assert doc["format_version"] == "blodyne-output/1"
-        assert doc["spectrum"]["schema"] == "blodyne.spectrum_estimate/2"
+        assert doc["spectrum"]["schema"] == "blodyne.spectrum_estimate/3"
         summary = (out_dir / "spectrum_summary.txt").read_text()
         assert summary == out
 
@@ -757,7 +763,8 @@ class TestOutputs:
                              ids=VERIFY_CONFIGURED_POINTS)
     def test_verify_checks_the_configured_point_where_reachable(self, tmp_path, capsys,
                                                                overrides, checked):
-        path = write_config(tmp_path, dict(overrides, oracle={"draws": 0}))
+        path = write_config(tmp_path, dict(overrides,
+                                           oracle=dict(overrides.get("oracle", {}), draws=0)))
         code, out, _ = run(capsys, ["verify", "--config", path])
         assert code == 0
         lines = out.splitlines()
@@ -795,7 +802,8 @@ PLAN_100KHZ = {
 
 # SHA-256 of the spectrum outputs for GOLDEN_SPECTRUM: a change to any byte
 # of them, from record synthesis through Welch estimation to emission, fails
-# here.
+# here. Pinned with the schema blodyne.spectrum_estimate/3, whose filters take
+# cell-averaged targets and whose frames are 2^17 samples.
 GOLDEN_SPECTRUM = {
     "frequency_plan": PLAN_100KHZ,
     "squeeze": {"s": 0.8, "theta": 0.3},
@@ -804,11 +812,11 @@ GOLDEN_SPECTRUM = {
     "spectrum": {"duration_s": 0.03125, "segment_length": 1024, "overlap": 0.5},
 }
 GOLDEN_SPECTRUM_SHA256 = {
-    "stdout": "9d13c4792bca79661330a623025347970405af908ef6345bc76e4db31dfcfef9",
-    "spectrum.csv": "ea162cdddc44b3071c03f29db43743fbbb2e43ab54436ec7faf5eeb47b505d9d",
-    "spectrum.json": "31d301bfdfa500d55779aaa9881c0fc4577e6514c77df9443a8033eb59d29729",
+    "stdout": "df9fae1b955b980188bafd6744508a7cd607a47cc7d6ce1448e337db26f1d689",
+    "spectrum.csv": "751bfc39ddff56d4a760d03d32417f1d80a47dfccf04d7dc00a50c9e03b191be",
+    "spectrum.json": "a0a2f2b9c12db8e66a70f90fa000025f583cf4e616c462e30e433ca57f9e49c1",
     # the summary file holds exactly what stdout printed
-    "spectrum_summary.txt": "9d13c4792bca79661330a623025347970405af908ef6345bc76e4db31dfcfef9",
+    "spectrum_summary.txt": "df9fae1b955b980188bafd6744508a7cd607a47cc7d6ce1448e337db26f1d689",
 }
 
 

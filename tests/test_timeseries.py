@@ -1,7 +1,9 @@
 import json
 import math
+import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +24,24 @@ FS_STD = 16.777216e6
 def flat_model(level=8.0):
     return SpectralModel(center_frequency=1e5, squeezing_bandwidth=5e4,
                          noise_floor=level, dip_or_peak_level=level)
+
+
+def smallest_lorentzian_bandwidth():
+    """The smallest bandwidth whose half squared is a normal float."""
+    bandwidth = 2.0 * math.sqrt(sys.float_info.min)
+    while (0.5 * bandwidth) ** 2 < sys.float_info.min:
+        bandwidth = math.nextafter(bandwidth, math.inf)
+    return bandwidth
+
+
+def target_integral(model, sample_rate):
+    """The one-sided target integrated over [0, sample_rate / 2], in closed form."""
+    c, half, top = model.center_frequency, 0.5 * model.squeezing_bandwidth, 0.5 * sample_rate
+    if model.profile == "lorentzian":
+        area = half * (math.atan((top - c) / half) - math.atan(-c / half))
+    else:
+        area = max(0.0, min(top, c + half) - max(0.0, c - half))
+    return model.noise_floor * top + (model.dip_or_peak_level - model.noise_floor) * area
 
 
 class TestSpectralModel:
@@ -58,6 +78,20 @@ class TestSpectralModel:
                       dip_or_peak_level=4.0, profile="flat_top")
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             SpectralModel(**dict(fields, **{name: value}))
+
+    @pytest.mark.parametrize("profile", ["lorentzian", "flat_top"])
+    def test_cell_means_match_a_midpoint_sum(self, profile):
+        # bands across the 5e4 Hz feature at 1e5 Hz, some straddling its
+        # center or the flat_top edges, some wholly to one side of them
+        model = dip_model(profile)
+        edges = np.array([0.0, 3e3, 5e4, 7.4e4, 9e4, 1e5, 1.07e5, 1.3e5, 2e5, 1e6])
+        lower, upper = edges[:-1], edges[1:]
+        points = 1 << 16
+        expected = [np.mean(model.psd(a + (b - a) * (np.arange(points) + 0.5) / points))
+                    for a, b in zip(lower, upper)]
+        # the midpoint sum misplaces a flat_top edge by at most half a step
+        rel = 1e-8 if profile == "lorentzian" else 1e-4
+        assert model.cell_means(lower, upper) == pytest.approx(expected, rel=rel)
 
     def test_from_detection_reports(self):
         p = SqueezeParams(s=10.0, theta=0.0)
@@ -99,6 +133,35 @@ class TestSynthesis:
                           noise_floor=2.0, dip_or_peak_level=1.0)
         with pytest.raises(ValueError, match="alias"):
             synthesize_difference_current(m, 0.01, 1e6, seed=0, segment_length=2048)
+
+    @pytest.mark.parametrize("profile,bandwidth", [
+        ("lorentzian", 1.0), ("lorentzian", smallest_lorentzian_bandwidth()),
+        ("flat_top", 1.0), ("flat_top", 5e-324),
+    ], ids=["lorentzian_1hz", "lorentzian_narrowest", "flat_top_1hz", "flat_top_narrowest"])
+    @pytest.mark.parametrize("center", [0.0, 1e5 + 17.0], ids=["dc", "off_grid"])
+    # at 2^900 Hz the detunings in half widths overflow
+    @pytest.mark.parametrize("sample_rate", [FS_BLO, 2.0**900], ids=["fs_blo", "fs_huge"])
+    def test_taps_keep_the_target_integral_for_any_width(self, profile, bandwidth, center,
+                                                         sample_rate):
+        # a feature far narrower than a grid cell adds its whole area to that
+        # cell, so sum(h^2), the record's variance, stays the integral of the
+        # target, with no numpy warning down to the narrowest feature
+        model = SpectralModel(center_frequency=center, squeezing_bandwidth=bandwidth,
+                              noise_floor=8.0, dip_or_peak_level=8.0 + 8192.0,
+                              profile=profile)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = synthesize_difference_current(model, (1 << 20) / sample_rate, sample_rate,
+                                                seed=0, segment_length=2048)
+        assert rec.taps.size == 8 * 2048
+        assert float(np.sum(rec.taps**2)) == pytest.approx(
+            target_integral(model, sample_rate), rel=1e-12)
+
+    def test_smallest_lorentzian_bandwidth_is_the_models_floor(self):
+        bandwidth = smallest_lorentzian_bandwidth()
+        with pytest.raises(ValueError, match="lorentzian"):
+            SpectralModel(center_frequency=0.0, squeezing_bandwidth=math.nextafter(bandwidth, 0.0),
+                          noise_floor=8.0, dip_or_peak_level=3.0)
 
     def test_variance_matches_target_integral(self):
         rec = synthesize_difference_current(flat_model(), 1.0, FS_BLO, seed=11,
@@ -217,7 +280,7 @@ class TestEmission:
                                             segment_length=256)
         est = estimate_psd(rec, 256, 0.5)
         spec_doc = json.loads(json.dumps(spectrum_to_json_dict(est)))
-        assert spec_doc["schema"] == "blodyne.spectrum_estimate/2"
+        assert spec_doc["schema"] == "blodyne.spectrum_estimate/3"
         assert len(spec_doc["frequencies_hz"]) == len(spec_doc["psd_variance_per_hz"])
 
     def test_estimate_arrays_immutable(self):
@@ -250,10 +313,18 @@ class TestEmission:
 # convolutions by FFT, so it matches the direct sums to rounding.
 
 
+def cell_edges(m, sample_rate):
+    """Edges of the cells of the m-point filter grid, cut to [0, sample_rate / 2]."""
+    edges = (np.arange(m // 2 + 2) - 0.5) * (sample_rate / m)
+    return np.clip(edges, 0.0, 0.5 * sample_rate)
+
+
 def reference_samples(model, n, sample_rate, seed, m):
-    """The record as one direct convolution of all its noise with the m-tap filter."""
-    grid = np.fft.rfftfreq(m, d=1.0 / sample_rate)
-    taps = np.fft.fftshift(np.fft.irfft(np.sqrt(0.5 * sample_rate * model.psd(grid)), m))
+    """The record as one direct convolution of all its noise with the m-tap
+    filter, whose response is the target averaged over each grid cell."""
+    edges = cell_edges(m, sample_rate)
+    means = model.cell_means(edges[:-1], edges[1:])
+    taps = np.fft.fftshift(np.fft.irfft(np.sqrt(0.5 * sample_rate * means), m))
     noise = np.random.default_rng(seed).standard_normal(n + m - 1)
     return np.convolve(noise, taps, mode="valid"), taps
 
@@ -282,6 +353,23 @@ def dip_model(profile):
                          dip_or_peak_level=3.0, profile=profile)
 
 
+def window_convolved_target(model, sample_rate, segment_length, m):
+    """The mean a Welch estimate shows for the target averaged over the cells
+    of the m-point filter grid: the cell means, as a two-sided periodic
+    spectrum on that grid, circularly convolved with the Hann window's power
+    response, read at the Welch bins (m is a multiple of segment_length).
+    The DC and Nyquist bins are not halved."""
+    edges = cell_edges(m, sample_rate)
+    means = model.cell_means(edges[:-1], edges[1:])
+    two_sided = np.concatenate((means, means[-2:0:-1]))
+    window = 0.5 - 0.5 * np.cos(2.0 * math.pi * np.arange(segment_length) / segment_length)
+    power = np.abs(np.fft.fft(window, m)) ** 2
+    convolved = np.fft.irfft(np.fft.rfft(two_sided) * np.fft.rfft(power), m)
+    # the power response sums to m * sum(window^2)
+    return convolved[:: m // segment_length][: segment_length // 2 + 1] / (
+        m * float(np.sum(window**2)))
+
+
 def block_sizes(rec):
     return [block.size for block in rec.blocks()]
 
@@ -291,7 +379,7 @@ class TestBitIdentity:
     @pytest.mark.parametrize("n", [2, 4, 1 << 16, 1 << 20])
     def test_synthesis_matches_reference(self, profile, n):
         # 2^20 samples take several FFT frames, so block seams are covered; a
-        # 64-sample segment leaves the bandwidth to set the 512 taps
+        # 64-sample segment sets 8 * 64 = 512 taps
         model = dip_model(profile)
         rec = synthesize_difference_current(model, n / FS_BLO, FS_BLO, seed=17,
                                             segment_length=64)
@@ -304,7 +392,7 @@ class TestBitIdentity:
     @pytest.mark.parametrize("segment_length,overlap", [
         (1024, 0.0),
         (2048, 0.5),   # 255 segments: the last block is partial
-        (256, 0.9),    # 10 073 segments over ten blocks, the last partial
+        (256, 0.9),    # 10 073 segments over three blocks, the last partial
         (4, 0.5),      # three bins a periodogram
     ])
     def test_welch_matches_reference(self, segment_length, overlap):
@@ -369,12 +457,13 @@ class TestBitIdentity:
         assert np.array_equal(est.psd, psd)
 
     def test_welch_matches_reference_for_a_narrow_feature(self):
-        # a 1 Hz feature asks for 8 * sample_rate taps, capped likewise at 2^17
+        # the feature width does not size the filter: a 1 Hz feature gets the
+        # 8 * 2048 taps of the Welch segment, as a 50 kHz one does
         model = SpectralModel(center_frequency=1e5, squeezing_bandwidth=1.0,
                               noise_floor=8.0, dip_or_peak_level=3.0)
         rec = synthesize_difference_current(model, (1 << 20) / FS_BLO, FS_BLO, seed=18,
                                             segment_length=2048)
-        assert rec.taps.size == 1 << 17
+        assert rec.taps.size == 8 * 2048
         est = estimate_psd(rec, 2048, 0.5)
         psd, count = reference_welch_psd(rec.samples, FS_BLO, 2048, 0.5)
         assert est.n_averages == count
@@ -405,26 +494,26 @@ class TestWorker:
     """A synthesized record colors its frames on one worker thread."""
 
     def record(self, seed):
-        # five frames of 2^18 samples
+        # ten frames of 2^17 samples, each giving 2^17 - 16 383 new samples
         return synthesize_difference_current(dip_model("lorentzian"), (1 << 20) / FS_BLO,
                                              FS_BLO, seed=seed, segment_length=2048)
 
     def test_blocks_match_one_thread_coloring(self):
-        # the last of the five frames is short, so its stale end counts too
+        # the last of the ten frames is short, so its stale end counts too
         rec = self.record(22)
         keep = rec.taps.size - 1
         frame_size = _FRAME_SAMPLES
         assert rec.size % (frame_size - keep) != 0
         expected = one_thread_blocks(rec, frame_size)
         blocks = [block.copy() for block in rec.blocks()]
-        assert len(blocks) == len(expected) == 5
+        assert len(blocks) == len(expected) == 10
         assert all(np.array_equal(a, b) for a, b in zip(blocks, expected))
 
     @pytest.mark.parametrize("n,frame_size,frames", [
         # one frame: the record's 2^16 samples and 8191 lead-in fit 2^17
         (1 << 16, 1 << 17, 1),
-        # 2^18 samples with 16 384 taps: the second frame holds 16 383
-        (1 << 18, _FRAME_SAMPLES, 2),
+        # 2^17 samples with 16 384 taps: the second frame holds 16 383
+        (1 << 17, _FRAME_SAMPLES, 2),
     ], ids=["one_frame", "short_second_frame"])
     def test_end_of_record_matches_one_thread_coloring(self, n, frame_size, frames):
         rec = synthesize_difference_current(dip_model("lorentzian"), n / FS_BLO, FS_BLO,
@@ -483,7 +572,7 @@ class TestStream:
             with pytest.raises(ValueError):
                 block[0] = 0.0
             copies.append(block.copy())
-        assert len(copies) == 5
+        assert len(copies) == 10
         assert np.array_equal(np.concatenate(copies), rec.samples)
 
     @pytest.mark.parametrize("n", [2, 4, 2048])
@@ -561,6 +650,26 @@ class TestStatistics:
         z = (mean[kept] - target[kept]) / stderr[kept]
         assert np.max(np.abs(z)) < 5.0
 
+    @pytest.mark.parametrize("level", [3.0, 8.0 + 8192.0], ids=["dip", "tall_peak"])
+    def test_narrow_feature_matches_the_window_convolved_target(self, level):
+        # a 1 Hz lorentzian is far inside one 1024 Hz Welch bin, so the
+        # estimate can show only the target convolved with the window; the
+        # tall peak spreads its area over a few bins, near twice the floor
+        model = SpectralModel(center_frequency=1e5, squeezing_bandwidth=1.0, noise_floor=8.0,
+                              dip_or_peak_level=level)
+        segment_length = 2048
+        estimates = []
+        for seed in self.SEEDS:
+            rec = synthesize_difference_current(model, self.N / FS_BLO, FS_BLO, seed=seed,
+                                                segment_length=segment_length)
+            estimates.append(estimate_psd(rec, segment_length, 0.5))
+        mean = np.mean([est.psd for est in estimates], axis=0)
+        target = window_convolved_target(model, FS_BLO, segment_length, rec.taps.size)
+        averages = estimates[0].n_averages * len(self.SEEDS)
+        stderr = target * math.sqrt(1.056 / averages)
+        z = (mean[1:-1] - target[1:-1]) / stderr[1:-1]
+        assert np.max(np.abs(z)) < 5.0
+
 
 def traced_peak(fn, *args):
     """Peak bytes traced by tracemalloc while fn runs, and fn's result."""
@@ -572,8 +681,8 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
-def synthesize_and_estimate(n, segment_length, overlap):
-    rec = synthesize_difference_current(dip_model("lorentzian"), n / FS_BLO, FS_BLO, seed=3,
+def synthesize_and_estimate(n, segment_length, overlap, model=dip_model("lorentzian")):
+    rec = synthesize_difference_current(model, n / FS_BLO, FS_BLO, seed=3,
                                         segment_length=segment_length)
     return estimate_psd(rec, segment_length, overlap)
 
@@ -588,6 +697,15 @@ class TestMemory:
             peak, est = traced_peak(synthesize_and_estimate, n, 2048, 0.5)
             assert est.n_averages == n // 1024 - 1
             assert peak < 24 << 20
+
+    def test_narrow_feature_peak_is_that_of_the_default(self):
+        # the same bound as the default feature: the Welch segment sizes the
+        # filter, so a 1 Hz feature takes the default's taps and frames
+        model = SpectralModel(center_frequency=1e5, squeezing_bandwidth=1.0,
+                              noise_floor=8.0, dip_or_peak_level=3.0)
+        peak, est = traced_peak(synthesize_and_estimate, 1 << 22, 2048, 0.5, model)
+        assert est.n_averages == (1 << 22) // 1024 - 1
+        assert peak < 24 << 20
 
     @pytest.mark.parametrize("segment_length,overlap", [(2048, 0.5), (256, 0.9)])
     def test_welch_peak_is_fixed(self, segment_length, overlap):
@@ -606,6 +724,7 @@ class TestMemory:
         # the first read imports numpy.random, which tracemalloc would count
         estimate_psd(rec, 2048, 0.5)
         peak, _ = traced_peak(estimate_psd, rec, 2048, 0.5)
-        # two frames, their spectrum, the filter response and Welch's fixed
-        # batch; fresh transform outputs for every frame took seven
-        assert peak < 5 * _FRAME_SAMPLES * 8
+        # two frames of 2^17 samples, their spectrum, the filter response,
+        # numpy's transform scratch and Welch's fixed batch: about 5.5 MiB,
+        # where frames of 2^18 take 9.5 MiB
+        assert peak < 8 << 20
