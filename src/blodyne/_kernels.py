@@ -194,15 +194,16 @@ def build_coherent_product(tones, cutoff: int) -> FockStateVector:
 
 def build_blo_signal_state(p: SqueezeParams, case: ImageBandCase,
                            cutoff: int) -> FockStateVector:
-    """Signal-side state for the two-tone scheme: squeezed pair plus the
-    explicit image-band vacua the configuration calls for.
+    """Signal-side state for the two-tone scheme: squeezed pair plus one
+    vacuum per image mode of the case's reference plan.
 
-    Mode order matches :meth:`BeatPairing.for_blo`: (lower squeezed mode,
+    Mode order matches :meth:`BeatPairing.for_plan`: (lower squeezed mode,
     upper squeezed mode, then image modes). Each image vacuum is a size-1
     axis (cutoff 0).
     """
+    n_images = len(fock.BeatPairing.for_plan(fock.reference_plan(case)).signal_freqs) - 2
     amp = build_tmss(p, cutoff).amplitudes
-    return FockStateVector(amp.reshape(amp.shape + (1,) * fock._N_IMAGES[case]))
+    return FockStateVector(amp.reshape(amp.shape + (1,) * n_images))
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +337,7 @@ def oracle_difference_variance_unitary(signal: FockStateVector, lo: FockStateVec
         raise ValueError("pairing does not match the state mode counts")
 
     all_freqs = list(pairing.signal_freqs) + list(pairing.lo_freqs)
-    tol = 1e-9 * max(fp.delta, max(abs(f - g) for f in all_freqs for g in all_freqs))
+    tol = fock.beat_tolerance(fp)
     clusters = fock._cluster(all_freqs, tol)
 
     freq_entries = []  # (frequency, signal mode index or None, lo mode index or None)

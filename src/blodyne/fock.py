@@ -5,8 +5,9 @@ squeezed signal and the coherent local-oscillator tones are explicit
 truncated amplitude vectors, the balanced mixing is reduced to its
 interference observable, and the variance of the difference photon-number
 observable is evaluated exactly on the truncated space. Nothing here shares
-code with the closed-form expressions in :mod:`blodyne.detection`;
-agreement between the two routes is the strongest check the package offers.
+code with :mod:`blodyne.detection`, whose value types are all it imports:
+the image modes come from the plan's own frequencies, not from its case
+classifier. Agreement between the two routes is the strongest check.
 
 For a balanced splitter the difference signal reduces operator-identically
 to the interference form i (a_k^dag b_j - b_j^dag a_k) summed over mode
@@ -38,9 +39,9 @@ takes from this module resolve here too, on first access.
 import cmath
 import importlib
 import math
+import sys
 
-from .detection import (FrequencyPlan, ImageBandCase, SqueezeParams, _Record, _set,
-                        classify_image_band_case)
+from .detection import FrequencyPlan, ImageBandCase, SqueezeParams, _Record, _set
 
 _INPUT_LEAKAGE_LIMIT = 1e-6
 
@@ -150,11 +151,6 @@ def coherent_amplitudes(amplitude: float, phase: float, cutoff: int) -> list[com
             for n in range(cutoff + 1)]
 
 
-_N_IMAGES = {ImageBandCase.NO_IMAGE_BANDS: 0,
-             ImageBandCase.SHARED_IMAGE_BAND: 1,
-             ImageBandCase.TWO_IMAGE_BANDS: 2}
-
-
 # ---------------------------------------------------------------------------
 # ladder Grams
 # ---------------------------------------------------------------------------
@@ -215,7 +211,7 @@ def product_gram(factors) -> list[list[complex]]:
 
 def signal_gram(p: SqueezeParams, cutoff: int, n_images: int) -> list[list[complex]]:
     """Ladder Gram of the signal: the squeezed pair on |n, n> plus
-    ``n_images`` image vacua as explicit modes, in :meth:`BeatPairing.for_blo`
+    ``n_images`` image vacua as explicit modes, in :meth:`BeatPairing.for_plan`
     mode order."""
     vacua = (0,) * n_images
     return ladder_gram({(n, n) + vacua: a for n, a in enumerate(tmss_diagonal(p, cutoff))})
@@ -234,58 +230,58 @@ def coherent_product_gram(tones, cutoff: int) -> list[list[complex]]:
 # ---------------------------------------------------------------------------
 
 
+def beat_tolerance(fp: FrequencyPlan) -> float:
+    """Absolute tolerance (rad/s) within which two frequencies or two beats
+    are equal: 1e-9 * delta, with a floor of 32 ulps of omega_plus for the
+    carrier rounding a plan built from Hz carries in every frequency."""
+    return max(1e-9 * fp.delta, 32.0 * sys.float_info.epsilon * fp.omega_plus)
+
+
 class BeatPairing(_Record):
     """Frequency assignment of every signal mode and every LO mode (rad/s).
 
     The order of ``signal_freqs`` must match the mode order of the signal
     state handed to the oracle, and likewise for the LO product state. Every
     (signal mode, LO tone) combination beats at the difference of its
-    frequencies; the oracle groups equal beats exactly.
+    frequencies; the oracle groups beats within :func:`beat_tolerance`.
     """
 
     __slots__ = ("signal_freqs", "lo_freqs")
 
     @classmethod
-    def for_standard(cls, fp: FrequencyPlan) -> "BeatPairing":
-        """Single-tone scheme: signal modes (minus, plus) against one tone.
+    def for_plan(cls, fp: FrequencyPlan) -> "BeatPairing":
+        """The modes a plan's own frequencies call for.
 
         Frequencies are stored relative to the lower signal mode: only
-        differences enter the oracle, and optical-carrier magnitudes would
-        otherwise cost more rounding than the beat-grouping tolerance.
+        differences enter the oracle. Signal mode order is (minus, plus,
+        images...). A tone at w beats a signal mode within delta/2 of it
+        and the image band 2w minus that mode at the same frequency; each
+        such image that lies within :func:`beat_tolerance` of no mode listed
+        before it is one more vacuum mode.
         """
-        if len(fp.lo_frequencies) != 1:
-            raise ValueError("for_standard needs a single-tone frequency plan")
-        return cls(signal_freqs=(0.0, fp.delta),
-                   lo_freqs=(fp.lo_frequencies[0] - fp.omega_minus,))
+        tol = beat_tolerance(fp)
+        lo = tuple(w - fp.omega_minus for w in fp.lo_frequencies)
+        signal = [0.0, fp.delta]
+        for tone in lo:
+            for mode in (0.0, fp.delta):
+                image = 2.0 * tone - mode
+                if (abs(tone - mode) <= 0.5 * fp.delta
+                        and all(abs(image - f) > tol for f in signal)):
+                    signal.append(image)
+        return cls(signal_freqs=tuple(signal), lo_freqs=lo)
 
     @classmethod
     def for_blo(cls, fp: FrequencyPlan, case: ImageBandCase) -> "BeatPairing":
-        """Two-tone scheme with the image modes the configuration requires.
-
-        Signal mode order is (minus, plus, images...). Frequencies are
-        anchored to the lower signal mode, and sub-tolerance detunings of
-        the degenerate configurations are absorbed into exact values so that
-        coincident beats group exactly.
-        """
-        found = classify_image_band_case(fp)
-        if found is not case:
-            raise ValueError(
-                f"frequency plan classifies as {found.value}, not {case.value}"
-            )
-        delta = fp.delta
-        if case is ImageBandCase.NO_IMAGE_BANDS:
-            return cls(signal_freqs=(0.0, delta), lo_freqs=(0.0, delta))
-        if case is ImageBandCase.SHARED_IMAGE_BAND:
-            quarter = 0.25 * delta
-            return cls(
-                signal_freqs=(0.0, delta, 2.0 * quarter),
-                lo_freqs=(quarter, delta - quarter),
-            )
-        d1, d2 = fp.delta1, fp.delta2
-        return cls(
-            signal_freqs=(0.0, delta, 2.0 * d1, delta + 2.0 * d2),
-            lo_freqs=(d1, delta + d2),
-        )
+        """:meth:`for_plan` on a two-tone plan that must have as many image
+        modes as the case's reference plan."""
+        if len(fp.lo_frequencies) != 2:
+            raise ValueError("for_blo needs a two-tone frequency plan")
+        pairing, expected = cls.for_plan(fp), cls.for_plan(reference_plan(case))
+        n_images, n_expected = len(pairing.signal_freqs) - 2, len(expected.signal_freqs) - 2
+        if n_images != n_expected:
+            raise ValueError(f"frequency plan has {n_images} image modes, but a plan that "
+                             f"classifies as {case.value} has {n_expected}")
+        return pairing
 
 
 def _cluster(values, tol: float):
@@ -358,7 +354,7 @@ def oracle_from_grams(g_sig, g_lo, pairing: BeatPairing, fp: FrequencyPlan) -> f
 
     beats = [(k, j, pairing.signal_freqs[k] - pairing.lo_freqs[j])
              for k in range(n_sig) for j in range(n_lo)]
-    tol = 1e-9 * max(fp.delta, max(abs(b[2]) for b in beats))
+    tol = max(beat_tolerance(fp), 1e-9 * max(abs(b[2]) for b in beats))
 
     def _component(pos, neg):
         # C = sum_pos i a_k^dag b_j  +  sum_neg (-i) b_j^dag a_k; returns
@@ -442,10 +438,10 @@ def _oracle_run(p: SqueezeParams, beta: float, phases: tuple, case: ImageBandCas
     reference plan of ``case``, where ``None`` means one tone."""
     policy = policy if policy is not None else TruncationPolicy()
     plan = reference_plan(case)
-    n_images = 0 if case is None else _N_IMAGES[case]
+    pairing = BeatPairing.for_plan(plan)
+    n_images = len(pairing.signal_freqs) - 2
     n_sig, n_lo = policy.tmss_cutoff(p.s), policy.coherent_cutoff(beta)
     _check_factor_dims(policy, (n_sig + 1,) * 2 + (1,) * n_images, (n_lo + 1,) * len(phases))
     g_sig = signal_gram(p, n_sig, n_images)
     g_lo = coherent_product_gram([(beta, chi) for chi in phases], n_lo)
-    pairing = BeatPairing.for_standard(plan) if case is None else BeatPairing.for_blo(plan, case)
     return oracle_from_grams(g_sig, g_lo, pairing, plan)

@@ -8,10 +8,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from blodyne import detection
+from blodyne import config, detection
 from blodyne.detection import ImageBandCase, LoTone
-from blodyne.fock import (_N_IMAGES, BeatPairing, TruncationPolicy, coherent_cutoff,
+from blodyne.fock import (BeatPairing, TruncationPolicy, coherent_cutoff,
                           coherent_product_gram, ladder_gram, oracle_blo_run,
                           oracle_from_grams, oracle_standard_run, reference_plan,
                           signal_gram, tmss_cutoff_for_leakage)
@@ -35,6 +37,35 @@ def analytic_blo(p, beta, chi1, chi2, case, include_lo_term=True):
     )
     corr = detection.lo_quantization_correction(p, 2) if include_lo_term else 0.0
     return rep.variance + corr
+
+
+def n_image_modes(case):
+    """Image vacua the pairing derives on the case's reference plan."""
+    return len(BeatPairing.for_plan(reference_plan(case)).signal_freqs) - 2
+
+
+def parse_plan(plan_hz):
+    """The two-tone plan ``config`` builds from Hz, and the case it classifies."""
+    cfg = config.parse_config({"frequency_plan": plan_hz, "squeeze": {"s": 0.5},
+                               "lo_tones": [{"amplitude": 1.0}, {"amplitude": 1.0}]})
+    return cfg.plan, cfg.case
+
+
+def plan_hz(lower, split, fraction):
+    """Signal modes ``split`` Hz apart from ``lower`` Hz, each tone detuned
+    by ``fraction`` of the splitting toward the other mode (delta1 = -delta2)."""
+    return {"omega_minus_hz": lower, "omega_plus_hz": lower + split,
+            "lo_hz": [lower + fraction * split, lower + split - fraction * split]}
+
+
+# the benchmark's two-tone plan (perfbench/workloads.py PLAN_TWO_TONE): delta1 +
+# delta2 rounds to -0.25 rad/s, 4x the 1e-9 delta the oracle once grouped
+# beats within, and far inside the stationarity tolerance of 13.4 rad/s
+BENCHMARK_TWO_TONE_HZ = {"omega_plus_hz": 300.000005e12, "omega_minus_hz": 299.999995e12,
+                         "lo_hz": [299.9999951e12, 300.0000049e12]}
+# the shared-image-band plan of the installed-script check in CI
+SHARED_TONE_HZ = {"omega_plus_hz": 300.000005e12, "omega_minus_hz": 299.999995e12,
+                  "lo_hz": [299.9999975e12, 300.0000025e12]}
 
 
 class TestTmssBuilder:
@@ -159,7 +190,7 @@ class TestGaussianEquivalence:
         p = SqueezeParams(s=s, theta=theta)
         modes = [ModeLabel("a", 2.0e15), ModeLabel("b", 2.1e15),
                  ModeLabel("image1", 2.05e15), ModeLabel("image2", 2.15e15)]
-        n_images = _N_IMAGES[case]
+        n_images = n_image_modes(case)
         mean_f, cov_f = covariance_matrix(
             signal_gram(p, tmss_cutoff_for_leakage(s, 1e-16), n_images))
         gauss = apply_two_mode_squeeze(vacuum_state(modes[:2 + n_images]),
@@ -224,7 +255,7 @@ class TestOracle:
         delta_beta = frac * beta
         beta2 = beta + delta_beta
         plan = reference_plan(case)
-        g_sig = signal_gram(p, TruncationPolicy().tmss_cutoff(s), _N_IMAGES[case])
+        g_sig = signal_gram(p, TruncationPolicy().tmss_cutoff(s), n_image_modes(case))
         g_lo = coherent_product_gram([(beta, chi1), (beta2, chi2)],
                                      coherent_cutoff(max(beta, beta2)))
         value = oracle_from_grams(g_sig, g_lo, BeatPairing.for_blo(plan, case), plan)
@@ -265,6 +296,8 @@ class TestOracle:
         plan = reference_plan(ImageBandCase.SHARED_IMAGE_BAND)
         with pytest.raises(ValueError, match="classifies"):
             BeatPairing.for_blo(plan, ImageBandCase.TWO_IMAGE_BANDS)
+        with pytest.raises(ValueError, match="two-tone"):
+            BeatPairing.for_blo(reference_plan(None), ImageBandCase.NO_IMAGE_BANDS)
 
     def test_convergence_under_cutoff_doubling(self):
         p = SqueezeParams(s=0.6, theta=0.9)
@@ -349,7 +382,7 @@ class TestFactorizedOracle:
         plan = reference_plan(None)
         signal = build_tmss(p, tmss_cutoff_for_leakage(0.6, 1e-8))
         lo = build_coherent_product([(4.0, 0.9)], coherent_cutoff(4.0))
-        pairing = BeatPairing.for_standard(plan)
+        pairing = BeatPairing.for_plan(plan)
         value = oracle_difference_variance(signal, lo, pairing, plan)
         assert value == pytest.approx(dense_joint_variance(signal, lo, pairing, plan),
                                       rel=1e-12)
@@ -375,7 +408,7 @@ def dense_run(p, tones, case, policy=None):
     n_sig, n_lo = policy.tmss_cutoff(p.s), policy.coherent_cutoff(tones[0][0])
     plan = reference_plan(case)
     if case is None:
-        signal, pairing = build_tmss(p, n_sig), BeatPairing.for_standard(plan)
+        signal, pairing = build_tmss(p, n_sig), BeatPairing.for_plan(plan)
     else:
         signal = build_blo_signal_state(p, case, n_sig)
         pairing = BeatPairing.for_blo(plan, case)
@@ -498,13 +531,98 @@ assert fock._DENSE_NAMES <= set(dir(fock))
     assert result.returncode == 0, result.stderr
 
 
+class TestPlanPairing:
+    """The oracle derives its image modes from the plan's own frequencies;
+    ``detection``'s classifier is the independent route to the same case."""
+
+    @pytest.mark.parametrize("case", ALL_SCHEMES)
+    def test_reference_plans_keep_their_modes(self, case):
+        plan = reference_plan(case)
+        d = plan.delta
+        if case is None:
+            expected = (0.0, d), (plan.lo_frequencies[0] - plan.omega_minus,)
+        elif case is ImageBandCase.NO_IMAGE_BANDS:
+            expected = (0.0, d), (0.0, d)
+        elif case is ImageBandCase.SHARED_IMAGE_BAND:
+            expected = (0.0, d, 0.5 * d), (0.25 * d, d - 0.25 * d)
+        else:
+            d1, d2 = plan.delta1, plan.delta2
+            expected = (0.0, d, 2.0 * d1, d + 2.0 * d2), (d1, d + d2)
+        pairing = BeatPairing.for_plan(plan)
+        assert (pairing.signal_freqs, pairing.lo_freqs) == expected
+
+    # The detunings are the cases as a plan states them in Hz: zero, a
+    # quarter of the splitting, or at least 2% of the splitting away from
+    # both. Within the tolerance of zero the routes draw the boundary
+    # differently: the pairing drops an image within beat_tolerance of its
+    # mode (|delta1| <= tol/2), the classifier finds no image bands for
+    # |delta1|, |delta2| <= tol.
+    @settings(max_examples=300, deadline=None)
+    @given(lower=st.floats(1e14, 6e14), log_split=st.floats(6.0, 9.0),
+           fraction=st.one_of(st.sampled_from([0.0, 0.25]), st.floats(-0.48, -0.02),
+                              st.floats(0.02, 0.23), st.floats(0.27, 0.48)))
+    def test_image_modes_count_the_classified_case(self, lower, log_split, fraction):
+        plan, case = parse_plan(plan_hz(lower, 10.0 ** log_split, fraction))
+        assert abs(plan.delta1 + plan.delta2) <= detection.detuning_tolerance(plan)
+        n_images = len(BeatPairing.for_plan(plan).signal_freqs) - 2
+        assert n_images == detection.IMAGE_VACUUM_UNITS[case]
+
+    def test_oracle_matches_the_closed_form_on_config_built_plans(self):
+        # the benchmark's plan, then seeded plans of each case: omega_minus
+        # 1e14-6e14 Hz, splitting log-uniform over 1-1000 MHz
+        rng = np.random.default_rng(23)
+        plans = [BENCHMARK_TWO_TONE_HZ]
+        for fraction in (0.0, 0.25, None):
+            for _ in range(40):
+                f = fraction if fraction is not None else float(
+                    rng.choice([-1.0, 1.0]) * rng.choice([rng.uniform(0.02, 0.23),
+                                                          rng.uniform(0.27, 0.48)]))
+                plans.append(plan_hz(float(rng.uniform(1e14, 6e14)),
+                                     float(10.0 ** rng.uniform(6.0, 9.0)), f))
+        p = SqueezeParams(s=0.5, theta=0.3)
+        g_lo = coherent_product_gram([(3.0, 0.2), (3.0, 1.0)], coherent_cutoff(3.0))
+        for hz in plans:
+            plan, case = parse_plan(hz)
+            pairing = BeatPairing.for_blo(plan, case)
+            g_sig = signal_gram(p, TruncationPolicy().tmss_cutoff(p.s),
+                                len(pairing.signal_freqs) - 2)
+            assert oracle_from_grams(g_sig, g_lo, pairing, plan) == pytest.approx(
+                analytic_blo(p, 3.0, 0.2, 1.0, case), rel=1e-6), hz
+
+
+def test_oracle_takes_only_value_types_from_detection():
+    allowed = {"FrequencyPlan", "ImageBandCase", "SqueezeParams", "_Record", "_set"}
+    for module in ("fock", "_kernels"):
+        tree = ast.parse((REPO / "src" / "blodyne" / f"{module}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+                if node.module in ("detection", "blodyne.detection"):
+                    assert names <= allowed, (module, sorted(names - allowed))
+                else:
+                    assert "detection" not in names, module
+            elif isinstance(node, ast.Import):
+                assert "blodyne.detection" not in {alias.name for alias in node.names}, module
+
+
 class TestUnitaryRoute:
+    @pytest.mark.parametrize("hz", [BENCHMARK_TWO_TONE_HZ, SHARED_TONE_HZ])
+    def test_config_built_plan_matches_the_reference_plan(self, hz):
+        # cutoffs 1 and 2: the route needs no leakage bound of its own
+        plan, case = parse_plan(hz)
+        signal = build_blo_signal_state(SqueezeParams(s=0.2, theta=0.8), case, 1)
+        lo = build_coherent_product([(0.3, 0.2), (0.3, 1.0)], 2)
+        variances = [oracle_difference_variance_unitary(signal, lo, BeatPairing.for_blo(fp, case),
+                                                        fp).variance
+                     for fp in (plan, reference_plan(case))]
+        assert variances[0] == pytest.approx(variances[1], rel=1e-9)
+
     def test_standard_route_equality(self):
         p = SqueezeParams(s=0.5, theta=0.9)
         plan = reference_plan(None)
         signal = build_tmss(p, 11)
         lo = build_coherent_product([(0.8, 0.7)], 10)
-        pairing = BeatPairing.for_standard(plan)
+        pairing = BeatPairing.for_plan(plan)
         grouped = oracle_difference_variance(signal, lo, pairing, plan)
         unitary = oracle_difference_variance_unitary(signal, lo, pairing, plan)
         assert grouped == pytest.approx(unitary.variance, rel=1e-10)
