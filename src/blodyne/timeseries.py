@@ -191,12 +191,26 @@ class SynthesizedRecord(_Record):
     ``samples`` copies every block into one read-only array, for tests and
     short records. A plain ``threading.Thread`` keeps ``concurrent.futures``,
     with the ``logging`` it imports, out of the ``spectrum`` process.
-    A record equals only itself, and hashes by identity.
+    A record equals only itself, and hashes by identity. The taps must be a
+    non-empty one-dimensional array of finite floats, the size at least 1,
+    the sample rate finite and positive and the seed non-negative.
     """
 
     __slots__ = ("size", "sample_rate", "seed", "taps")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
+
+    def __init__(self, size: int, sample_rate: float, seed: int, taps: np.ndarray):
+        taps = np.asarray(taps, dtype=float)
+        if taps.ndim != 1 or taps.size == 0 or not np.isfinite(taps).all():
+            raise ValueError("taps must be a non-empty one-dimensional array of finite floats")
+        if size < 1:
+            raise ValueError(f"size must be >= 1, got {size!r}")
+        if not (math.isfinite(sample_rate) and sample_rate > 0.0):
+            raise ValueError(f"sample_rate must be finite and positive, got {sample_rate!r}")
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed!r}")
+        _Record.__init__(self, size, sample_rate, seed, taps)
 
     def blocks(self):
         keep = self.taps.size - 1
@@ -323,8 +337,12 @@ _FRAME_SAMPLES = 1 << 17
 
 # Welch windows and transforms its segments in batches of this many samples
 # (at least one segment); the batch size only bounds the working set and
-# changes no output, since periodograms are summed in segment order anyway
-_WELCH_ROW_SAMPLES = 1 << 16
+# changes no output, since periodograms are summed in segment order anyway.
+# 2^14 samples are 8 segments at the default 2048, and their buffers take
+# about 0.3 MiB where batches of 2^16 took 1.3 MiB: on 2^24 samples, 1 MB
+# less peak RSS. Batches of one segment (2^11) doubled Welch's time on a
+# 2^22-sample record, from numpy's cost per call
+_WELCH_ROW_SAMPLES = 1 << 14
 
 
 def synthesize_difference_current(model: SpectralModel, duration: float,
@@ -394,14 +412,16 @@ def estimate_psd(rec: PhotocurrentRecord | SynthesizedRecord, segment_length: in
 
     The record is read block by block, and segments are strided views of
     each block, windowed and transformed ``_WELCH_ROW_SAMPLES`` samples at a
-    time (at least one segment). The samples after a block's last whole
-    segment carry over; only the segments that start there and end in the
-    next block are gathered into a small bridge array, so the working set
-    stays fixed as the record grows. The periodograms are summed strictly in
-    segment order, each added to the running sum in turn (never pairwise),
-    which makes the estimate bit-identical to a segment-by-segment loop over
-    the whole record. The record's blocks are closed before this returns,
-    so a synthesized record's worker thread has ended by then.
+    time (at least one segment). The batch's windowed segments, spectra and
+    periodograms are allocated once per call and filled in place, batch
+    after batch. The samples after a block's last whole segment carry over;
+    only the segments that start there and end in the next block are
+    gathered into a small bridge array, so the working set stays fixed as
+    the record grows. The periodograms are summed strictly in segment
+    order, each added to the running sum in turn (never pairwise), which
+    makes the estimate bit-identical to a segment-by-segment loop over the
+    whole record. The record's blocks are closed before this returns, so a
+    synthesized record's worker thread has ended by then.
     """
     n = rec.size
     if segment_length < 4 or (segment_length & (segment_length - 1)) != 0:
@@ -414,11 +434,13 @@ def estimate_psd(rec: PhotocurrentRecord | SynthesizedRecord, segment_length: in
     window = 0.5 - 0.5 * np.cos(2.0 * math.pi * np.arange(segment_length) / segment_length)
     win_power = float(np.sum(window**2))
     count = (n - segment_length) // step + 1
-    rows = max(1, _WELCH_ROW_SAMPLES // segment_length)
+    rows = min(max(1, _WELCH_ROW_SAMPLES // segment_length), count)
     acc = np.zeros(segment_length // 2 + 1)
-    # row 0 carries the running sum, so each reduce over axis 0 adds the
-    # batch's periodograms to it one after another, in segment order
-    power = np.empty((min(rows, count) + 1, acc.size))
+    # row 0 of power carries the running sum, so each reduce over axis 0 adds
+    # the batch's periodograms to it one after another, in segment order
+    windowed = np.empty((rows, segment_length))
+    spectra = np.empty((rows, acc.size), dtype=complex)
+    power = np.empty((rows + 1, acc.size))
 
     def add_segments(data):
         """Add the periodograms of the segments starting at data[0], data[step],
@@ -429,7 +451,9 @@ def estimate_psd(rec: PhotocurrentRecord | SynthesizedRecord, segment_length: in
         for first in range(0, segments.shape[0], rows):
             chunk = segments[first : first + rows]
             k = chunk.shape[0]
-            np.abs(np.fft.rfft(chunk * window), out=power[1 : k + 1])
+            np.multiply(chunk, window, out=windowed[:k])
+            np.fft.rfft(windowed[:k], out=spectra[:k])
+            np.abs(spectra[:k], out=power[1 : k + 1])
             power[1 : k + 1] **= 2
             power[0] = acc
             np.add.reduce(power[: k + 1], axis=0, out=acc)

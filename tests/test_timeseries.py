@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from blodyne import timeseries
 from blodyne.detection import FrequencyPlan, ImageBandCase, LoTone
 from blodyne.gaussian import SqueezeParams
 from blodyne.timeseries import (_FRAME_SAMPLES, _WELCH_ROW_SAMPLES,
@@ -168,6 +169,24 @@ class TestSynthesis:
                                             segment_length=2048)
         target = 8.0 * FS_BLO / 2.0  # flat one-sided density times Nyquist band
         assert rec.samples.var() == pytest.approx(target, rel=2e-2)
+
+    @pytest.mark.parametrize("field,value", [
+        ("taps", np.array([1.0, math.nan])),
+        ("taps", np.array([1.0, math.inf])),
+        ("taps", np.empty(0)),
+        ("taps", np.ones((2, 2))),
+        ("size", 0),
+        ("size", -4),
+        ("sample_rate", 0.0),
+        ("sample_rate", -FS_BLO),
+        ("sample_rate", math.inf),
+        ("sample_rate", math.nan),
+        ("seed", -1),
+    ])
+    def test_record_rejects_invalid_fields(self, field, value):
+        fields = dict(size=1 << 10, sample_rate=FS_BLO, seed=0, taps=np.ones(8))
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            SynthesizedRecord(**dict(fields, **{field: value}))
 
 
 class TestWelch:
@@ -412,6 +431,19 @@ class TestBitIdentity:
         assert est.n_averages > rows and est.n_averages % rows != 0
         psd, _ = reference_welch_psd(rec.samples, FS_BLO, segment_length, 0.5)
         assert np.array_equal(est.psd, psd)
+
+    @pytest.mark.parametrize("segment_length,overlap", [(2048, 0.5), (256, 0.9)])
+    def test_welch_batch_size_changes_no_output(self, monkeypatch, segment_length, overlap):
+        # from one segment a batch to more than the whole record
+        rec = synthesize_difference_current(dip_model("lorentzian"), (1 << 18) / FS_BLO,
+                                            FS_BLO, seed=19, segment_length=segment_length)
+        estimates = []
+        for batch in (1 << 11, 1 << 14, 1 << 16, 1 << 20):
+            monkeypatch.setattr(timeseries, "_WELCH_ROW_SAMPLES", batch)
+            estimates.append(estimate_psd(rec, segment_length, overlap))
+        for est in estimates[1:]:
+            assert est.n_averages == estimates[0].n_averages
+            assert np.array_equal(est.psd, estimates[0].psd)
 
     def test_welch_single_segment(self):
         rec = synthesize_difference_current(dip_model("lorentzian"), 4096 / FS_BLO,
@@ -718,6 +750,16 @@ class TestMemory:
         # every segment of this record at once would take 17 to 83 MB
         assert peak < 8 << 20
 
+    @pytest.mark.parametrize("segment_length,overlap", [(2048, 0.5), (256, 0.9), (4, 0.5)])
+    def test_welch_holds_one_batch(self, segment_length, overlap):
+        rec = PhotocurrentRecord(samples=np.random.default_rng(3).standard_normal(self.N),
+                                 sample_rate=FS_BLO)
+        peak, _ = traced_peak(estimate_psd, rec, segment_length, overlap)
+        # one batch of 2^14 samples, windowed, transformed and squared into
+        # buffers allocated once: 0.45 to 0.59 MiB traced, where batches of
+        # 2^16 samples took 1.26 to 1.63 MiB
+        assert peak < 768 << 10
+
     def test_synthesized_welch_holds_five_frames(self):
         rec = synthesize_difference_current(dip_model("lorentzian"), self.N / FS_BLO, FS_BLO,
                                             seed=3, segment_length=2048)
@@ -725,6 +767,6 @@ class TestMemory:
         estimate_psd(rec, 2048, 0.5)
         peak, _ = traced_peak(estimate_psd, rec, 2048, 0.5)
         # two frames of 2^17 samples, their spectrum, the filter response,
-        # numpy's transform scratch and Welch's fixed batch: about 5.5 MiB,
-        # where frames of 2^18 take 9.5 MiB
+        # numpy's transform scratch and Welch's fixed batch: about 4.6 MiB,
+        # where frames of 2^18 take 8.6 MiB
         assert peak < 8 << 20
