@@ -175,15 +175,18 @@ class SynthesizedRecord(_Record):
     ``blocks()`` draws the noise in order from ``default_rng(seed)`` and
     colors it by overlap-save, one FFT frame at a time: the ``size`` samples
     plus ``taps.size - 1`` of lead-in are drawn afresh on each read. A read
-    allocates, once, two frames, one frame's spectrum, the filter's response
-    and a ``taps.size - 1``-sample carry, and never the record. Each frame is
-    colored in place, and its block is a read-only view of it, valid only
-    until the next block is read: a caller that keeps a block copies it.
-    While the caller reads one block, a single worker thread colors the next
-    frame, and the caller's thread then draws the frame after it into the
-    frame just read. Frames go to the worker and blocks come back through two
-    ``queue.SimpleQueue``s, and the caller takes each block before it hands
-    over the next frame, so at most one frame is colored ahead.
+    allocates, once, two frames, one frame's spectrum and the filter's
+    response, and never the record. Each frame is colored in place, and its
+    block is a read-only view of it, valid only until the next block is
+    read: a caller that keeps a block copies it. While the caller reads one
+    block, a single worker thread colors the next frame, and the caller's
+    thread then draws the frame after it into the frame just read. Its
+    first ``taps.size - 1`` samples, the raw end of the frame before it,
+    were copied there just before the worker took that frame, ahead of the
+    block the caller was reading. Frames go to the worker and blocks come
+    back through two ``queue.SimpleQueue``s, and the caller takes each block
+    before it hands over the next frame, so at most one frame is colored
+    ahead.
     Each frame is drawn and colored by the same operations in the same order
     as in one thread, so the blocks do not depend on the threads. The worker
     is joined before ``blocks()`` finishes, fails or is closed, and an
@@ -223,7 +226,6 @@ class SynthesizedRecord(_Record):
         # block of the other and then draws the next frame into it
         frame, other = np.zeros(frame_size), np.zeros(frame_size)
         spectrum = np.empty_like(response)
-        carry = np.empty(keep)
 
         def color(frame, k):
             np.fft.rfft(frame, out=spectrum)
@@ -272,15 +274,15 @@ class SynthesizedRecord(_Record):
                         block = None
                     other[keep + next_k :] = frame[keep + next_k :]
                 # the next frame starts with this one's raw end, which
-                # coloring overwrites
-                carry[:] = frame[k : k + keep]
+                # coloring overwrites: it goes straight to the other frame's
+                # head, before the block pending there, which starts at keep
+                other[:keep] = frame[k : k + keep]
                 jobs.put((frame, k))
                 if block is not None:
                     yield block
                 if not next_k:
                     break
                 frame, other, k = other, frame, next_k
-                frame[:keep] = carry
                 rng.standard_normal(out=frame[keep : keep + k])
                 done += k
                 block = colored()
@@ -306,18 +308,26 @@ class SynthesizedRecord(_Record):
 
 
 class SpectrumEstimate(_Record):
-    """One-sided Welch PSD estimate."""
+    """One-sided Welch PSD estimate from Hann-windowed segments.
 
-    __slots__ = ("frequencies", "psd", "resolution", "n_averages")
+    ``n_averages`` counts the periodograms averaged, and
+    ``equivalent_averages`` is how many independent ones would vary as
+    much for a flat spectrum: fewer, where segments overlap. It defaults to
+    ``n_averages``.
+    """
+
+    __slots__ = ("frequencies", "psd", "resolution", "n_averages", "equivalent_averages")
 
     def __init__(self, frequencies: np.ndarray, psd: np.ndarray, resolution: float,
-                 n_averages: int):
+                 n_averages: int, equivalent_averages: float | None = None):
         f = np.asarray(frequencies, dtype=float)
         s = np.asarray(psd, dtype=float)
         # one-dimensional, so that the record stores them as read-only views
         if f.ndim != 1 or f.shape != s.shape:
             raise ValueError("frequency and PSD arrays must be one-dimensional and match")
-        _Record.__init__(self, f, s, resolution, n_averages)
+        if equivalent_averages is None:
+            equivalent_averages = float(n_averages)
+        _Record.__init__(self, f, s, resolution, n_averages, equivalent_averages)
 
     def total_power(self) -> float:
         return float(np.sum(self.psd) * self.resolution)
@@ -329,11 +339,18 @@ class SpectrumEstimate(_Record):
 _MAX_SAMPLES = 1 << 26
 
 # Synthesis colors its noise in FFT frames of at least this many samples (and
-# at least two filter lengths): eight filter lengths at the default Welch
-# segment of 2048. On 2^24 samples, frames of 2^16 took a fifth more time,
-# and frames of 2^18 6 MB more peak RSS. The frame size fixes the rounding
-# of every sample, so changing it changes the records of every seed
-_FRAME_SAMPLES = 1 << 17
+# at least two filter lengths): four filter lengths at the default Welch
+# segment of 2048. On 2^24 samples, frames of 2^17 took 3% less time but
+# 3 MB more peak RSS, and frames of 2^18 6 MB more again. The frame size
+# fixes the rounding of every sample, so changing it changes the records of
+# every seed
+_FRAME_SAMPLES = 1 << 16
+
+# The chance that locate_squeezing_feature reports a feature in a flat
+# spectrum. On synthesized flat records it reported none in 1000 with Welch
+# segments of 2048 or 4096 samples (a thousand bins or more searched), and 2
+# to 3 in 1000 with 256-sample segments (121 bins)
+_FALSE_FEATURE_RATE = 1e-3
 
 # Welch windows and transforms its segments in batches of this many samples
 # (at least one segment); the batch size only bounds the working set and
@@ -451,7 +468,11 @@ def estimate_psd(rec: PhotocurrentRecord | SynthesizedRecord, segment_length: in
         for first in range(0, segments.shape[0], rows):
             chunk = segments[first : first + rows]
             k = chunk.shape[0]
-            np.multiply(chunk, window, out=windowed[:k])
+            # a plain copy of the strided segments, then an in-place multiply:
+            # multiplying from the strided view would go through numpy's
+            # buffered iterator, which allocates its own buffer on every call
+            np.copyto(windowed[:k], chunk)
+            windowed[:k] *= window
             np.fft.rfft(windowed[:k], out=spectra[:k])
             np.abs(spectra[:k], out=power[1 : k + 1])
             power[1 : k + 1] **= 2
@@ -482,11 +503,20 @@ def estimate_psd(rec: PhotocurrentRecord | SynthesizedRecord, segment_length: in
     psd[0] /= 2.0
     psd[-1] /= 2.0
     freqs = np.fft.rfftfreq(segment_length, d=1.0 / rec.sample_rate)
+    # for a flat spectrum, periodograms of segments j steps apart correlate
+    # by the squared overlap of their windows, so their average varies as an
+    # average of fewer independent ones (Percival and Walden, Spectral
+    # Analysis for Physical Applications, 1993, eq. 292b)
+    shared = 0.0
+    for j in range(1, min(count, -(-segment_length // step))):
+        overlap = float(np.dot(window[j * step :], window[: segment_length - j * step]))
+        shared += (1.0 - j / count) * (overlap / win_power) ** 2
     return SpectrumEstimate(
         frequencies=freqs,
         psd=psd,
         resolution=rec.sample_rate / segment_length,
         n_averages=count,
+        equivalent_averages=count / (1.0 + 2.0 * shared),
     )
 
 
@@ -506,9 +536,13 @@ def locate_squeezing_feature(spec: SpectrumEstimate,
     located to a fraction of a bin), and the depth is read from the raw
     estimate right at the center so smoothing cannot bias deep dips.
 
-    Returns None when no smoothed bin deviates from the floor by more than
-    three per-bin standard errors, i.e. when the spectrum is consistent with
-    flat. The DC bin is excluded from the search.
+    Returns None when the spectrum is consistent with flat: when a flat
+    spectrum at the floor would deviate as far, in some searched bin, with
+    probability above ``_FALSE_FEATURE_RATE``. Each smoothed bin is scored
+    against the spread it has for a flat spectrum, from the equivalent
+    number of averages and the smoothing width, on a scale that removes the
+    skew of few averages, and the chance is summed over the searched bins.
+    The DC bin is excluded from the search.
     """
     if floor_estimate <= 0.0:
         raise ValueError("floor_estimate must be positive")
@@ -518,15 +552,29 @@ def locate_squeezing_feature(spec: SpectrumEstimate,
     smoothed = np.convolve(psd, kernel, mode="same") / np.convolve(
         np.ones(psd.size), kernel, mode="same"
     )
-    deviation = smoothed - floor_estimate
-    sigma = floor_estimate / math.sqrt(max(1, spec.n_averages))
-    search = np.abs(deviation)
+    # For a flat spectrum a searched bin of smoothed / floor has mean 1 and
+    # variance `spread`: a Welch bin's 1 / equivalent_averages, times what a
+    # mean of smooth_bins neighbours keeps of it, as Hann bins one and two
+    # apart correlate by 4/9 and 1/36. Taken as chi-square over its 2 / spread
+    # degrees of freedom, its cube root is close to normal (Wilson and
+    # Hilferty, 1931), with mean 1 - spread / 9 and variance spread / 9
+    spread = (smooth_bins + 8.0 / 9.0 * (smooth_bins - 1) + (smooth_bins - 2) / 18.0) / (
+        smooth_bins**2 * max(1.0, spec.equivalent_averages))
+    z = np.abs(np.cbrt(smoothed / floor_estimate) - (1.0 - spread / 9.0))
+    z /= math.sqrt(spread / 9.0)
+    search = np.abs(smoothed - floor_estimate)
     # Edge bins mix one-sided DC/Nyquist conventions into the smoothing
     # window; the feature search stays in the interior.
-    search[: smooth_bins + 1] = 0.0
-    search[-(smooth_bins + 1) :] = 0.0
-    idx = int(np.argmax(search))
-    if search[idx] <= 3.0 * sigma:
+    searched = psd.size - 2 * (smooth_bins + 1)
+    if searched <= 0:
+        return None
+    for values in (z, search):
+        values[: smooth_bins + 1] = 0.0
+        values[-(smooth_bins + 1) :] = 0.0
+    idx = int(np.argmax(z))
+    # the chance that some searched bin of a flat spectrum scores as high
+    # is at most the sum of the searched bins' two-sided normal tails
+    if searched * math.erfc(z[idx] / math.sqrt(2.0)) > _FALSE_FEATURE_RATE:
         return None
     # Half-maximum region around the candidate, tolerant of noise gaps up to
     # one smoothing width; weighting by the excess over half maximum
@@ -574,7 +622,7 @@ def spectrum_csv_lines(est: SpectrumEstimate, header_lines=()):
 def spectrum_to_json_dict(est: SpectrumEstimate) -> dict:
     """JSON layout: schema name, scalars, then parallel frequency/psd arrays."""
     return {
-        "schema": "blodyne.spectrum_estimate/3",
+        "schema": "blodyne.spectrum_estimate/4",
         "resolution_hz": est.resolution,
         "n_averages": est.n_averages,
         "frequencies_hz": [float(f) for f in est.frequencies],

@@ -675,7 +675,7 @@ class TestOutputs:
         assert "frequency_hz,psd_variance_per_hz" in csv_text
         doc = json.loads((out_dir / "spectrum.json").read_text())
         assert doc["format_version"] == "blodyne-output/1"
-        assert doc["spectrum"]["schema"] == "blodyne.spectrum_estimate/3"
+        assert doc["spectrum"]["schema"] == "blodyne.spectrum_estimate/4"
         summary = (out_dir / "spectrum_summary.txt").read_text()
         assert summary == out
 
@@ -802,8 +802,9 @@ PLAN_100KHZ = {
 
 # SHA-256 of the spectrum outputs for GOLDEN_SPECTRUM: a change to any byte
 # of them, from record synthesis through Welch estimation to emission, fails
-# here. Pinned with the schema blodyne.spectrum_estimate/3, whose filters take
-# cell-averaged targets and whose frames are 2^17 samples.
+# here. Pinned with the schema blodyne.spectrum_estimate/4: filters on
+# cell-averaged targets, frames of 2^16 samples, and a feature search that
+# allows for the number of bins it searches.
 GOLDEN_SPECTRUM = {
     "frequency_plan": PLAN_100KHZ,
     "squeeze": {"s": 0.8, "theta": 0.3},
@@ -812,11 +813,11 @@ GOLDEN_SPECTRUM = {
     "spectrum": {"duration_s": 0.03125, "segment_length": 1024, "overlap": 0.5},
 }
 GOLDEN_SPECTRUM_SHA256 = {
-    "stdout": "df9fae1b955b980188bafd6744508a7cd607a47cc7d6ce1448e337db26f1d689",
-    "spectrum.csv": "751bfc39ddff56d4a760d03d32417f1d80a47dfccf04d7dc00a50c9e03b191be",
-    "spectrum.json": "a0a2f2b9c12db8e66a70f90fa000025f583cf4e616c462e30e433ca57f9e49c1",
+    "stdout": "bdcde98946bc01f707f0d1d60ec55e41311892ac27897bf2d161da9208e72b25",
+    "spectrum.csv": "0c54fc48781cd2edc86b7c3c0c722a5a01085e31535a4da779a4853f4285d626",
+    "spectrum.json": "7a22cc673b1b8db52f383ba38f8bf0e8afde8e9f0b432cdce90100350c67b848",
     # the summary file holds exactly what stdout printed
-    "spectrum_summary.txt": "df9fae1b955b980188bafd6744508a7cd607a47cc7d6ce1448e337db26f1d689",
+    "spectrum_summary.txt": "bdcde98946bc01f707f0d1d60ec55e41311892ac27897bf2d161da9208e72b25",
 }
 
 

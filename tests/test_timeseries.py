@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from blodyne import timeseries
+from blodyne.config import parse_config
 from blodyne.detection import FrequencyPlan, ImageBandCase, LoTone
 from blodyne.gaussian import SqueezeParams
 from blodyne.timeseries import (_FRAME_SAMPLES, _WELCH_ROW_SAMPLES,
@@ -209,6 +210,22 @@ class TestWelch:
         peak = float(np.sum(est.psd[k0 - 5 : k0 + 6]) * est.resolution)
         assert peak == pytest.approx(0.5, rel=1e-2)
 
+    @pytest.mark.parametrize("overlap,spread", [(0.0, 1.0), (0.5, 1.0 + 2.0 / 36.0),
+                                                 (0.9, 4.7362)])
+    def test_equivalent_averages_give_the_bins_variance(self, overlap, spread):
+        # overlapping Hann segments share noise: half a segment apart their
+        # periodograms correlate by 1/36, so their average varies as an
+        # average of fewer independent ones; at 0.9 overlap (steps of 26
+        # samples), 4.7 times fewer
+        relative = []
+        for seed in range(8):
+            rec = PhotocurrentRecord(np.random.default_rng(seed).standard_normal(1 << 18),
+                                     sample_rate=FS_BLO)
+            est = estimate_psd(rec, 256, overlap)
+            relative.append(est.psd[1:-1] * FS_BLO / 2.0)
+        assert est.n_averages / est.equivalent_averages == pytest.approx(spread, rel=2e-3)
+        assert np.var(relative) * est.equivalent_averages == pytest.approx(1.0, abs=0.25)
+
     def test_zero_record(self):
         rec = PhotocurrentRecord(samples=np.zeros(4096), sample_rate=FS_BLO)
         est = estimate_psd(rec, 1024, 0.5)
@@ -234,6 +251,26 @@ class TestFeatureLocation:
                                             segment_length=2048)
         est = estimate_psd(rec, 2048, 0.5)
         assert locate_squeezing_feature(est, 8.0) is None
+
+    @pytest.mark.parametrize("n", [1 << 14, 1 << 19])
+    def test_unsqueezed_spectrum_shows_no_feature(self, n):
+        # s = 0 makes the model flat at the floor. A threshold of three per-bin
+        # standard errors, blind to the thousand bins searched and to the skew
+        # of 15 averages, reported features in 14 of these 40 records at 2^14
+        # samples and in 2 at 2^19
+        for seed in range(40):
+            cfg = parse_config({
+                "frequency_plan": {"omega_plus_hz": 300.000005e12,
+                                   "omega_minus_hz": 299.999995e12,
+                                   "lo_hz": [299.9999951e12, 300.0000049e12]},
+                "squeeze": {"s": 0.0, "theta": 0.0},
+                "lo_tones": [{"amplitude": 6.0, "phase": 0.0},
+                             {"amplitude": 6.0, "phase": 0.0}],
+                "seed": seed,
+                "spectrum": {"duration_s": n / FS_BLO},
+            })
+            summary, _ = timeseries.spectrum_outputs(cfg, with_files=False)
+            assert summary[-1] == "feature: none", seed
 
     def test_dip_round_trip(self):
         m = SpectralModel(center_frequency=1e5, squeezing_bandwidth=5e4,
@@ -299,7 +336,7 @@ class TestEmission:
                                             segment_length=256)
         est = estimate_psd(rec, 256, 0.5)
         spec_doc = json.loads(json.dumps(spectrum_to_json_dict(est)))
-        assert spec_doc["schema"] == "blodyne.spectrum_estimate/3"
+        assert spec_doc["schema"] == "blodyne.spectrum_estimate/4"
         assert len(spec_doc["frequencies_hz"]) == len(spec_doc["psd_variance_per_hz"])
 
     def test_estimate_arrays_immutable(self):
@@ -526,26 +563,26 @@ class TestWorker:
     """A synthesized record colors its frames on one worker thread."""
 
     def record(self, seed):
-        # ten frames of 2^17 samples, each giving 2^17 - 16 383 new samples
+        # 22 frames of 2^16 samples, each giving 2^16 - 16 383 new samples
         return synthesize_difference_current(dip_model("lorentzian"), (1 << 20) / FS_BLO,
                                              FS_BLO, seed=seed, segment_length=2048)
 
     def test_blocks_match_one_thread_coloring(self):
-        # the last of the ten frames is short, so its stale end counts too
+        # the last of the 22 frames is short, so its stale end counts too
         rec = self.record(22)
         keep = rec.taps.size - 1
         frame_size = _FRAME_SAMPLES
         assert rec.size % (frame_size - keep) != 0
         expected = one_thread_blocks(rec, frame_size)
         blocks = [block.copy() for block in rec.blocks()]
-        assert len(blocks) == len(expected) == 10
+        assert len(blocks) == len(expected) == 22
         assert all(np.array_equal(a, b) for a, b in zip(blocks, expected))
 
     @pytest.mark.parametrize("n,frame_size,frames", [
-        # one frame: the record's 2^16 samples and 8191 lead-in fit 2^17
-        (1 << 16, 1 << 17, 1),
-        # 2^17 samples with 16 384 taps: the second frame holds 16 383
-        (1 << 17, _FRAME_SAMPLES, 2),
+        # one frame: the record's 2^15 samples and 4095 lead-in fit 2^16
+        (1 << 15, _FRAME_SAMPLES, 1),
+        # 2^16 samples with 8192 taps: the second frame holds 8191
+        (1 << 16, _FRAME_SAMPLES, 2),
     ], ids=["one_frame", "short_second_frame"])
     def test_end_of_record_matches_one_thread_coloring(self, n, frame_size, frames):
         rec = synthesize_difference_current(dip_model("lorentzian"), n / FS_BLO, FS_BLO,
@@ -604,7 +641,7 @@ class TestStream:
             with pytest.raises(ValueError):
                 block[0] = 0.0
             copies.append(block.copy())
-        assert len(copies) == 10
+        assert len(copies) == 22
         assert np.array_equal(np.concatenate(copies), rec.samples)
 
     @pytest.mark.parametrize("n", [2, 4, 2048])
@@ -756,9 +793,14 @@ class TestMemory:
                                  sample_rate=FS_BLO)
         peak, _ = traced_peak(estimate_psd, rec, segment_length, overlap)
         # one batch of 2^14 samples, windowed, transformed and squared into
-        # buffers allocated once: 0.45 to 0.59 MiB traced, where batches of
-        # 2^16 samples took 1.26 to 1.63 MiB
-        assert peak < 768 << 10
+        # buffers allocated once: the windowed segments, their spectra and
+        # the power rows, with the running sum in an extra row
+        rows = _WELCH_ROW_SAMPLES // segment_length
+        bins = segment_length // 2 + 1
+        batch = 8 * rows * segment_length + 16 * rows * bins + 8 * (rows + 1) * bins
+        # beyond the batch, 68 to 94 KiB traced; windowing straight from the
+        # strided segments took 132 to 160 KiB, for numpy's iterator buffer
+        assert peak < batch + (120 << 10)
 
     def test_synthesized_welch_holds_five_frames(self):
         rec = synthesize_difference_current(dip_model("lorentzian"), self.N / FS_BLO, FS_BLO,
@@ -766,7 +808,7 @@ class TestMemory:
         # the first read imports numpy.random, which tracemalloc would count
         estimate_psd(rec, 2048, 0.5)
         peak, _ = traced_peak(estimate_psd, rec, 2048, 0.5)
-        # two frames of 2^17 samples, their spectrum, the filter response,
-        # numpy's transform scratch and Welch's fixed batch: about 4.6 MiB,
-        # where frames of 2^18 take 8.6 MiB
-        assert peak < 8 << 20
+        # two frames of 2^16 samples, their spectrum, the filter response
+        # and Welch's fixed batch: about 2.5 MiB, where frames of 2^17 took
+        # 4.6 MiB and frames of 2^18 8.6 MiB
+        assert peak < 7 << 19
