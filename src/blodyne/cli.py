@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands map one-to-one onto the package's capabilities; ``blodyne -h``
-lists them with the three options (``_HELP``). Every output (stdout and
+lists them with the three options. Every output (stdout and
 files) starts with a format-version line and the canonical resolved config,
 so runs are reproducible byte for byte from their own headers. Exit codes:
 0 success, 2 config or usage error, 3 physics invariant violation, 4 oracle
@@ -22,10 +22,10 @@ without ``from __future__ import annotations``: it costs one more import,
 and makes the compiler write every annotation back out as a string.
 Python 3.10, the floor, evaluates their annotations as they stand.
 
-``parse_args`` reads the command line by argparse's grammar without loading
-argparse, which with the gettext and locale modules it pulls in costs a few
-milliseconds of every process; the closed-form subcommands compute for
-about one.
+``parse_args`` reads the exact form of the command line itself and hands
+every other form to argparse, which with the gettext and locale modules it
+pulls in costs a few milliseconds of a process; the closed-form
+subcommands compute for about one.
 
 A process ends through :func:`run`, which skips the interpreter's teardown
 (clearing every module and a last garbage collection): 5-10 ms, about a
@@ -208,17 +208,64 @@ def positive_float(text: str) -> float:
 
 
 COMMANDS = ("variance", "scan", "cases", "imbalance", "spectrum", "verify")
-# in argparse's order, which its ambiguity message follows
-_FLAGS = ("-h", "--help", "--config", "--output-dir", "--tolerance")
+_OPTIONS = ("--config", "--output-dir", "--tolerance")
 
-_USAGE = ("usage: blodyne [-h] --config CONFIG [--output-dir OUTPUT_DIR] "
-          f"[--tolerance TOLERANCE]\n               {{{','.join(COMMANDS)}}}\n")
 
-_HELP = _USAGE + """
-Balanced heterodyne detection of two-mode squeezed light: variance tables,
-phase scans, synthetic spectra, and a Fock-space oracle cross-check.
+def _read_exact(args):
+    """parse_args's tuple from the exact form of the command line, else None:
+    the command word once and whole option names, each with its value joined
+    with ``=`` or as the next word, which must not start with ``-``. It
+    needs ``--config``, and a ``--tolerance`` that :func:`positive_float`
+    accepts. argparse reads each such line the same."""
+    command, values = None, {"--output-dir": None, "--tolerance": "0.01"}
+    words = iter(args)
+    for word in words:
+        name, eq, value = word.partition("=")
+        if name in _OPTIONS:
+            if not eq:
+                # "-" stands for a missing value
+                value = next(words, "-")
+                if value.startswith("-"):
+                    return None
+            values[name] = value
+        elif command is None and word in COMMANDS:
+            command = word
+        else:
+            return None
+    if command is None or "--config" not in values:
+        return None
+    try:
+        tolerance = positive_float(values["--tolerance"])
+    except ValueError:
+        return None
+    return command, values["--config"], values["--output-dir"], tolerance
 
-commands:
+
+def parse_args(argv=None) -> tuple[str, str, str | None, float]:
+    """(command, config, output_dir, tolerance) from the command line.
+
+    The exact form (:func:`_read_exact`) is read here, every other form by
+    the running Python's argparse: option prefixes, ``-h``, ``--``, and the
+    usage errors, which exit 2. One departure: argparse before Python 3.13
+    reads a value joined as ``=--`` as an empty list; here it is ``--``.
+    """
+    args = list(sys.argv[1:] if argv is None else argv)
+    if (exact := _read_exact(args)) is not None:
+        return exact
+    import argparse
+
+    def tolerance(text):
+        try:
+            return positive_float(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    parser = argparse.ArgumentParser(
+        prog="blodyne", formatter_class=argparse.RawDescriptionHelpFormatter,
+        description="Balanced heterodyne detection of two-mode squeezed light: variance "
+                    "tables,\nphase scans, synthetic spectra, and a Fock-space oracle "
+                    "cross-check.",
+        epilog="""commands:
   variance    single-tone and two-tone variance reports
   scan        sweep of the controllable LO phase
   cases       the three image-band configurations side by side
@@ -226,125 +273,19 @@ commands:
   spectrum    synthesized photocurrent spectrum and located feature
   verify      Fock-space oracle cross-check of the variance formulas
 
-options:
-  -h, --help               show this help message and exit
-  --config CONFIG          path to the JSON experiment config (required)
-  --output-dir OUTPUT_DIR  directory for output artifacts (default: config
-                           output_dir, else stdout only)
-  --tolerance TOLERANCE    verify: maximum allowed oracle-to-analytic
-                           relative error (default: 0.01)
-
 An option's value may follow it or be joined to it with '=', and an option
-may be given by any unique prefix (--conf, --tol=1e-3).
-"""
-
-
-def _usage_error(message: str):
-    sys.stderr.write(f"{_USAGE}blodyne: error: {message}\n")
-    raise SystemExit(EXIT_CONFIG)
-
-
-def _read_option(token: str):
-    """argparse's reading of one token: None for a word, else (flag, value
-    joined to it or None), with flag None for an unknown option."""
-    if not token or token[0] != "-":
-        return None
-    if token in _FLAGS:
-        return token, None
-    if len(token) == 1:
-        return None
-    name, eq, value = token.partition("=")
-    if eq and name in _FLAGS:
-        return name, value
-    if token[1] == "-":
-        matches = [flag for flag in _FLAGS if flag.startswith(name)]
-        if len(matches) > 1:
-            _usage_error(f"ambiguous option: {token} could match {', '.join(matches)}")
-        if matches:
-            return matches[0], value if eq else None
-    elif token.startswith("-h"):
-        return "-h", token[2:]
-    # argparse's test for a negative number, which it reads as a word
-    import re
-
-    if re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token:
-        return None
-    return None, token
-
-
-def parse_args(argv=None) -> tuple[str, str, str | None, float]:
-    """(command, config, output_dir, tolerance) from the command line.
-
-    The grammar and the order of evaluation are argparse's. Tokens are read
-    left to right: a bad command word, an option without its value and a bad
-    ``--tolerance`` fail at once, ``-h`` prints the help and exits 0, and
-    unrecognized tokens and a missing command or ``--config`` are reported
-    only at the end. A repeated option keeps its last value. A usage error
-    prints the usage line and ``blodyne: error: ...`` to stderr and exits 2.
-    One departure: argparse drops ``--`` from a joined value, so that
-    ``--config=--`` gave an empty list; here the value is ``--``.
-    """
-    args = list(sys.argv[1:] if argv is None else argv)
-    # first pass, as argparse: every token after the first "--" is a word
-    dash = args.index("--") if "--" in args else len(args)
-    options = {}
-    for i in range(dash):
-        option = _read_option(args[i])
-        if option is not None:
-            options[i] = option
-
-    command = config = output_dir = None
-    tolerance = 0.01
-    unrecognized = []
-    i = 0
-    while i < len(args):
-        if i in options:
-            flag, value = options[i]
-            i += 1
-            if flag is None:
-                unrecognized.append(args[i - 1])
-                continue
-            if flag in ("-h", "--help"):
-                if value is not None:
-                    # only more h's may be joined to -h: -hh is -h -h
-                    rest = value if flag == "--help" else value.lstrip("h")
-                    if rest or not value:
-                        _usage_error(f"argument -h/--help: ignored explicit argument {rest!r}")
-                sys.stdout.write(_HELP)
-                raise SystemExit(EXIT_OK)
-            if value is None:
-                if i == dash or i in options:
-                    _usage_error(f"argument {flag}: expected one argument")
-                value = args[i]
-                i += 1
-            if flag == "--config":
-                config = value
-            elif flag == "--output-dir":
-                output_dir = value
-            else:
-                try:
-                    tolerance = positive_float(value)
-                except ValueError as exc:
-                    _usage_error(f"argument --tolerance: {exc}")
-        elif command is None and (i != dash or i + 1 < len(args)):
-            # the command word, with a "--" just before or after it
-            if i == dash:
-                i += 1
-            command = args[i]
-            if command not in COMMANDS:
-                _usage_error(f"argument command: invalid choice: {command!r} (choose from "
-                             f"{', '.join(map(repr, COMMANDS))})")
-            i += 2 if i + 1 == dash else 1
-        else:
-            unrecognized.append(args[i])
-            i += 1
-    missing = [name for name, value in (("command", command), ("--config", config))
-               if value is None]
-    if missing:
-        _usage_error(f"the following arguments are required: {', '.join(missing)}")
-    if unrecognized:
-        _usage_error(f"unrecognized arguments: {' '.join(unrecognized)}")
-    return command, config, output_dir, tolerance
+may be given by any unique prefix (--conf, --tol=1e-3).""")
+    parser.add_argument("command", choices=COMMANDS, metavar="command", help="see below")
+    parser.add_argument("--config", required=True, help="path to the JSON experiment config")
+    parser.add_argument("--output-dir", help="directory for output artifacts (default: "
+                                             "config output_dir, else stdout only)")
+    parser.add_argument("--tolerance", type=tolerance, default=0.01, help="verify: maximum "
+                        "allowed oracle-to-analytic relative error (default: 0.01)")
+    ns = parser.parse_args(args)
+    config, output_dir = ("--" if v == [] else v for v in (ns.config, ns.output_dir))
+    if ns.tolerance == []:
+        parser.error("argument --tolerance: could not convert string to float: '--'")
+    return ns.command, config, output_dir, ns.tolerance
 
 
 def main(argv=None) -> int:

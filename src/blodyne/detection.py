@@ -314,21 +314,25 @@ def detuning_tolerance(fp: FrequencyPlan) -> float:
 
 
 def classify_image_band_case(fp: FrequencyPlan) -> ImageBandCase:
-    """Classify a two-tone plan by where its image bands fall.
+    """Classify a two-tone plan by how many image bands it has.
 
-    No image bands when both detunings vanish; a single shared image band
-    when delta1 = -delta2 = delta/4 (both images coincide at the center
-    frequency); two distinct image bands otherwise. Detunings are compared
-    within :func:`detuning_tolerance`, since exact equality of user-supplied
-    frequencies is meaningless.
+    Each tone mirrors its signal mode into an image band. An image within
+    :func:`detuning_tolerance` of a signal mode is no band of its own, and
+    two images within it are one: no image bands when both detunings
+    vanish, a single shared image band when delta1 = -delta2 = delta/4 (both
+    images at the center frequency), two distinct image bands otherwise.
+    A plan with one detuning vanishing also has one image band, so it
+    classifies as shared. The tolerance stands in for exact equality, which
+    is meaningless for user-supplied frequencies. ``fock.BeatPairing``
+    counts the oracle's image modes by the same rule.
     """
     tol = detuning_tolerance(fp)
-    d1, d2, quarter = fp.delta1, fp.delta2, 0.25 * fp.delta
-    if abs(d1) <= tol and abs(d2) <= tol:
-        return ImageBandCase.NO_IMAGE_BANDS
-    if abs(d1 - quarter) <= tol and abs(d2 + quarter) <= tol:
-        return ImageBandCase.SHARED_IMAGE_BAND
-    return ImageBandCase.TWO_IMAGE_BANDS
+    images = []
+    for image in (fp.omega_image_minus, fp.omega_image_plus):
+        if all(abs(image - f) > tol for f in (fp.omega_minus, fp.omega_plus, *images)):
+            images.append(image)
+    return (ImageBandCase.NO_IMAGE_BANDS, ImageBandCase.SHARED_IMAGE_BAND,
+            ImageBandCase.TWO_IMAGE_BANDS)[len(images)]
 
 
 def blo_variance_general(p: SqueezeParams, lo1: LoTone, lo2: LoTone,

@@ -354,7 +354,7 @@ def oracle_from_grams(g_sig, g_lo, pairing: BeatPairing, fp: FrequencyPlan) -> f
 
     beats = [(k, j, pairing.signal_freqs[k] - pairing.lo_freqs[j])
              for k in range(n_sig) for j in range(n_lo)]
-    tol = max(beat_tolerance(fp), 1e-9 * max(abs(b[2]) for b in beats))
+    tol = beat_tolerance(fp)
 
     def _component(pos, neg):
         # C = sum_pos i a_k^dag b_j  +  sum_neg (-i) b_j^dag a_k; returns

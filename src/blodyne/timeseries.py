@@ -312,21 +312,18 @@ class SpectrumEstimate(_Record):
 
     ``n_averages`` counts the periodograms averaged, and
     ``equivalent_averages`` is how many independent ones would vary as
-    much for a flat spectrum: fewer, where segments overlap. It defaults to
-    ``n_averages``.
+    much for a flat spectrum: fewer, where segments overlap.
     """
 
     __slots__ = ("frequencies", "psd", "resolution", "n_averages", "equivalent_averages")
 
     def __init__(self, frequencies: np.ndarray, psd: np.ndarray, resolution: float,
-                 n_averages: int, equivalent_averages: float | None = None):
+                 n_averages: int, equivalent_averages: float):
         f = np.asarray(frequencies, dtype=float)
         s = np.asarray(psd, dtype=float)
         # one-dimensional, so that the record stores them as read-only views
         if f.ndim != 1 or f.shape != s.shape:
             raise ValueError("frequency and PSD arrays must be one-dimensional and match")
-        if equivalent_averages is None:
-            equivalent_averages = float(n_averages)
         _Record.__init__(self, f, s, resolution, n_averages, equivalent_averages)
 
     def total_power(self) -> float:

@@ -491,6 +491,14 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "--tolerance" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option", ["--tolerance=--", "--tol=--"])
+    def test_tolerance_joined_double_dash_is_a_usage_error(self, capsys, option):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--config", "a.json", option])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "blodyne: error: argument --tolerance: could not convert string to float: '--'")
+
 
 def argparse_reference(argv):
     """The command line as the argparse parser it replaced reads it."""
@@ -517,7 +525,10 @@ GRAMMAR_VALUES = ["a.json", "", "-1", "0", "nan", "1e-3"]
 GRAMMAR_FLAGS = [flag[:n] for flag in ("--config", "--output-dir", "--tolerance", "--help")
                  for n in range(3, len(flag) + 1)]
 GRAMMAR_TOKENS = st.one_of(
-    st.sampled_from([*COMMANDS, "bogus", *GRAMMAR_VALUES, "--", "-h", "-x", "--bogus"]),
+    # -hx, -hh and --=x join letters to -h or a value to a bare "--", where
+    # Python 3.13's argparse reads them apart from 3.11's
+    st.sampled_from([*COMMANDS, "bogus", *GRAMMAR_VALUES, "--", "-h", "-x", "--bogus",
+                     "-hx", "-hh", "--=x"]),
     st.sampled_from(GRAMMAR_FLAGS),
     st.builds("{}={}".format, st.sampled_from(GRAMMAR_FLAGS), st.sampled_from(GRAMMAR_VALUES)),
 )
@@ -538,6 +549,21 @@ GRAMMAR_TOKENS = st.one_of(
 @given(argv=st.lists(GRAMMAR_TOKENS, max_size=6))
 def test_command_line_grammar_matches_argparse(argv):
     assert parse_outcome(parse_args, argv) == parse_outcome(argparse_reference, argv)
+
+
+# "--config=--" is the exact form, which the CLI reads itself; "--conf=--" goes
+# to argparse, which before Python 3.13 reads a value joined as "=--" as []
+@pytest.mark.parametrize("option,argparse_loaded", [("--config=--", False),
+                                                    ("--conf=--", True)])
+def test_config_named_double_dash_is_a_config_error(option, argparse_loaded):
+    probe = ("import sys; from blodyne.cli import main; code = main(sys.argv[1:]); "
+             "print('argparse' in sys.modules); sys.exit(code)")
+    result = subprocess.run([sys.executable, "-c", probe, "variance", option],
+                            capture_output=True, text=True, env=src_env())
+    assert result.returncode == 2
+    assert result.stdout.strip() == str(argparse_loaded)
+    assert result.stderr.startswith("config error: cannot read config '--'")
+    assert "Traceback" not in result.stderr
 
 
 @pytest.mark.parametrize("flag", ["-h", "--help", "--he"])

@@ -489,7 +489,7 @@ _SYNTHESIZED = synthesize_difference_current(_MODEL, 4e-6, 2.097152e6, 3, 4)
 # row builds one directly, as pickle and copy do
 ARRAY_CASES = [
     (PhotocurrentRecord, (np.linspace(-1.0, 1.0, 8), 2.097152e6)),
-    (SpectrumEstimate, (np.arange(5.0), np.linspace(8.0, 4.0, 5), 1.5, 7)),
+    (SpectrumEstimate, (np.arange(5.0), np.linspace(8.0, 4.0, 5), 1.5, 7, 3.5)),
     (GaussianState, ((ModeLabel("plus", CARRIER),), np.array([0.5, -0.25]),
                      np.diag([0.125, 0.5]))),
     (FockStateVector, (np.array([0.6, 0.8j]),)),

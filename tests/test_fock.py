@@ -553,10 +553,7 @@ class TestPlanPairing:
 
     # The detunings are the cases as a plan states them in Hz: zero, a
     # quarter of the splitting, or at least 2% of the splitting away from
-    # both. Within the tolerance of zero the routes draw the boundary
-    # differently: the pairing drops an image within beat_tolerance of its
-    # mode (|delta1| <= tol/2), the classifier finds no image bands for
-    # |delta1|, |delta2| <= tol.
+    # both.
     @settings(max_examples=300, deadline=None)
     @given(lower=st.floats(1e14, 6e14), log_split=st.floats(6.0, 9.0),
            fraction=st.one_of(st.sampled_from([0.0, 0.25]), st.floats(-0.48, -0.02),
@@ -565,6 +562,26 @@ class TestPlanPairing:
         plan, case = parse_plan(plan_hz(lower, 10.0 ** log_split, fraction))
         assert abs(plan.delta1 + plan.delta2) <= detection.detuning_tolerance(plan)
         n_images = len(BeatPairing.for_plan(plan).signal_freqs) - 2
+        assert n_images == detection.IMAGE_VACUUM_UNITS[case]
+
+    # Stationary plans whose detuning lies within a factor of 4 of the
+    # tolerance from zero or from a quarter of the splitting: the two routes
+    # draw the case boundaries inside the tolerance alike
+    @settings(max_examples=300, deadline=None)
+    @given(lower=st.floats(1e14, 6e14), log_split=st.floats(6.0, 9.0),
+           quarter=st.booleans(), sign=st.sampled_from([-1.0, 1.0]),
+           log4_offset=st.floats(-1.0, 1.0))
+    def test_classifier_draws_the_pairings_boundaries(self, lower, log_split, quarter, sign,
+                                                      log4_offset):
+        omega_minus = 2.0 * math.pi * lower
+        omega_plus = omega_minus + 2.0 * math.pi * 10.0 ** log_split
+        base = detection.FrequencyPlan(omega_plus, omega_minus, (omega_minus, omega_plus))
+        d = (0.25 * base.delta if quarter else 0.0) + sign * (
+            detection.detuning_tolerance(base) * 4.0 ** log4_offset)
+        plan = detection.FrequencyPlan(omega_plus, omega_minus,
+                                       (omega_minus + d, omega_plus - d))
+        n_images = len(BeatPairing.for_plan(plan).signal_freqs) - 2
+        case = detection.classify_image_band_case(plan)
         assert n_images == detection.IMAGE_VACUUM_UNITS[case]
 
     def test_oracle_matches_the_closed_form_on_config_built_plans(self):

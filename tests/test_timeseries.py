@@ -341,7 +341,7 @@ class TestEmission:
 
     def test_estimate_arrays_immutable(self):
         est = SpectrumEstimate(frequencies=np.arange(4.0), psd=np.ones(4),
-                               resolution=1.0, n_averages=1)
+                               resolution=1.0, n_averages=1, equivalent_averages=1.0)
         with pytest.raises(ValueError):
             est.psd[0] = 2.0
 
@@ -351,12 +351,14 @@ class TestEmission:
                              ids=["zero-dimensional", "mismatched"])
     def test_estimate_arrays_must_be_one_dimensional_and_match(self, freqs, psd):
         with pytest.raises(ValueError, match="one-dimensional and match"):
-            SpectrumEstimate(frequencies=freqs, psd=psd, resolution=1.0, n_averages=1)
+            SpectrumEstimate(frequencies=freqs, psd=psd, resolution=1.0, n_averages=1,
+                             equivalent_averages=1.0)
 
     def test_records_leave_the_callers_arrays_writeable(self):
         samples, freqs, psd = np.zeros(4096), np.arange(4.0), np.ones(4)
         rec = PhotocurrentRecord(samples=samples, sample_rate=FS_BLO)
-        est = SpectrumEstimate(frequencies=freqs, psd=psd, resolution=1.0, n_averages=1)
+        est = SpectrumEstimate(frequencies=freqs, psd=psd, resolution=1.0, n_averages=1,
+                               equivalent_averages=1.0)
         for given, stored in ((samples, rec.samples), (freqs, est.frequencies),
                               (psd, est.psd)):
             assert given.flags.writeable
