@@ -194,6 +194,13 @@ class SynthesizedRecord(_Record):
     ``samples`` copies every block into one read-only array, for tests and
     short records. A plain ``threading.Thread`` keeps ``concurrent.futures``,
     with the ``logging`` it imports, out of the ``spectrum`` process.
+    The worker pays even without a free CPU: coloring in the caller's thread
+    gives the same bytes, but faults each 2^16-point transform's scratch in
+    afresh from the main malloc arena (159 000 minor page faults against
+    6 000, 0.20-0.25 s more system time). On 2^24 samples that took 1.55 s
+    against 1.24 s at about 100% CPU, and 1.29-1.68 s against 0.76-1.01 s
+    with the second CPU free (medians of 8 alternating ``wait4`` runs of
+    ``spectrum`` per set, three sets, 2-vCPU x86).
     A record equals only itself, and hashes by identity. The taps must be a
     non-empty one-dimensional array of finite floats, the size at least 1,
     the sample rate finite and positive and the seed non-negative.

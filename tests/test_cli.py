@@ -149,6 +149,13 @@ class TestConfigValues:
         self.expect_config_error(tmp_path, capsys, "oracle.beta_cap_shared",
                                  {"oracle": {"draws": 0, "beta_cap_shared": cap}})
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("oracle", "draws", 2**16), ("scan", "n_points", 2**20),
+    ])
+    def test_run_setting_at_its_cap(self, tmp_path, section, key, value):
+        cfg = load_config(write_config(tmp_path, {section: {key: value}}))
+        assert (cfg.oracle["draws"] if section == "oracle" else cfg.scan_points) == value
+
     def test_cap_below_draw_floor(self, tmp_path, capsys):
         self.expect_config_error(tmp_path, capsys, "oracle.beta_cap_two",
                                  {"oracle": {"draws": 2, "beta_cap_two": 1.0}})
@@ -170,6 +177,7 @@ class TestConfigValues:
         ("spectrum", "sample_rate_hz", -1.0),
         ("spectrum", "duration_s", 0.0),
         ("scan", "n_points", 2**36),
+        ("oracle", "draws", 2**16 + 1),
     ])
     def test_out_of_range_run_setting(self, tmp_path, capsys, section, key, value):
         path = write_config(tmp_path, {"frequency_plan": PLAN_100KHZ,
@@ -966,18 +974,19 @@ def test_cli_import_leaves_module_unloaded(module):
     assert result.stdout.strip() == "False"
 
 
-def test_package_names_resolve_lazily():
-    # a fresh interpreter: the closed forms load eagerly, every other name on access
-    probe = ("import sys, blodyne\n"
-             "assert 'numpy' not in sys.modules\n"
-             "assert all(name in dir(blodyne) for name in blodyne.__all__)\n"
-             "values = {name: getattr(blodyne, name) for name in blodyne.__all__}\n"
+def test_package_namespace_is_the_closed_forms():
+    # a fresh interpreter: the package and its star import load the closed
+    # forms alone, and the star import binds exactly __all__
+    probe = ("import sys\n"
              "space = {}\n"
              "exec('from blodyne import *', space)\n"
-             "assert all(space[name] is values[name] for name in blodyne.__all__)\n"
-             "assert blodyne.SqueezeParams is sys.modules['blodyne.gaussian'].SqueezeParams\n"
-             "assert all(getattr(blodyne, module) is sys.modules['blodyne.' + module]\n"
-             "           for module in ('fock', 'gaussian', 'timeseries'))\n")
+             "import blodyne\n"
+             "unloaded = ('numpy', 'blodyne.fock', 'blodyne.timeseries', 'blodyne.gaussian',\n"
+             "            'blodyne._kernels')\n"
+             "assert not set(unloaded) & set(sys.modules), sorted(set(unloaded) & set(sys.modules))\n"
+             "assert sorted(set(space) - {'__builtins__'}) == sorted(blodyne.__all__)\n"
+             "assert all(space[name] is getattr(blodyne.detection, name)\n"
+             "           for name in blodyne.__all__)\n")
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                             env=src_env())
     assert result.returncode == 0, result.stderr
