@@ -67,16 +67,16 @@ def _g(x: float) -> str:
 
 def _emit(lines, cfg: ExperimentConfig, out_dir: str | None, filename: str, files=()):
     """Print the header and lines; under out_dir, first write the files,
-    (name, chunks of text) pairs, and then filename with what is printed,
-    so that a failed write, which raises OutputDirError, leaves stdout empty."""
+    (name, text) pairs, and then filename with what is printed, so that a
+    failed write, which raises OutputDirError, leaves stdout empty."""
     text = "\n".join([f"# {h}" for h in header_lines(cfg)] + lines) + "\n"
     if out_dir:
-        for name, chunks in (*files, (filename, (text,))):
+        for name, content in (*files, (filename, text)):
             path = os.path.join(out_dir, name)
             try:
                 os.makedirs(out_dir, exist_ok=True)
                 with open(path, "w", encoding="utf-8") as fh:
-                    fh.writelines(chunks)
+                    fh.write(content)
             except OSError as exc:
                 raise OutputDirError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
     sys.stdout.write(text)
@@ -145,13 +145,11 @@ def cmd_cases(cfg: ExperimentConfig, out_dir: str | None) -> int:
     if not cfg.two_tone:
         raise ValueError("the cases table needs a two-tone configuration")
     beta = cfg.tones[0].amplitude
-    if beta != cfg.tones[1].amplitude:
-        raise ValueError("the cases table needs matched tone amplitudes")
     # the phase sum theta + pi puts each case at its floor
     floor_tones = LoTone(beta, cfg.squeeze.theta + math.pi), LoTone(beta, 0.0)
     lines = []
     for case in ImageBandCase:
-        at_config = detection.blo_variance(cfg.squeeze, cfg.tones[0], cfg.tones[1], case)
+        at_config = detection.blo_variance(cfg.squeeze, *cfg.tones, case)
         floor_rep = detection.blo_variance(cfg.squeeze, *floor_tones, case)
         lines.append(
             f"{case.value}, floor {_g(floor_rep.variance)}, "
@@ -166,9 +164,10 @@ def cmd_cases(cfg: ExperimentConfig, out_dir: str | None) -> int:
 def cmd_imbalance(cfg: ExperimentConfig, out_dir: str | None) -> int:
     if not cfg.two_tone:
         raise ValueError("the imbalance sweep needs a two-tone configuration")
+    # the configured pair, which blo_variance requires matched, is the base
+    base = detection.blo_variance(cfg.squeeze, *cfg.tones, cfg.case)
     beta = cfg.tones[0].amplitude
     chi1, chi2 = cfg.tones[0].phase, cfg.tones[1].phase
-    base = detection.blo_variance_unbalanced(cfg.squeeze, beta, 0.0, chi1, chi2, cfg.case)
     lines = ["delta_beta_fraction,variance,excess_over_scaled_matched,db_vs_baseline"]
     for frac in cfg.imbalance_fractions:
         rep = detection.blo_variance_unbalanced(cfg.squeeze, beta, frac * beta,

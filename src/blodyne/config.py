@@ -31,17 +31,6 @@ class ConfigError(ValueError):
     """A structural or value problem in the configuration file."""
 
 
-def _require_keys(obj: dict, path: str, required, optional=()):
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: expected an object")
-    unknown = set(obj) - set(required) - set(optional)
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
-    missing = [k for k in required if k not in obj]
-    if missing:
-        raise ConfigError(f"{path}: missing keys {missing}")
-
-
 def _number(obj, path: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {obj!r}")
@@ -55,12 +44,6 @@ def _number(obj, path: str) -> float:
     return value
 
 
-def _integer(obj, path: str) -> int:
-    if isinstance(obj, bool) or not isinstance(obj, int):
-        raise ConfigError(f"{path}: expected an integer, got {obj!r}")
-    return obj
-
-
 def _make(path: str, cls, *args):
     """cls(*args), with a ValueError it raises made a ConfigError naming path."""
     try:
@@ -69,32 +52,53 @@ def _make(path: str, cls, *args):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _section(raw: dict, name: str, defaults: dict) -> dict:
-    """The optional object ``raw[name]`` over its defaults. Each value given
-    is read as its default is typed: an int as an integer, a float as a
-    number, a list as a non-empty list of numbers, and a str as one of
-    PROFILES (``spectrum.profile`` is the only one)."""
-    section = raw.get(name, {})
-    _require_keys(section, name, (), defaults)
-    values = dict(defaults)
-    for key, value in section.items():
-        path, kind = f"{name}.{key}", type(defaults[key])
-        if kind is str:
-            if value not in PROFILES:
-                raise ConfigError(f"{path}: expected {' or '.join(map(repr, PROFILES))}")
+def _read(obj, path: str, spec: dict) -> dict:
+    """The JSON object ``obj`` at ``path`` ("" for the whole file), read by
+    ``spec``, which maps each key the object takes to its default, or to a
+    type where the key must be given. A value given is read as that type, or
+    as its default is typed: an int as an integer, a float as a finite
+    number, a list as a non-empty list of finite numbers, and a tuple of
+    choices, whose first is the default, as one of them. Any other value, an
+    object for one, is left to the caller."""
+    where = path or "config"
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: expected an object")
+    unknown = set(obj) - set(spec)
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    missing = [key for key, kind in spec.items() if isinstance(kind, type) and key not in obj]
+    if missing:
+        raise ConfigError(f"{where}: missing keys {missing}")
+    values = {key: kind[0] if type(kind) is tuple else kind for key, kind in spec.items()}
+    for key, value in obj.items():
+        default, where = spec[key], f"{path}.{key}" if path else key
+        kind = default if isinstance(default, type) else type(default)
+        if kind is tuple:
+            if value not in default:
+                raise ConfigError(f"{where}: expected one of {list(default)}, got {value!r}")
         elif kind is list:
             if not isinstance(value, list) or not value:
-                raise ConfigError(f"{path}: expected a non-empty list")
-            value = [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
-        else:
-            value = (_integer if kind is int else _number)(value, path)
+                raise ConfigError(f"{where}: expected a non-empty list")
+            value = [_number(v, f"{where}[{i}]") for i, v in enumerate(value)]
+        elif kind is int:
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{where}: expected an integer, got {value!r}")
+        elif kind is float:
+            value = _number(value, where)
         values[key] = value
     return values
 
 
+def _normal_square(x: float) -> bool:
+    """Whether x * x is a finite normal float: the closed forms square the
+    tone amplitudes, and the lorentzian profile its half width, and divide
+    by the square."""
+    return sys.float_info.min <= x * x < math.inf
+
+
 _SPECTRUM_DEFAULTS = {
     "squeezing_bandwidth_hz": 5.0e4,
-    "profile": "lorentzian",
+    "profile": PROFILES,
     "sample_rate_hz": 2.0971520e6,
     "duration_s": 0.25,
     "segment_length": 2048,
@@ -147,37 +151,30 @@ class ExperimentConfig(_Record):
 
 def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a parsed JSON object and build the experiment."""
-    _require_keys(raw, "config", ["frequency_plan", "squeeze", "lo_tones"],
-                  ["image_band_case", "seed", "scan", "imbalance", "spectrum", "oracle",
-                   "output_dir"])
+    # the sections, and the lo_tones list of objects, are each read below
+    top = _read(raw, "", {"frequency_plan": dict, "squeeze": dict, "lo_tones": object,
+                          "image_band_case": tuple(_CASE_NAMES), "seed": 0, "scan": {},
+                          "imbalance": {}, "spectrum": {}, "oracle": {}, "output_dir": None})
 
-    fp_raw = raw["frequency_plan"]
-    _require_keys(fp_raw, "frequency_plan", ["omega_plus_hz", "omega_minus_hz", "lo_hz"])
-    lo_hz = fp_raw["lo_hz"]
-    if not isinstance(lo_hz, list) or not 1 <= len(lo_hz) <= 2:
+    fp = _read(top["frequency_plan"], "frequency_plan",
+               {"omega_plus_hz": float, "omega_minus_hz": float, "lo_hz": list})
+    if len(fp["lo_hz"]) > 2:
         raise ConfigError("frequency_plan.lo_hz: expected a list of one or two frequencies")
     two_pi = 2.0 * math.pi
-    # _number's errors name their key; _make prefixes only the constructors'
+    # _read's errors name their key; _make prefixes only the constructors'
     # own errors with the section
-    omega_plus = two_pi * _number(fp_raw["omega_plus_hz"], "frequency_plan.omega_plus_hz")
-    omega_minus = two_pi * _number(fp_raw["omega_minus_hz"], "frequency_plan.omega_minus_hz")
-    lo_frequencies = tuple(
-        two_pi * _number(f, f"frequency_plan.lo_hz[{i}]") for i, f in enumerate(lo_hz)
-    )
-    plan = _make("frequency_plan", FrequencyPlan, omega_plus, omega_minus, lo_frequencies)
+    plan = _make("frequency_plan", FrequencyPlan, two_pi * fp["omega_plus_hz"],
+                 two_pi * fp["omega_minus_hz"], tuple(two_pi * f for f in fp["lo_hz"]))
 
-    sq_raw = raw["squeeze"]
-    _require_keys(sq_raw, "squeeze", ["s"], ["theta"])
-    s = _number(sq_raw["s"], "squeeze.s")
-    theta = _number(sq_raw.get("theta", 0.0), "squeeze.theta")
-    squeeze = _make("squeeze", SqueezeParams, s, theta)
+    sq = _read(top["squeeze"], "squeeze", {"s": float, "theta": 0.0})
+    squeeze = _make("squeeze", SqueezeParams, sq["s"], sq["theta"])
     if 2.0 * squeeze.s >= _MAX_TWO_S:
         raise ConfigError(
             f"squeeze.s: {squeeze.s!r} overflows the squeeze factor exp(2s); "
             f"must be below {0.5 * _MAX_TWO_S:.6g}"
         )
 
-    tones_raw = raw["lo_tones"]
+    tones_raw = top["lo_tones"]
     if not isinstance(tones_raw, list) or len(tones_raw) != len(plan.lo_frequencies):
         raise ConfigError(
             f"lo_tones: expected {len(plan.lo_frequencies)} entries matching frequency_plan.lo_hz"
@@ -185,23 +182,15 @@ def parse_config(raw: dict) -> ExperimentConfig:
     tones = []
     for i, tone_raw in enumerate(tones_raw):
         path = f"lo_tones[{i}]"
-        _require_keys(tone_raw, path, ["amplitude"], ["phase"])
-        amplitude = _number(tone_raw["amplitude"], f"{path}.amplitude")
-        phase = _number(tone_raw.get("phase", 0.0), f"{path}.phase")
-        tones.append(_make(path, LoTone, amplitude, phase))
+        tone = _read(tone_raw, path, {"amplitude": float, "phase": 0.0})
+        tones.append(_make(path, LoTone, tone["amplitude"], tone["phase"]))
         amp = tones[-1].amplitude
-        # the closed forms scale by |beta|^2 and divide by it (lo_flux_ratio);
-        # an amplitude of 0 is left to them, and they reject it as a physics error
-        if amp != 0.0 and not sys.float_info.min <= amp * amp < math.inf:
-            raise ConfigError(
-                f"lo_tones[{i}].amplitude: {amp!r} squared is not a finite normal float"
-            )
+        # an amplitude of 0 is left to the closed forms, which reject it as a
+        # physics error
+        if amp != 0.0 and not _normal_square(amp):
+            raise ConfigError(f"{path}.amplitude: {amp!r} squared is not a finite normal float")
 
-    case_requested = raw.get("image_band_case", "auto")
-    if case_requested not in _CASE_NAMES:
-        raise ConfigError(
-            f"image_band_case: expected one of {sorted(_CASE_NAMES)}, got {case_requested!r}"
-        )
+    case_requested = top["image_band_case"]
     case = _CASE_NAMES[case_requested]  # None for "auto"
     if len(tones) == 1:
         if case is not None:
@@ -209,22 +198,23 @@ def parse_config(raw: dict) -> ExperimentConfig:
     elif case is None:
         case = classify_image_band_case(plan)
 
-    seed = _integer(raw.get("seed", 0), "seed")
+    seed = top["seed"]
     if seed < 0:
         raise ConfigError("seed: must be >= 0")
 
-    scan_points = _section(raw, "scan", {"n_points": 72})["n_points"]
+    scan_points = _read(top["scan"], "scan", {"n_points": 72})["n_points"]
     if not 2 <= scan_points <= _MAX_SCAN_POINTS:
         raise ConfigError(f"scan.n_points: must lie in [2, {_MAX_SCAN_POINTS}]")
 
-    fractions = _section(raw, "imbalance", {"fractions": [0.01, 0.02, 0.05, 0.1]})["fractions"]
+    fractions = _read(top["imbalance"], "imbalance",
+                      {"fractions": [0.01, 0.02, 0.05, 0.1]})["fractions"]
     if any(not -1.0 < f for f in fractions):
         raise ConfigError("imbalance.fractions: each fraction must exceed -1")
     for i, f in enumerate(fractions):
         if f * f == math.inf:
             raise ConfigError(f"imbalance.fractions[{i}]: {f!r} squared overflows a float")
 
-    spectrum = _section(raw, "spectrum", _SPECTRUM_DEFAULTS)
+    spectrum = _read(top["spectrum"], "spectrum", _SPECTRUM_DEFAULTS)
     seg = spectrum["segment_length"]
     if seg < 4 or seg & (seg - 1):
         raise ConfigError(f"spectrum.segment_length: {seg!r} is not a power of two >= 4")
@@ -233,16 +223,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
     for key in ("squeezing_bandwidth_hz", "sample_rate_hz", "duration_s"):
         if spectrum[key] <= 0.0:
             raise ConfigError(f"spectrum.{key}: must be > 0")
-    # the lorentzian profile squares the half width, as the closed forms
-    # square tone amplitudes
-    half = 0.5 * spectrum["squeezing_bandwidth_hz"]
-    if spectrum["profile"] == "lorentzian" and not sys.float_info.min <= half * half < math.inf:
+    if spectrum["profile"] == "lorentzian" and not _normal_square(
+            0.5 * spectrum["squeezing_bandwidth_hz"]):
         raise ConfigError(
             f"spectrum.squeezing_bandwidth_hz: {spectrum['squeezing_bandwidth_hz']!r} halved "
             "and squared is not a finite normal float (lorentzian profile)"
         )
 
-    oracle = _section(raw, "oracle", _ORACLE_DEFAULTS)
+    oracle = _read(top["oracle"], "oracle", _ORACLE_DEFAULTS)
     if not 0 <= oracle["draws"] <= _MAX_ORACLE_DRAWS:
         raise ConfigError(f"oracle.draws: must lie in [0, {_MAX_ORACLE_DRAWS}]")
     if oracle["max_dimension"] < 1:
@@ -260,7 +248,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
                 f"{ORACLE_DRAW_BETA_MIN:g} while oracle.draws > 0"
             )
 
-    output_dir = raw.get("output_dir")
+    output_dir = top["output_dir"]
     if output_dir is not None and not isinstance(output_dir, str):
         raise ConfigError("output_dir: expected a string")
 

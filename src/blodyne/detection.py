@@ -464,9 +464,8 @@ def phase_scan(p: SqueezeParams, lo_config, case: ImageBandCase | None = None,
     lo1, lo2 = lo_config
     if case is None:
         raise ValueError("phase_scan over a tone pair needs an ImageBandCase")
-    if lo1.amplitude != lo2.amplitude:
-        raise ValueError("phase_scan expects matched tone amplitudes")
-    # the phase sum rides on the first tone
+    # the phase sum rides on the first tone; blo_variance rejects unequal
+    # tone amplitudes
     amplitude = lo1.amplitude
     lo2 = LoTone(lo2.amplitude, 0.0)
     return [(phase_sum, blo_variance(p, LoTone(amplitude, phase_sum), lo2, case))

@@ -13,7 +13,6 @@ read as a density per Hz. :func:`spectrum_outputs` is the ``spectrum``
 subcommand, from a resolved config to the text it writes.
 """
 
-import itertools
 import json
 import math
 import queue
@@ -640,10 +639,9 @@ def spectrum_outputs(cfg: ExperimentConfig, with_files: bool):
     Builds the config's spectral model, synthesizes its record, estimates
     the PSD and locates the feature. Returns the summary lines and, if
     ``with_files``, the names of ``spectrum.csv`` and ``spectrum.json``
-    with their text in chunks, else no files; the JSON is encoded chunk by
-    chunk as it is written, as ``json.dump`` does. Synthesis, estimation
-    and location are looked up as this module's names at each call, so a
-    wrapper set on one of them sees the call.
+    with their text, else no files. Synthesis, estimation and location are
+    looked up as this module's names at each call, so a wrapper set on one
+    of them sees the call.
     """
     sp = cfg.spectrum
     if cfg.two_tone:
@@ -676,7 +674,6 @@ def spectrum_outputs(cfg: ExperimentConfig, with_files: bool):
     payload = {"format_version": FORMAT_VERSION, "config": cfg.resolved,
                "spectrum": spectrum_to_json_dict(est)}
     return summary, (
-        ("spectrum.csv", ("\n".join(spectrum_csv_lines(est, header_lines(cfg))) + "\n",)),
-        ("spectrum.json", itertools.chain(json.JSONEncoder(sort_keys=True).iterencode(payload),
-                                          ("\n",))),
+        ("spectrum.csv", "\n".join(spectrum_csv_lines(est, header_lines(cfg))) + "\n"),
+        ("spectrum.json", json.dumps(payload, sort_keys=True) + "\n"),
     )

@@ -210,6 +210,7 @@ class TestConfigValues:
                      {"frequency_plan": dict(BASE_CONFIG["frequency_plan"], lo_hz=300.0e12)},
                      id="lo_hz_not_a_list"),
         pytest.param("image_band_case", {"image_band_case": "three"}, id="unknown_case"),
+        pytest.param("image_band_case", {"image_band_case": ["two"]}, id="case_not_a_string"),
         pytest.param("image_band_case", {
             "frequency_plan": dict(BASE_CONFIG["frequency_plan"], lo_hz=[300.0e12]),
             "lo_tones": [{"amplitude": 2.0}], "image_band_case": "two",
@@ -446,14 +447,18 @@ class TestExitCodes:
         assert code == 2
         assert "config error" in err
 
-    def test_invariant_violation_exits_3(self, tmp_path, capsys):
+    @pytest.mark.parametrize("cmd", ["variance", "scan", "cases", "imbalance", "spectrum"])
+    def test_invariant_violation_exits_3(self, tmp_path, capsys, cmd):
+        # the two-tone closed forms, and the imbalance sweep's base, need
+        # |beta1| = |beta2|
         path = write_config(tmp_path, {
             "lo_tones": [{"amplitude": 1.0, "phase": 0.0},
                          {"amplitude": 2.0, "phase": 0.0}],
         })
-        code, _, err = run(capsys, ["cases", "--config", path])
+        code, out, err = run(capsys, [cmd, "--config", path])
         assert code == 3
-        assert "invariant violation" in err
+        assert out == ""
+        assert err.startswith("invariant violation: ")
 
     def test_oracle_disagreement_exits_4(self, tmp_path, capsys):
         path = write_config(tmp_path, {"oracle": {"draws": 1, "beta_cap_two": 6.0,
@@ -730,6 +735,15 @@ class TestOutputs:
         feature_line = next(l for l in out.splitlines() if l.startswith("feature:"))
         depth = float(feature_line.split("depth_db")[1])
         assert depth == pytest.approx(-3.0103, abs=0.5)
+
+    def test_spectrum_with_three_bins_finds_no_feature(self, tmp_path, capsys):
+        # a segment of 4 samples gives 3 bins, and the feature search, which
+        # leaves out the edge bins and their smoothing neighbours, has none left
+        path = write_config(tmp_path, {"frequency_plan": PLAN_100KHZ,
+                                       "spectrum": {"segment_length": 4}})
+        code, out, _ = run(capsys, ["spectrum", "--config", path])
+        assert code == 0
+        assert out.splitlines()[-1] == "feature: none"
 
     def test_verify_passes_at_default_tolerance(self, tmp_path, capsys):
         path = write_config(tmp_path, {"oracle": {"draws": 2, "beta_cap_two": 7.0,
