@@ -275,7 +275,7 @@ def oracle_difference_variance(signal: FockStateVector, lo: FockStateVector,
     two explicit factor states; the ``max_dimension`` guard is applied to
     each padded factor first."""
     policy = policy if policy is not None else fock.TruncationPolicy()
-    fock._check_factor_dims(policy, signal.dims, lo.dims)
+    policy.check_factors(signal.dims, lo.dims)
     return fock.oracle_from_grams(_ladder_gram(signal).tolist(), _ladder_gram(lo).tolist(),
                                   pairing, fp)
 

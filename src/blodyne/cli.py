@@ -88,15 +88,19 @@ def _report_line(tag: str, rep: detection.VarianceReport) -> str:
             f"{_g(rep.case_baseline)},{_g(rep.case_relative_db)},{_g(rep.lo_flux_ratio)}")
 
 
-def _require_stationary(cfg: ExperimentConfig):
-    """The closed forms hold only where the phase-sensitive term is static: two
-    tones need delta1 = -delta2, or it oscillates at (delta1 + delta2)/2pi,
-    and one tone needs 2 omega_L = omega_plus + omega_minus, or it
-    oscillates at |omega_plus + omega_minus - 2 omega_L|/2pi."""
+def _require_plan(cfg: ExperimentConfig, command: str):
+    """What each subcommand but verify needs of the plan. cases and imbalance
+    need two tones. The closed forms hold only where the phase-sensitive
+    term is static: two tones need delta1 = -delta2, or it oscillates at
+    (delta1 + delta2)/2pi, and one tone needs 2 omega_L = omega_plus +
+    omega_minus, or it oscillates at |omega_plus + omega_minus - 2 omega_L|/2pi."""
     plan = cfg.plan
     if cfg.two_tone:
         need = "two-tone formulas need delta1 = -delta2, but delta1 + delta2"
         beat = plan.delta1 + plan.delta2
+    elif command in ("cases", "imbalance"):
+        output = "the cases table" if command == "cases" else "the imbalance sweep"
+        raise ValueError(f"{output} needs a two-tone configuration")
     else:
         need = ("single-tone formulas need the tone midway between the signal modes, "
                 "but 2 omega_L - omega_plus - omega_minus")
@@ -109,7 +113,7 @@ def _require_stationary(cfg: ExperimentConfig):
         )
 
 
-def cmd_variance(cfg: ExperimentConfig, out_dir: str | None) -> int:
+def cmd_variance(cfg: ExperimentConfig, out_dir: str | None):
     lines = ["scheme,case,variance,baseline,db_vs_baseline,case_baseline,"
              "db_vs_case_baseline,lo_flux_ratio"]
     tone = cfg.tones[0]
@@ -123,27 +127,19 @@ def cmd_variance(cfg: ExperimentConfig, out_dir: str | None) -> int:
         rep = detection.blo_variance(cfg.squeeze, t1, t2, cfg.case)
         lines.append(_report_line("blo", rep))
     _emit(lines, cfg, out_dir, "variance.csv")
-    return EXIT_OK
 
 
-def cmd_scan(cfg: ExperimentConfig, out_dir: str | None) -> int:
-    if cfg.two_tone:
-        points = detection.phase_scan(cfg.squeeze, (cfg.tones[0], cfg.tones[1]),
-                                      cfg.case, cfg.scan_points)
-        phase_col = "phase_sum"
-    else:
-        points = detection.phase_scan(cfg.squeeze, cfg.tones[0], n_points=cfg.scan_points)
-        phase_col = "phase"
-    lines = [f"{phase_col},variance,db_vs_baseline"]
+def cmd_scan(cfg: ExperimentConfig, out_dir: str | None):
+    # a pair sweeps the phase sum, one tone its own phase; case is None for one tone
+    lo_config = cfg.tones if cfg.two_tone else cfg.tones[0]
+    points = detection.phase_scan(cfg.squeeze, lo_config, cfg.case, cfg.scan_points)
+    lines = [f"{'phase_sum' if cfg.two_tone else 'phase'},variance,db_vs_baseline"]
     for phase, rep in points:
         lines.append(f"{_g(phase)},{_g(rep.variance)},{_g(rep.relative_db)}")
     _emit(lines, cfg, out_dir, "scan.csv")
-    return EXIT_OK
 
 
-def cmd_cases(cfg: ExperimentConfig, out_dir: str | None) -> int:
-    if not cfg.two_tone:
-        raise ValueError("the cases table needs a two-tone configuration")
+def cmd_cases(cfg: ExperimentConfig, out_dir: str | None):
     beta = cfg.tones[0].amplitude
     # the phase sum theta + pi puts each case at its floor
     floor_tones = LoTone(beta, cfg.squeeze.theta + math.pi), LoTone(beta, 0.0)
@@ -158,12 +154,9 @@ def cmd_cases(cfg: ExperimentConfig, out_dir: str | None) -> int:
             f"at_config_phase {_g(at_config.variance)}"
         )
     _emit(lines, cfg, out_dir, "cases.txt")
-    return EXIT_OK
 
 
-def cmd_imbalance(cfg: ExperimentConfig, out_dir: str | None) -> int:
-    if not cfg.two_tone:
-        raise ValueError("the imbalance sweep needs a two-tone configuration")
+def cmd_imbalance(cfg: ExperimentConfig, out_dir: str | None):
     # the configured pair, which blo_variance requires matched, is the base
     base = detection.blo_variance(cfg.squeeze, *cfg.tones, cfg.case)
     beta = cfg.tones[0].amplitude
@@ -175,18 +168,16 @@ def cmd_imbalance(cfg: ExperimentConfig, out_dir: str | None) -> int:
         excess = rep.variance - (1.0 + frac) * base.variance
         lines.append(f"{_g(frac)},{_g(rep.variance)},{_g(excess)},{_g(rep.relative_db)}")
     _emit(lines, cfg, out_dir, "imbalance.csv")
-    return EXIT_OK
 
 
-def cmd_spectrum(cfg: ExperimentConfig, out_dir: str | None) -> int:
+def cmd_spectrum(cfg: ExperimentConfig, out_dir: str | None):
     from . import timeseries
 
     summary, files = timeseries.spectrum_outputs(cfg, bool(out_dir))
     _emit(summary, cfg, out_dir, "spectrum_summary.txt", files)
-    return EXIT_OK
 
 
-def cmd_verify(cfg: ExperimentConfig, out_dir: str | None, tolerance: float) -> int:
+def cmd_verify(cfg: ExperimentConfig, out_dir: str | None, tolerance: float):
     from . import verify
 
     lines, max_err = verify.check_lines(cfg, tolerance)
@@ -195,7 +186,6 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: str | None, tolerance: float) -> 
         raise OracleMismatch(
             f"oracle disagrees with the closed forms: {max_err:g} > {tolerance:g}"
         )
-    return EXIT_OK
 
 
 def positive_float(text: str) -> float:
@@ -300,12 +290,11 @@ def main(argv=None) -> int:
         out_dir, out_source = cfg.resolved.get("output_dir"), "config output_dir"
     try:
         if command == "verify":
-            return cmd_verify(cfg, out_dir, tolerance)
-        # cases and imbalance first name their own need of two tones
-        if cfg.two_tone or command in ("variance", "scan", "spectrum"):
-            _require_stationary(cfg)
-        # looked up by name at each call, so a wrapper set on the module is called
-        return globals()[f"cmd_{command}"](cfg, out_dir)
+            cmd_verify(cfg, out_dir, tolerance)
+        else:
+            _require_plan(cfg, command)
+            # looked up by name at each call, so a wrapper set on the module is called
+            globals()[f"cmd_{command}"](cfg, out_dir)
     except OutputDirError as exc:
         print(f"config error: {out_source} {out_dir!r}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -315,6 +304,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    return EXIT_OK
 
 
 def run(argv=None):

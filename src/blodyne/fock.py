@@ -88,13 +88,16 @@ class TruncationPolicy(_Record):
     def coherent_cutoff(self, amplitude: float) -> int:
         return coherent_cutoff(amplitude)
 
-    def check_dimension(self, dims) -> None:
-        total = math.prod(int(d) for d in dims)
-        if total > self.max_dimension:
-            raise ValueError(
-                f"state dimension {total} exceeds the guard {self.max_dimension}; "
-                "reduce the tone amplitude or raise max_dimension"
-            )
+    def check_factors(self, *factor_dims) -> None:
+        """Raise ValueError where one factor, given by its per-mode
+        dimensions, exceeds the guard once padded."""
+        for dims in factor_dims:
+            total = math.prod(int(d) + 1 for d in dims)
+            if total > self.max_dimension:
+                raise ValueError(
+                    f"state dimension {total} exceeds the guard {self.max_dimension}; "
+                    "reduce the tone amplitude or raise max_dimension"
+                )
 
 
 def tmss_cutoff_for_leakage(s: float, eps: float) -> int:
@@ -302,13 +305,6 @@ def _cluster(values, tol: float):
 # ---------------------------------------------------------------------------
 
 
-def _check_factor_dims(policy: TruncationPolicy, *factor_dims) -> None:
-    """Apply the guard to each factor state padded by one level per mode, as
-    a dense tensor would hold it."""
-    for dims in factor_dims:
-        policy.check_dimension(d + 1 for d in dims)
-
-
 def _check_norm(nsq: float) -> None:
     if nsq > 1.0 + 1e-9:
         raise ValueError(f"state norm^2 = {nsq!r} exceeds 1; amplitudes are not physical")
@@ -441,7 +437,7 @@ def _oracle_run(p: SqueezeParams, beta: float, phases: tuple, case: ImageBandCas
     pairing = BeatPairing.for_plan(plan)
     n_images = len(pairing.signal_freqs) - 2
     n_sig, n_lo = policy.tmss_cutoff(p.s), policy.coherent_cutoff(beta)
-    _check_factor_dims(policy, (n_sig + 1,) * 2 + (1,) * n_images, (n_lo + 1,) * len(phases))
+    policy.check_factors((n_sig + 1,) * 2 + (1,) * n_images, (n_lo + 1,) * len(phases))
     g_sig = signal_gram(p, n_sig, n_images)
     g_lo = coherent_product_gram([(beta, chi) for chi in phases], n_lo)
     return oracle_from_grams(g_sig, g_lo, pairing, plan)

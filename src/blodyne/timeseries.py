@@ -16,13 +16,12 @@ subcommand, from a resolved config to the text it writes.
 import json
 import math
 import queue
-import sys
 import threading
 from contextlib import closing
 
 import numpy as np
 
-from .config import FORMAT_VERSION, PROFILES, ExperimentConfig, header_lines
+from .config import FORMAT_VERSION, PROFILES, ExperimentConfig, _normal_square, header_lines
 from .detection import (FrequencyPlan, ImageBandCase, LoTone, SqueezeParams, _Record,
                         blo_variance, standard_heterodyne_variance)
 
@@ -56,8 +55,7 @@ class SpectralModel(_Record):
             raise ValueError("levels must be >= 0")
         if profile not in PROFILES:
             raise ValueError(f"profile must be one of {PROFILES}, got {profile!r}")
-        half = 0.5 * squeezing_bandwidth
-        if profile == "lorentzian" and not sys.float_info.min <= half * half < math.inf:
+        if profile == "lorentzian" and not _normal_square(0.5 * squeezing_bandwidth):
             raise ValueError(
                 f"squeezing_bandwidth {squeezing_bandwidth!r}: its half squared is not "
                 "a finite normal float, which the lorentzian profile needs"

@@ -6,8 +6,10 @@ chi1, chi2, case) point on the case's reference plan and compares the
 result with the matched two-tone closed form plus the LO quantization
 offset. The checks are the configured point, when the config has matched
 tones and the oracle can reach it, and then ``oracle.draws`` points drawn
-from the seed. :func:`check_lines` returns the CSV lines that
-``blodyne.cli.cmd_verify`` writes, which also raises the exit-4 error.
+from the seed. With no check, :func:`check_points` raises ValueError
+naming why the configured point was skipped, so ``verify`` exits 3.
+:func:`check_lines` returns the CSV lines that ``blodyne.cli.cmd_verify``
+writes, which also raises the exit-4 error.
 
 Only ``verify`` imports this module, so the closed-form subcommands never
 compile it. It imports nothing from ``blodyne.cli``: under
@@ -24,14 +26,6 @@ from .config import ORACLE_DRAW_BETA_MIN, ExperimentConfig
 from .detection import ImageBandCase, LoTone, SqueezeParams
 
 
-def tmss_oracle_feasible(s: float, leakage: float) -> bool:
-    """Whether the squeezed-pair cutoff at the oracle's target leakage stays
-    desk-sized (<= 64)."""
-    if s <= 0.0:
-        return True
-    return math.tanh(s) < 1.0 and fock.tmss_cutoff_for_leakage(s, leakage) <= 64
-
-
 def oracle_error(measured: float, p: SqueezeParams, beta: float, chi1: float,
                  chi2: float, case: ImageBandCase) -> float:
     """Relative error of an oracle variance against the closed form."""
@@ -40,13 +34,31 @@ def oracle_error(measured: float, p: SqueezeParams, beta: float, chi1: float,
     return abs(measured / analytic - 1.0)
 
 
+def configured_point(cfg: ExperimentConfig, caps: dict) -> tuple[list, str | None]:
+    """([the configured check], None), or ([], why the oracle cannot reach
+    the configured point)."""
+    if not cfg.two_tone:
+        return [], "the config has one tone"
+    t1, t2 = cfg.tones
+    if t1.amplitude != t2.amplitude:
+        return [], f"the tone amplitudes {t1.amplitude:g} and {t2.amplitude:g} differ"
+    beta = min(t1.amplitude, caps[cfg.case])
+    if beta < 1.0:
+        return [], f"|beta| = {beta:g} after the cap is below 1"
+    s = cfg.squeeze.s
+    if math.tanh(s) >= 1.0:
+        return [], f"tanh(s) rounds to 1 at s = {s:g}"
+    # the squeezed pair's cutoff at the target leakage stays desk-sized
+    cutoff = fock.tmss_cutoff_for_leakage(s, cfg.oracle["target_leakage"])
+    if cutoff > 64:
+        return [], f"the squeezed-pair cutoff {cutoff} at oracle.target_leakage exceeds 64"
+    return [(cfg.squeeze, beta, t1.phase, t2.phase, cfg.case)], None
+
+
 def check_points(cfg: ExperimentConfig, caps: dict) -> list:
-    """The (squeeze, |beta|, chi1, chi2, case) of every check, in order."""
-    checks = []
-    if cfg.two_tone and cfg.tones[0].amplitude == cfg.tones[1].amplitude:
-        beta = min(cfg.tones[0].amplitude, caps[cfg.case])
-        if beta >= 1.0 and tmss_oracle_feasible(cfg.squeeze.s, cfg.oracle["target_leakage"]):
-            checks.append((cfg.squeeze, beta, cfg.tones[0].phase, cfg.tones[1].phase, cfg.case))
+    """The (squeeze, |beta|, chi1, chi2, case) of every check, in order;
+    ValueError if there is none, since checking nothing is no pass."""
+    checks, skipped = configured_point(cfg, caps)
     draws = int(cfg.oracle["draws"])
     if draws:
         # the oracle itself is pure Python; numpy only draws the points
@@ -61,6 +73,9 @@ def check_points(cfg: ExperimentConfig, caps: dict) -> list:
             p = SqueezeParams(s=s, theta=float(rng.uniform(0.0, 2.0 * math.pi)))
             checks.append((p, beta, float(rng.uniform(0.0, 2.0 * math.pi)),
                            float(rng.uniform(0.0, 2.0 * math.pi)), case))
+    if not checks:
+        raise ValueError(f"nothing was checked: oracle.draws is 0, and the configured "
+                         f"point is out of the oracle's reach: {skipped}")
     return checks
 
 

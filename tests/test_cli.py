@@ -813,18 +813,21 @@ class TestOutputs:
                                                                overrides, checked):
         path = write_config(tmp_path, dict(overrides,
                                            oracle=dict(overrides.get("oracle", {}), draws=0)))
-        code, out, _ = run(capsys, ["verify", "--config", path])
-        assert code == 0
-        lines = out.splitlines()
-        rows = lines[lines.index("draw,case,s,theta,beta,chi1,chi2,rel_error") + 1 : -2]
+        code, out, err = run(capsys, ["verify", "--config", path])
         if checked:
+            assert code == 0
+            lines = out.splitlines()
+            rows = lines[lines.index("draw,case,s,theta,beta,chi1,chi2,rel_error") + 1 : -2]
             # the configured (s, |beta|), at full precision
             assert len(rows) == 1
             assert [float(v) for v in rows[0].split(",")[2:5:2]] == [
                 overrides["squeeze"]["s"], BASE_CONFIG["lo_tones"][0]["amplitude"]]
         else:
-            # nothing checked passes by silence
-            assert rows == [] and "max_relative_error: 0" in lines
+            # nothing checked never passes, and stderr says why
+            assert code == 3 and out == ""
+            assert err.startswith("invariant violation: nothing was checked: oracle.draws "
+                                  "is 0, and the configured point is out of the oracle's "
+                                  "reach: ")
 
     def test_single_tone_config(self, tmp_path, capsys):
         path = write_config(tmp_path, {
@@ -969,7 +972,9 @@ class TestOffCentreSingleTone:
         assert err == f"invariant violation: {need} needs a two-tone configuration\n"
 
     def test_verify_does_not_read_the_plan(self, tmp_path, capsys):
-        code, _, _ = run(capsys, ["verify", "--config", write_config(tmp_path, self.OVERRIDES)])
+        # one tone leaves verify only its drawn points
+        path = write_config(tmp_path, dict(self.OVERRIDES, oracle={"draws": 1}))
+        code, _, _ = run(capsys, ["verify", "--config", path])
         assert code == 0
 
 
@@ -1067,7 +1072,9 @@ def test_subcommand_loads_only_what_it_runs(tmp_path, cmd, tones):
         # the single-tone feature sits at 5 MHz: 2^16 samples at 16.8 MHz
         overrides.update(frequency_plan=SINGLE_TONE_PLAN,
                          lo_tones=[{"amplitude": 2.0, "phase": 0.4}],
-                         spectrum={"sample_rate_hz": 16777216.0, "duration_s": 2.0**-8})
+                         spectrum={"sample_rate_hz": 16777216.0, "duration_s": 2.0**-8},
+                         # one tone leaves verify only its drawn points
+                         oracle={"draws": 1})
     # the program entry ends the process with os._exit, before the probe
     # could read sys.modules: here it raises SystemExit instead
     probe = ("import os, runpy, sys\n"

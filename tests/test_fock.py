@@ -121,7 +121,19 @@ class TestTruncationPolicy:
     def test_dimension_guard(self):
         policy = TruncationPolicy(max_dimension=1000)
         with pytest.raises(ValueError, match="guard"):
-            policy.check_dimension((11, 11, 11))
+            policy.check_factors((10, 10, 10))
+
+    def test_guard_pads_each_factor_and_holds_each_alone(self):
+        policy = TruncationPolicy(max_dimension=1000)
+        # padded by one level per mode, 10^3 sits at the bound
+        policy.check_factors((9, 9, 9))
+        with pytest.raises(ValueError, match="state dimension 1100 exceeds"):
+            policy.check_factors((9, 9, 10))
+        # the second factor alone, 32^2 = 1024, is over; the product of the
+        # two factors is never formed
+        with pytest.raises(ValueError, match="state dimension 1024 exceeds"):
+            policy.check_factors((9, 9, 9), (31, 31))
+        policy.check_factors((9, 9, 9), (30, 30))
 
 
 class TestCoherentBuilder:
