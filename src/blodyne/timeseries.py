@@ -22,8 +22,7 @@ from contextlib import closing
 import numpy as np
 
 from .config import FORMAT_VERSION, PROFILES, ExperimentConfig, _normal_square, header_lines
-from .detection import (FrequencyPlan, ImageBandCase, LoTone, SqueezeParams, _Record,
-                        blo_variance, standard_heterodyne_variance)
+from .detection import _Record, blo_variance, standard_heterodyne_variance
 
 
 class SpectralModel(_Record):
@@ -106,63 +105,27 @@ class SpectralModel(_Record):
         return self.noise_floor + (self.dip_or_peak_level - self.noise_floor) * shape
 
     @classmethod
-    def for_standard(cls, p: SqueezeParams, lo: LoTone, fp: FrequencyPlan,
-                     bandwidth: float, profile: str = "lorentzian") -> "SpectralModel":
-        """Feature at the single-tone beat note delta/2pi with the predicted depth."""
-        report = standard_heterodyne_variance(p, lo)
-        return cls(
-            center_frequency=fp.beat_delta / (2.0 * math.pi),
-            squeezing_bandwidth=bandwidth,
-            noise_floor=report.case_baseline,
-            dip_or_peak_level=report.variance,
-            profile=profile,
-        )
-
-    @classmethod
-    def for_blo(cls, p: SqueezeParams, lo1: LoTone, lo2: LoTone, fp: FrequencyPlan,
-                case: ImageBandCase, bandwidth: float,
-                profile: str = "lorentzian") -> "SpectralModel":
-        """Feature at |delta1|/2pi (DC for the no-image configuration).
-
+    def for_config(cls, cfg: ExperimentConfig) -> "SpectralModel":
+        """The config's feature: for two tones at |delta1|/2pi (DC for the
+        no-image configuration) at the ``blo_variance`` level, for one tone at
+        the beat note delta/2pi at the ``standard_heterodyne_variance`` level.
         The floor is the configuration's own squeezing-free level, which is
-        what the analyzer shows away from the feature.
+        what the analyzer shows away from the feature; the bandwidth and
+        profile are the config's ``spectrum`` settings.
         """
-        report = blo_variance(p, lo1, lo2, case)
+        if cfg.two_tone:
+            report = blo_variance(cfg.squeeze, *cfg.tones, cfg.case)
+            detuning = abs(cfg.plan.delta1)
+        else:
+            report = standard_heterodyne_variance(cfg.squeeze, *cfg.tones)
+            detuning = cfg.plan.beat_delta
         return cls(
-            center_frequency=abs(fp.delta1) / (2.0 * math.pi),
-            squeezing_bandwidth=bandwidth,
+            center_frequency=detuning / (2.0 * math.pi),
+            squeezing_bandwidth=cfg.spectrum["squeezing_bandwidth_hz"],
             noise_floor=report.case_baseline,
             dip_or_peak_level=report.variance,
-            profile=profile,
+            profile=cfg.spectrum["profile"],
         )
-
-
-class PhotocurrentRecord(_Record):
-    """A difference-current record given by its samples and sample rate (Hz).
-
-    :func:`estimate_psd` reads a record through ``size`` and ``blocks()``;
-    this one is a single block.
-    """
-
-    __slots__ = ("samples", "sample_rate")
-
-    def __init__(self, samples: np.ndarray, sample_rate: float):
-        samples = np.asarray(samples, dtype=float)
-        n = samples.size
-        if n < 2 or (n & (n - 1)) != 0:
-            raise ValueError(f"record length must be a power of two, got {n}")
-        _Record.__init__(self, samples, sample_rate)
-
-    @property
-    def size(self) -> int:
-        return self.samples.size
-
-    @property
-    def duration(self) -> float:
-        return self.samples.size / self.sample_rate
-
-    def blocks(self):
-        yield self.samples
 
 
 class SynthesizedRecord(_Record):
@@ -297,10 +260,6 @@ class SynthesizedRecord(_Record):
             worker.join()
 
     @property
-    def duration(self) -> float:
-        return self.size / self.sample_rate
-
-    @property
     def samples(self) -> np.ndarray:
         out = np.empty(self.size)
         done = 0
@@ -329,9 +288,6 @@ class SpectrumEstimate(_Record):
         if f.ndim != 1 or f.shape != s.shape:
             raise ValueError("frequency and PSD arrays must be one-dimensional and match")
         _Record.__init__(self, f, s, resolution, n_averages, equivalent_averages)
-
-    def total_power(self) -> float:
-        return float(np.sum(self.psd) * self.resolution)
 
 
 # Synthesis and Welch hold a few blocks at a time whatever the record
@@ -421,14 +377,15 @@ def synthesize_difference_current(model: SpectralModel, duration: float,
     return SynthesizedRecord(n, sample_rate, seed, taps)
 
 
-def estimate_psd(rec: PhotocurrentRecord | SynthesizedRecord, segment_length: int,
+def estimate_psd(rec: SynthesizedRecord, segment_length: int,
                  overlap_fraction: float = 0.5) -> SpectrumEstimate:
     """Welch-averaged one-sided periodogram with a Hann window.
 
     The window power is compensated so densities are unbiased; integrating
     the estimate across a pure tone's peak returns the tone power A^2/2.
 
-    The record is read block by block, and segments are strided views of
+    The record is read through its ``size``, ``sample_rate`` and
+    ``blocks()`` alone, block by block, and segments are strided views of
     each block, windowed and transformed ``_WELCH_ROW_SAMPLES`` samples at a
     time (at least one segment). The batch's windowed segments, spectra and
     periodograms are allocated once per call and filled in place, batch
@@ -543,7 +500,9 @@ def locate_squeezing_feature(spec: SpectrumEstimate,
     against the spread it has for a flat spectrum, from the equivalent
     number of averages and the smoothing width, on a scale that removes the
     skew of few averages, and the chance is summed over the searched bins.
-    The DC bin is excluded from the search.
+    The DC bin is excluded from the search. A feature whose half-maximum
+    region reaches the lowest searched bin, and whose deviation there is
+    that of the candidate within two standard errors, is reported at 0 Hz.
     """
     if floor_estimate <= 0.0:
         raise ValueError("floor_estimate must be positive")
@@ -594,9 +553,17 @@ def locate_squeezing_feature(spec: SpectrumEstimate,
         return last
 
     lo, hi = edge(-1, 1), edge(1, search.size - 1)
-    weights = np.maximum(search[lo : hi + 1] - half, 0.0)
-    center = float(np.sum(spec.frequencies[lo : hi + 1] * weights) / np.sum(weights))
-    cidx = min(max(int(round(center / spec.resolution)), 1), psd.size - 1)
+    # a region cut by the unsearched low bins has its centroid up the flank;
+    # where its lowest searched bin is within two standard errors (of a
+    # smoothed bin at the candidate's level) of the candidate, the extremum
+    # is not resolved from DC, and the feature is put there
+    if lo == smooth_bins + 1 and (
+            search[idx] - search[lo] <= 2.0 * math.sqrt(spread) * smoothed[idx]):
+        center, cidx = 0.0, 1
+    else:
+        weights = np.maximum(search[lo : hi + 1] - half, 0.0)
+        center = float(np.sum(spec.frequencies[lo : hi + 1] * weights) / np.sum(weights))
+        cidx = min(max(int(round(center / spec.resolution)), 1), psd.size - 1)
     level = float(np.mean(psd[max(1, cidx - 1) : cidx + 2]))
     return SqueezingFeature(
         center=center,
@@ -642,16 +609,7 @@ def spectrum_outputs(cfg: ExperimentConfig, with_files: bool):
     of them sees the call.
     """
     sp = cfg.spectrum
-    if cfg.two_tone:
-        model = SpectralModel.for_blo(
-            cfg.squeeze, cfg.tones[0], cfg.tones[1], cfg.plan, cfg.case,
-            bandwidth=sp["squeezing_bandwidth_hz"], profile=sp["profile"],
-        )
-    else:
-        model = SpectralModel.for_standard(
-            cfg.squeeze, cfg.tones[0], cfg.plan,
-            bandwidth=sp["squeezing_bandwidth_hz"], profile=sp["profile"],
-        )
+    model = SpectralModel.for_config(cfg)
     segment_length = sp["segment_length"]
     rec = synthesize_difference_current(
         model, duration=sp["duration_s"], sample_rate=sp["sample_rate_hz"], seed=cfg.seed,

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from blodyne import detection, fock
+from blodyne.config import parse_config
 from blodyne.detection import FrequencyPlan, ImageBandCase, LoTone
 from blodyne.gaussian import (SqueezeParams, apply_two_mode_squeeze,
                               ModeLabel, quadrature_variance, vacuum_state)
@@ -193,13 +194,14 @@ def test_criterion_6_imbalance():
               ">= 256 Welch averages")
 def test_criterion_7_spectral_relocation():
     # single tone: beat note at 5 MHz
-    omega_minus = 2.0 * math.pi * 299.999995e12
-    delta = 2.0 * math.pi * 10.0e6
-    fp_std = FrequencyPlan(omega_plus=omega_minus + delta, omega_minus=omega_minus,
-                           lo_frequencies=(omega_minus + 0.5 * delta,))
-    p_std = SqueezeParams(s=1.0, theta=0.0)
-    lo_std = LoTone(amplitude=1.0, phase=math.pi / 2.0)
-    model = SpectralModel.for_standard(p_std, lo_std, fp_std, bandwidth=1.0e5)
+    cfg = parse_config({
+        "frequency_plan": {"omega_plus_hz": 300.000005e12, "omega_minus_hz": 299.999995e12,
+                           "lo_hz": [300.0e12]},
+        "squeeze": {"s": 1.0, "theta": 0.0},
+        "lo_tones": [{"amplitude": 1.0, "phase": math.pi / 2.0}],
+        "spectrum": {"squeezing_bandwidth_hz": 1.0e5},
+    })
+    model = SpectralModel.for_config(cfg)
     # carrier-scale rounding leaves the center a few mHz off the nominal value
     assert model.center_frequency == pytest.approx(5.0e6, abs=1.0)
     rec = synthesize_difference_current(model, 0.5, 16.777216e6, seed=SEED,
@@ -213,16 +215,16 @@ def test_criterion_7_spectral_relocation():
     assert feat.depth_db == pytest.approx(predicted_db, abs=0.5)
 
     # two tones, opposite 100 kHz detunings: dip relocated to 100 kHz
-    d1 = 2.0 * math.pi * 1.0e5
-    fp_blo = FrequencyPlan(omega_plus=omega_minus + delta, omega_minus=omega_minus,
-                           lo_frequencies=(omega_minus + d1, omega_minus + delta - d1))
-    p_blo = SqueezeParams(s=10.0, theta=0.0)
-    lo1 = LoTone(amplitude=1.0, phase=math.pi)
-    lo2 = LoTone(amplitude=1.0, phase=0.0)
-    case = detection.classify_image_band_case(fp_blo)
-    assert case is ImageBandCase.TWO_IMAGE_BANDS
-    model = SpectralModel.for_blo(p_blo, lo1, lo2, fp_blo, case, bandwidth=5.0e4)
+    cfg = parse_config({
+        "frequency_plan": {"omega_plus_hz": 300.000005e12, "omega_minus_hz": 299.999995e12,
+                           "lo_hz": [299.9999951e12, 300.0000049e12]},
+        "squeeze": {"s": 10.0, "theta": 0.0},
+        "lo_tones": [{"amplitude": 1.0, "phase": math.pi}, {"amplitude": 1.0, "phase": 0.0}],
+    })
+    assert cfg.case is ImageBandCase.TWO_IMAGE_BANDS
+    model = SpectralModel.for_config(cfg)
     assert model.center_frequency == pytest.approx(1.0e5, abs=1.0)
+    assert model.squeezing_bandwidth == 5.0e4
     rec = synthesize_difference_current(model, 1.0, 2.0971520e6, seed=SEED + 1,
                                         segment_length=2048)
     est = estimate_psd(rec, 2048, 0.5)

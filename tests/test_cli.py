@@ -872,16 +872,46 @@ GOLDEN_SPECTRUM_SHA256 = {
 }
 
 
-def test_spectrum_output_bytes_are_pinned(tmp_path, capsys):
+# The same for one tone, criterion 7's single-tone plan with its 5 MHz
+# feature on 2^16 samples: the single-tone model, its synthesis and its
+# feature line
+GOLDEN_SPECTRUM_ONE_TONE = {
+    "frequency_plan": {"omega_plus_hz": 300.000005e12, "omega_minus_hz": 299.999995e12,
+                       "lo_hz": [300.0e12]},
+    "squeeze": {"s": 1.0, "theta": 0.0},
+    "lo_tones": [{"amplitude": 1.0, "phase": math.pi / 2.0}],
+    "seed": 31,
+    "spectrum": {"squeezing_bandwidth_hz": 1.0e5, "sample_rate_hz": 16.777216e6,
+                 "duration_s": 0.00390625},
+}
+GOLDEN_SPECTRUM_ONE_TONE_SHA256 = {
+    "stdout": "9fdf4c108237aeeddd19baab713d1c214d5a49deba1ae49515646a62777ca769",
+    "spectrum.csv": "83e447ddcfc21e1df0b22d1cbfd985bc24a862e0e728d0f70cff72edd9c18d33",
+    "spectrum.json": "76a02e1cbc423249be3b67b130c2dbf3a00a2a79eac775c9e19f047caa6ad21a",
+    "spectrum_summary.txt": "9fdf4c108237aeeddd19baab713d1c214d5a49deba1ae49515646a62777ca769",
+}
+
+
+def spectrum_digests(tmp_path, capsys, cfg):
+    """SHA-256 of what ``spectrum`` prints and of each file it writes."""
     path = tmp_path / "golden.json"
-    path.write_text(json.dumps(GOLDEN_SPECTRUM))
+    path.write_text(json.dumps(cfg))
     out_dir = tmp_path / "out"
     code, out, _ = run(capsys, ["spectrum", "--config", str(path), "--output-dir", str(out_dir)])
     assert code == 0
     digests = {"stdout": hashlib.sha256(out.encode("utf-8")).hexdigest()}
     for name in ("spectrum.csv", "spectrum.json", "spectrum_summary.txt"):
         digests[name] = hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
-    assert digests == GOLDEN_SPECTRUM_SHA256
+    return digests
+
+
+def test_spectrum_output_bytes_are_pinned(tmp_path, capsys):
+    assert spectrum_digests(tmp_path, capsys, GOLDEN_SPECTRUM) == GOLDEN_SPECTRUM_SHA256
+
+
+def test_one_tone_spectrum_output_bytes_are_pinned(tmp_path, capsys):
+    assert spectrum_digests(tmp_path, capsys, GOLDEN_SPECTRUM_ONE_TONE) == \
+        GOLDEN_SPECTRUM_ONE_TONE_SHA256
 
 
 # SHA-256 of stdout and verify.csv (the same text) for verify without and

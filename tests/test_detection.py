@@ -17,9 +17,8 @@ from blodyne._kernels import FockStateVector, UnitaryOracleResult
 from blodyne.config import ExperimentConfig
 from blodyne.fock import BeatPairing, TruncationPolicy
 from blodyne.gaussian import BeamSplitterSpec, GaussianState, ModeLabel, SqueezeParams
-from blodyne.timeseries import (PhotocurrentRecord, SpectralModel, SpectrumEstimate,
-                                SqueezingFeature, SynthesizedRecord,
-                                synthesize_difference_current)
+from blodyne.timeseries import (SpectralModel, SpectrumEstimate, SqueezingFeature,
+                                SynthesizedRecord, synthesize_difference_current)
 
 CARRIER = 2.0e15
 
@@ -488,7 +487,6 @@ _SYNTHESIZED = synthesize_difference_current(_MODEL, 4e-6, 2.097152e6, 3, 4)
 # each array record type with arguments to build one from; the SynthesizedRecord
 # row builds one directly, as pickle and copy do
 ARRAY_CASES = [
-    (PhotocurrentRecord, (np.linspace(-1.0, 1.0, 8), 2.097152e6)),
     (SpectrumEstimate, (np.arange(5.0), np.linspace(8.0, 4.0, 5), 1.5, 7, 3.5)),
     (GaussianState, ((ModeLabel("plus", CARRIER),), np.array([0.5, -0.25]),
                      np.diag([0.125, 0.5]))),
@@ -538,7 +536,7 @@ def test_array_records_are_frozen_and_round_trip(cls, args):
 
 
 def test_gaussian_state_repr_leaves_out_the_moments():
-    state = GaussianState(*ARRAY_CASES[2][1])
+    state = GaussianState(*ARRAY_CASES[1][1])
     assert repr(state) == f"GaussianState(modes=({ModeLabel('plus', CARRIER)!r},))"
 
 

@@ -10,10 +10,8 @@ import pytest
 
 from blodyne import timeseries
 from blodyne.config import parse_config
-from blodyne.detection import FrequencyPlan, ImageBandCase, LoTone
-from blodyne.gaussian import SqueezeParams
 from blodyne.timeseries import (_FRAME_SAMPLES, _WELCH_ROW_SAMPLES,
-                                PhotocurrentRecord, SpectralModel, SpectrumEstimate,
+                                SpectralModel, SpectrumEstimate,
                                 SynthesizedRecord, estimate_psd,
                                 locate_squeezing_feature, spectrum_csv_lines,
                                 spectrum_to_json_dict,
@@ -21,6 +19,17 @@ from blodyne.timeseries import (_FRAME_SAMPLES, _WELCH_ROW_SAMPLES,
 
 FS_BLO = 2.0971520e6
 FS_STD = 16.777216e6
+
+
+class ArrayRecord:
+    """A record given by its samples, read by estimate_psd as one block."""
+
+    def __init__(self, samples, sample_rate):
+        self.samples = np.asarray(samples, dtype=float)
+        self.size, self.sample_rate = self.samples.size, sample_rate
+
+    def blocks(self):
+        yield self.samples
 
 
 def flat_model(level=8.0):
@@ -96,19 +105,35 @@ class TestSpectralModel:
         assert model.cell_means(lower, upper) == pytest.approx(expected, rel=rel)
 
     def test_from_detection_reports(self):
-        p = SqueezeParams(s=10.0, theta=0.0)
+        # two tones: the feature at |delta1| = 2^18 Hz with the two-image-band
+        # depth; one tone: at the 2^22 Hz beat note with the standard depth
         omega_minus = float(2**50)
-        delta = float(2**23)
-        fp = FrequencyPlan(omega_plus=omega_minus + delta, omega_minus=omega_minus,
-                           lo_frequencies=(omega_minus + 2**18,
-                                           omega_minus + delta - 2**18))
-        lo1 = LoTone(amplitude=1.0, phase=math.pi)
-        lo2 = LoTone(amplitude=1.0, phase=0.0)
-        m = SpectralModel.for_blo(p, lo1, lo2, fp, ImageBandCase.TWO_IMAGE_BANDS,
-                                  bandwidth=5e4)
-        assert m.center_frequency == pytest.approx(2**18 / (2 * math.pi))
+        plan = {"omega_plus_hz": omega_minus + 2**23, "omega_minus_hz": omega_minus}
+        spectrum = {"squeezing_bandwidth_hz": 2.0e4, "profile": "flat_top"}
+        m = SpectralModel.for_config(parse_config({
+            "frequency_plan": dict(plan, lo_hz=[omega_minus + 2**18,
+                                                omega_minus + 2**23 - 2**18]),
+            "squeeze": {"s": 10.0, "theta": 0.0},
+            "lo_tones": [{"amplitude": 1.0, "phase": math.pi},
+                         {"amplitude": 1.0, "phase": 0.0}],
+            "image_band_case": "two",
+            "spectrum": spectrum,
+        }))
+        # carrier-scale rounding leaves the centers a fraction of a Hz off
+        assert m.center_frequency == pytest.approx(2**18, abs=1.0)
         assert m.noise_floor == pytest.approx(8.0)
         assert m.dip_or_peak_level == pytest.approx(4.0 * (1 + math.exp(-20.0)))
+        assert (m.squeezing_bandwidth, m.profile) == (2.0e4, "flat_top")
+        m = SpectralModel.for_config(parse_config({
+            "frequency_plan": dict(plan, lo_hz=[omega_minus + 2**22]),
+            "squeeze": {"s": 1.0, "theta": 0.0},
+            "lo_tones": [{"amplitude": 1.0, "phase": math.pi / 2.0}],
+            "spectrum": spectrum,
+        }))
+        assert m.center_frequency == pytest.approx(2**22, abs=1.0)
+        assert m.noise_floor == pytest.approx(2.0)
+        assert m.dip_or_peak_level == pytest.approx(2.0 * math.exp(-2.0))
+        assert (m.squeezing_bandwidth, m.profile) == (2.0e4, "flat_top")
 
 
 class TestSynthesis:
@@ -128,7 +153,7 @@ class TestSynthesis:
         n = rec.samples.size
         assert n & (n - 1) == 0
         assert n >= 0.01 * FS_BLO
-        assert rec.size == n and rec.duration == n / FS_BLO
+        assert rec.size == n
 
     def test_aliasing_rejected(self):
         m = SpectralModel(center_frequency=5e6, squeezing_bandwidth=5e4,
@@ -197,14 +222,15 @@ class TestWelch:
         est = estimate_psd(rec, 8192, 0.5)
         assert est.n_averages >= 256
         assert est.psd[1:-1].mean() == pytest.approx(1.0, rel=2e-2)
-        assert est.total_power() == pytest.approx(float(rec.samples.var()), rel=1e-2)
+        total_power = float(np.sum(est.psd) * est.resolution)
+        assert total_power == pytest.approx(float(rec.samples.var()), rel=1e-2)
 
     def test_sinusoid_integrated_peak(self):
         fs = 1.024e6
         n = 1 << 20
         t = np.arange(n) / fs
         x = np.cos(2.0 * math.pi * 1.0e4 * t)  # on-bin for a 4096 segment
-        rec = PhotocurrentRecord(samples=x, sample_rate=fs)
+        rec = ArrayRecord(samples=x, sample_rate=fs)
         est = estimate_psd(rec, 4096, 0.5)
         k0 = int(round(1.0e4 / est.resolution))
         peak = float(np.sum(est.psd[k0 - 5 : k0 + 6]) * est.resolution)
@@ -219,30 +245,26 @@ class TestWelch:
         # samples), 4.7 times fewer
         relative = []
         for seed in range(8):
-            rec = PhotocurrentRecord(np.random.default_rng(seed).standard_normal(1 << 18),
-                                     sample_rate=FS_BLO)
+            rec = ArrayRecord(np.random.default_rng(seed).standard_normal(1 << 18),
+                              sample_rate=FS_BLO)
             est = estimate_psd(rec, 256, overlap)
             relative.append(est.psd[1:-1] * FS_BLO / 2.0)
         assert est.n_averages / est.equivalent_averages == pytest.approx(spread, rel=2e-3)
         assert np.var(relative) * est.equivalent_averages == pytest.approx(1.0, abs=0.25)
 
     def test_zero_record(self):
-        rec = PhotocurrentRecord(samples=np.zeros(4096), sample_rate=FS_BLO)
+        rec = ArrayRecord(samples=np.zeros(4096), sample_rate=FS_BLO)
         est = estimate_psd(rec, 1024, 0.5)
         assert np.all(est.psd == 0.0)
 
     def test_segment_validation(self):
-        rec = PhotocurrentRecord(samples=np.zeros(2048), sample_rate=FS_BLO)
+        rec = ArrayRecord(samples=np.zeros(2048), sample_rate=FS_BLO)
         with pytest.raises(ValueError, match="exceeds record"):
             estimate_psd(rec, 4096, 0.5)
         with pytest.raises(ValueError, match="power of two"):
             estimate_psd(rec, 1000, 0.5)
         with pytest.raises(ValueError, match="overlap"):
             estimate_psd(rec, 1024, 0.95)
-
-    def test_record_length_validation(self):
-        with pytest.raises(ValueError, match="power of two"):
-            PhotocurrentRecord(samples=np.zeros(1000), sample_rate=FS_BLO)
 
 
 class TestFeatureLocation:
@@ -271,6 +293,52 @@ class TestFeatureLocation:
             })
             summary, _ = timeseries.spectrum_outputs(cfg, with_files=False)
             assert summary[-1] == "feature: none", seed
+
+    def test_dc_feature_is_reported_at_dc(self):
+        # the no-image-band plan puts the dip at DC. The lowest searched bin
+        # is on its flank, so a centroid of the half-maximum region from
+        # there put it near 11 kHz and about 3 dB too shallow
+        for seed in range(1, 11):
+            cfg = parse_config({
+                "frequency_plan": {"omega_plus_hz": 300.000005e12,
+                                   "omega_minus_hz": 299.999995e12,
+                                   "lo_hz": [299.999995e12, 300.000005e12]},
+                "squeeze": {"s": 1.0, "theta": 0.0},
+                "lo_tones": [{"amplitude": 6.0, "phase": 1.5708},
+                             {"amplitude": 6.0, "phase": 1.5708}],
+                "seed": seed,
+            })
+            model = SpectralModel.for_config(cfg)
+            assert model.center_frequency == 0.0
+            predicted_db = 10.0 * math.log10(model.dip_or_peak_level / model.noise_floor)
+            assert predicted_db == pytest.approx(-8.686, abs=1e-3)
+            summary, _ = timeseries.spectrum_outputs(cfg, with_files=False)
+            _, center, _, depth = summary[-1].removeprefix("feature: ").split()
+            resolution = cfg.spectrum["sample_rate_hz"] / cfg.spectrum["segment_length"]
+            assert abs(float(center)) <= 2.0 * resolution, seed
+            assert float(depth) == pytest.approx(predicted_db, abs=0.5), seed
+
+    def test_feature_near_dc_keeps_its_center(self):
+        # a 50 kHz wide dip at 20 kHz also reaches the lowest searched bin,
+        # but its extremum is resolved from DC, so it is not put there
+        for seed in range(1, 6):
+            cfg = parse_config({
+                "frequency_plan": {"omega_plus_hz": 300.000005e12,
+                                   "omega_minus_hz": 299.999995e12,
+                                   "lo_hz": [299.99999502e12, 300.00000498e12]},
+                "squeeze": {"s": 1.0, "theta": 0.0},
+                "lo_tones": [{"amplitude": 6.0, "phase": 1.5708},
+                             {"amplitude": 6.0, "phase": 1.5708}],
+                "seed": seed,
+            })
+            model = SpectralModel.for_config(cfg)
+            assert model.center_frequency == pytest.approx(2.0e4, abs=1.0)
+            summary, _ = timeseries.spectrum_outputs(cfg, with_files=False)
+            _, center, _, depth = summary[-1].removeprefix("feature: ").split()
+            resolution = cfg.spectrum["sample_rate_hz"] / cfg.spectrum["segment_length"]
+            assert abs(float(center) - 2.0e4) <= 2.0 * resolution, seed
+            predicted_db = 10.0 * math.log10(model.dip_or_peak_level / model.noise_floor)
+            assert float(depth) == pytest.approx(predicted_db, abs=0.5), seed
 
     def test_dip_round_trip(self):
         m = SpectralModel(center_frequency=1e5, squeezing_bandwidth=5e4,
@@ -355,12 +423,10 @@ class TestEmission:
                              equivalent_averages=1.0)
 
     def test_records_leave_the_callers_arrays_writeable(self):
-        samples, freqs, psd = np.zeros(4096), np.arange(4.0), np.ones(4)
-        rec = PhotocurrentRecord(samples=samples, sample_rate=FS_BLO)
+        freqs, psd = np.arange(4.0), np.ones(4)
         est = SpectrumEstimate(frequencies=freqs, psd=psd, resolution=1.0, n_averages=1,
                                equivalent_averages=1.0)
-        for given, stored in ((samples, rec.samples), (freqs, est.frequencies),
-                              (psd, est.psd)):
+        for given, stored in ((freqs, est.frequencies), (psd, est.psd)):
             assert given.flags.writeable
             assert not stored.flags.writeable
             assert np.shares_memory(given, stored)
@@ -783,7 +849,7 @@ class TestMemory:
         synthesized = synthesize_difference_current(dip_model("lorentzian"), self.N / FS_BLO,
                                                     FS_BLO, seed=3,
                                                     segment_length=segment_length)
-        rec = PhotocurrentRecord(samples=synthesized.samples, sample_rate=FS_BLO)
+        rec = ArrayRecord(samples=synthesized.samples, sample_rate=FS_BLO)
         peak, _ = traced_peak(estimate_psd, rec, segment_length, overlap)
         # a few block-sized arrays, whatever the record length; windowing
         # every segment of this record at once would take 17 to 83 MB
@@ -791,8 +857,8 @@ class TestMemory:
 
     @pytest.mark.parametrize("segment_length,overlap", [(2048, 0.5), (256, 0.9), (4, 0.5)])
     def test_welch_holds_one_batch(self, segment_length, overlap):
-        rec = PhotocurrentRecord(samples=np.random.default_rng(3).standard_normal(self.N),
-                                 sample_rate=FS_BLO)
+        rec = ArrayRecord(samples=np.random.default_rng(3).standard_normal(self.N),
+                          sample_rate=FS_BLO)
         peak, _ = traced_peak(estimate_psd, rec, segment_length, overlap)
         # one batch of 2^14 samples, windowed, transformed and squared into
         # buffers allocated once: the windowed segments, their spectra and
