@@ -303,11 +303,21 @@ _MAX_SAMPLES = 1 << 26
 # every seed
 _FRAME_SAMPLES = 1 << 16
 
-# The chance that locate_squeezing_feature reports a feature in a flat
-# spectrum. On synthesized flat records it reported none in 1000 with Welch
-# segments of 2048 or 4096 samples (a thousand bins or more searched), and 2
-# to 3 in 1000 with 256-sample segments (121 bins)
-_FALSE_FEATURE_RATE = 1e-3
+# The likelihood gain below which locate_squeezing_feature reports no
+# feature, set for a false-feature rate below 1e-3. Its null, on
+# synthesized s = 0 records at the default 50 kHz width and 2.097152 MHz
+# rate (about 20 resolvable feature positions, however many bins), had these
+# 99% / 99.9% quantiles and maximum:
+# - 129 bins (2^16 samples, 256-sample segments), seeds 0-1999 at overlap
+#   0.5: 13.4 / 17.2 / 18.2; seeds 0-999 at overlaps 0, 0.75 and 0.9: at
+#   most 13.7 / 18.9 / 20.2;
+# - 1025 bins (2^19 samples, 2048-sample segments), seeds 0-999: 13.3 /
+#   17.3 / 19.3; at 2^14 samples (15 averages), seeds 0-999: 13.6 / 21.3 /
+#   22.0; at 2^13 (7 averages), seeds 0-599: 13.6 / 16.5 / 18.1.
+# The gain is not chi-square: neighbouring Hann bins correlate. A width of
+# 10 kHz has five times the positions, and its quantiles were 16.1 / 20.6 /
+# 22.1 (500 seeds at 1025 bins)
+_FEATURE_THRESHOLD = 24.0
 
 # Welch windows and transforms its segments in batches of this many samples
 # (at least one segment); the batch size only bounds the working set and
@@ -485,90 +495,78 @@ class SqueezingFeature(_Record):
 
 
 def locate_squeezing_feature(spec: SpectrumEstimate,
-                             floor_estimate: float) -> SqueezingFeature | None:
-    """Locate the extremum of the deviation from the floor.
+                             model: SpectralModel) -> SqueezingFeature | None:
+    """Fit the model's feature to the estimate by maximum likelihood.
 
-    The deviation is smoothed with a boundary-corrected moving average to
-    find the candidate bin; the center is then refined to the intensity
-    centroid of the contiguous half-maximum region (symmetric features are
-    located to a fraction of a bin), and the depth is read from the raw
-    estimate right at the center so smoothing cannot bias deep dips.
+    The floor F, the width and the profile are the model's; the center
+    c >= 0 and the level F + A are free. Bin k is expected at
+    P_k = F + A shape_k(c), with shape_k(c) the unit profile at c averaged
+    over the bin's cell (:meth:`SpectralModel.cell_means`), and (c, A)
+    maximize the Whittle log-likelihood -sum_k [log P_k + P^_k / P_k]
+    (Whittle, 1953; Percival and Walden, 1993, ch. 6). A matched filter on
+    the bin grid, normalized by the kernel energy that falls on fitted
+    bins, picks the candidate center; c is then refined in quarter bins
+    within two bins of it, each with A by Fisher scoring. DC is a center
+    like any other. The DC and Nyquist bins hold half the one-sided density
+    and are left out of the fit.
 
-    Returns None when the spectrum is consistent with flat: when a flat
-    spectrum at the floor would deviate as far, in some searched bin, with
-    probability above ``_FALSE_FEATURE_RATE``. Each smoothed bin is scored
-    against the spread it has for a flat spectrum, from the equivalent
-    number of averages and the smoothing width, on a scale that removes the
-    skew of few averages, and the chance is summed over the searched bins.
-    The DC bin is excluded from the search. A feature whose half-maximum
-    region reaches the lowest searched bin, and whose deviation there is
-    that of the candidate within two standard errors, is reported at 0 Hz.
+    Returns None when the fit gains less than ``_FEATURE_THRESHOLD`` over
+    the flat floor: the equivalent number of averages times the
+    log-likelihood ratio. So does an estimate of fewer than five bins:
+    the center and level would match the one or two bins fitted exactly.
     """
-    if floor_estimate <= 0.0:
-        raise ValueError("floor_estimate must be positive")
-    psd = spec.psd
-    smooth_bins = max(3, psd.size // 512)
-    kernel = np.ones(smooth_bins)
-    smoothed = np.convolve(psd, kernel, mode="same") / np.convolve(
-        np.ones(psd.size), kernel, mode="same"
-    )
-    # For a flat spectrum a searched bin of smoothed / floor has mean 1 and
-    # variance `spread`: a Welch bin's 1 / equivalent_averages, times what a
-    # mean of smooth_bins neighbours keeps of it, as Hann bins one and two
-    # apart correlate by 4/9 and 1/36. Taken as chi-square over its 2 / spread
-    # degrees of freedom, its cube root is close to normal (Wilson and
-    # Hilferty, 1931), with mean 1 - spread / 9 and variance spread / 9
-    spread = (smooth_bins + 8.0 / 9.0 * (smooth_bins - 1) + (smooth_bins - 2) / 18.0) / (
-        smooth_bins**2 * max(1.0, spec.equivalent_averages))
-    z = np.abs(np.cbrt(smoothed / floor_estimate) - (1.0 - spread / 9.0))
-    z /= math.sqrt(spread / 9.0)
-    search = np.abs(smoothed - floor_estimate)
-    # Edge bins mix one-sided DC/Nyquist conventions into the smoothing
-    # window; the feature search stays in the interior.
-    searched = psd.size - 2 * (smooth_bins + 1)
-    if searched <= 0:
+    floor = model.noise_floor
+    if floor <= 0.0:
+        raise ValueError("the model's noise floor must be positive")
+    n = spec.psd.size
+    if n < 5:
         return None
-    for values in (z, search):
-        values[: smooth_bins + 1] = 0.0
-        values[-(smooth_bins + 1) :] = 0.0
-    idx = int(np.argmax(z))
-    # the chance that some searched bin of a flat spectrum scores as high
-    # is at most the sum of the searched bins' two-sided normal tails
-    if searched * math.erfc(z[idx] / math.sqrt(2.0)) > _FALSE_FEATURE_RATE:
+    unit = SpectralModel(0.0, model.squeezing_bandwidth, 0.0, 1.0, model.profile)
+
+    def shapes(offsets):
+        # the unit profile over the cells of bins `offsets` bins from its center
+        return unit.cell_means((offsets - 0.5) * spec.resolution,
+                               (offsets + 0.5) * spec.resolution)
+
+    # the matched filter: for each center j on the bin grid, the kernel's sum
+    # against the relative deviation, and its energy, over the fitted bins
+    # alone. The profiles are symmetric, so both correlations are
+    # convolutions, and the transform holds the whole of each, so none wraps
+    y = spec.psd / floor
+    fitted = np.ones(n)
+    fitted[0] = fitted[-1] = 0.0
+    kernel = shapes(np.arange(1.0 - n, n))
+    size = 1 << (3 * n - 3).bit_length()
+    sums = np.fft.irfft(np.fft.rfft(np.stack(((y - 1.0) * fitted, fitted)), size)
+                        * np.fft.rfft(np.stack((kernel, kernel**2)), size), size)
+    match, energy = sums[:, n - 1 : 2 * n - 1]
+    # a center whose kernel reaches no fitted bin (a flat_top narrower than
+    # half a bin, at DC) has no energy, which the FFT leaves as rounding noise
+    score = np.divide(match**2, energy, out=np.zeros(n), where=energy > 1e-12 * energy.max())
+    centers = int(np.argmax(score)) + np.arange(-8, 9) / 4.0
+    centers = centers[centers >= 0.0]
+    s = shapes(np.arange(1.0, n - 1) - centers[:, None])
+    y = y[1:-1]
+    # a = A / F for each center, by Fisher scoring from the flat floor. The
+    # level stays above 1e-9 of the floor (-90 dB), so every P_k stays
+    # positive. The steps settled within 25 iterations on dips and peaks of
+    # up to 43 dB
+    a = np.zeros(centers.size)
+    for _ in range(50):
+        p = 1.0 + a[:, None] * s
+        gradient = np.sum(s * (y - p) / p**2, axis=1)
+        information = np.sum((s / p) ** 2, axis=1)
+        step = np.divide(gradient, information, out=np.zeros_like(a), where=information > 0.0)
+        previous, a = a, np.maximum(a + step, 1e-9 - 1.0)
+        if np.all(np.abs(a - previous) <= 1e-12 * (1.0 + np.abs(a))):
+            break
+    deviation = a[:, None] * s
+    gain = np.sum(y * deviation / (1.0 + deviation) - np.log1p(deviation), axis=1)
+    best = int(np.argmax(gain))
+    if spec.equivalent_averages * gain[best] < _FEATURE_THRESHOLD:
         return None
-    # Half-maximum region around the candidate, tolerant of noise gaps up to
-    # one smoothing width; weighting by the excess over half maximum
-    # de-weights the jittery region boundary.
-    half = 0.5 * search[idx]
-
-    def edge(step, stop):
-        # the farthest bin above half maximum walking from idx towards stop
-        last, gap, k = idx, 0, idx
-        while k != stop and gap <= smooth_bins:
-            k += step
-            if search[k] > half:
-                last, gap = k, 0
-            else:
-                gap += 1
-        return last
-
-    lo, hi = edge(-1, 1), edge(1, search.size - 1)
-    # a region cut by the unsearched low bins has its centroid up the flank;
-    # where its lowest searched bin is within two standard errors (of a
-    # smoothed bin at the candidate's level) of the candidate, the extremum
-    # is not resolved from DC, and the feature is put there
-    if lo == smooth_bins + 1 and (
-            search[idx] - search[lo] <= 2.0 * math.sqrt(spread) * smoothed[idx]):
-        center, cidx = 0.0, 1
-    else:
-        weights = np.maximum(search[lo : hi + 1] - half, 0.0)
-        center = float(np.sum(spec.frequencies[lo : hi + 1] * weights) / np.sum(weights))
-        cidx = min(max(int(round(center / spec.resolution)), 1), psd.size - 1)
-    level = float(np.mean(psd[max(1, cidx - 1) : cidx + 2]))
-    return SqueezingFeature(
-        center=center,
-        depth_db=10.0 * math.log10(max(level, 1e-300) / floor_estimate),
-    )
+    return SqueezingFeature(center=float(centers[best] * spec.resolution),
+                            depth_db=10.0 * math.log10(1.0 + a[best]))
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +614,7 @@ def spectrum_outputs(cfg: ExperimentConfig, with_files: bool):
         segment_length=segment_length,
     )
     est = estimate_psd(rec, segment_length, sp["overlap"])
-    feature = locate_squeezing_feature(est, model.noise_floor)
+    feature = locate_squeezing_feature(est, model)
     summary = ["model_center_hz,model_floor,model_level,n_averages",
                f"{model.center_frequency:.17g},{model.noise_floor:.17g},"
                f"{model.dip_or_peak_level:.17g},{est.n_averages}"]

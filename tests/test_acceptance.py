@@ -208,7 +208,7 @@ def test_criterion_7_spectral_relocation():
                                         segment_length=8192)
     est = estimate_psd(rec, 8192, 0.5)
     assert est.n_averages >= 256
-    feat = locate_squeezing_feature(est, model.noise_floor)
+    feat = locate_squeezing_feature(est, model)
     assert feat is not None
     assert abs(feat.center - 5.0e6) <= 2.0 * est.resolution
     predicted_db = 10.0 * math.log10(model.dip_or_peak_level / model.noise_floor)
@@ -229,7 +229,7 @@ def test_criterion_7_spectral_relocation():
                                         segment_length=2048)
     est = estimate_psd(rec, 2048, 0.5)
     assert est.n_averages >= 256
-    feat = locate_squeezing_feature(est, model.noise_floor)
+    feat = locate_squeezing_feature(est, model)
     assert feat is not None
     assert abs(feat.center - 1.0e5) <= 2.0 * est.resolution
     assert feat.depth_db == pytest.approx(-3.0103, abs=0.5)

@@ -737,8 +737,9 @@ class TestOutputs:
         assert depth == pytest.approx(-3.0103, abs=0.5)
 
     def test_spectrum_with_three_bins_finds_no_feature(self, tmp_path, capsys):
-        # a segment of 4 samples gives 3 bins, and the feature search, which
-        # leaves out the edge bins and their smoothing neighbours, has none left
+        # a segment of 4 samples gives 3 bins. The fit leaves out DC and
+        # Nyquist, and its center and level would match the one bin left
+        # exactly, wherever the center went, so it reports none
         path = write_config(tmp_path, {"frequency_plan": PLAN_100KHZ,
                                        "spectrum": {"segment_length": 4}})
         code, out, _ = run(capsys, ["spectrum", "--config", path])
@@ -854,8 +855,8 @@ PLAN_100KHZ = {
 # SHA-256 of the spectrum outputs for GOLDEN_SPECTRUM: a change to any byte
 # of them, from record synthesis through Welch estimation to emission, fails
 # here. Pinned with the schema blodyne.spectrum_estimate/4: filters on
-# cell-averaged targets, frames of 2^16 samples, and a feature search that
-# allows for the number of bins it searches.
+# cell-averaged targets, frames of 2^16 samples, and a feature located by a
+# likelihood fit of the model's profile.
 GOLDEN_SPECTRUM = {
     "frequency_plan": PLAN_100KHZ,
     "squeeze": {"s": 0.8, "theta": 0.3},
@@ -864,11 +865,11 @@ GOLDEN_SPECTRUM = {
     "spectrum": {"duration_s": 0.03125, "segment_length": 1024, "overlap": 0.5},
 }
 GOLDEN_SPECTRUM_SHA256 = {
-    "stdout": "bdcde98946bc01f707f0d1d60ec55e41311892ac27897bf2d161da9208e72b25",
+    "stdout": "71fb9d2bde4e2dffb8d98d390fe765b329c420bc1fbc7eeb3379971a48e62d8f",
     "spectrum.csv": "0c54fc48781cd2edc86b7c3c0c722a5a01085e31535a4da779a4853f4285d626",
     "spectrum.json": "7a22cc673b1b8db52f383ba38f8bf0e8afde8e9f0b432cdce90100350c67b848",
     # the summary file holds exactly what stdout printed
-    "spectrum_summary.txt": "bdcde98946bc01f707f0d1d60ec55e41311892ac27897bf2d161da9208e72b25",
+    "spectrum_summary.txt": "71fb9d2bde4e2dffb8d98d390fe765b329c420bc1fbc7eeb3379971a48e62d8f",
 }
 
 
@@ -885,10 +886,10 @@ GOLDEN_SPECTRUM_ONE_TONE = {
                  "duration_s": 0.00390625},
 }
 GOLDEN_SPECTRUM_ONE_TONE_SHA256 = {
-    "stdout": "9fdf4c108237aeeddd19baab713d1c214d5a49deba1ae49515646a62777ca769",
+    "stdout": "f5e5382c3483a20452ddf269dc745b863427d02fdf270c77d9596037ae091b41",
     "spectrum.csv": "83e447ddcfc21e1df0b22d1cbfd985bc24a862e0e728d0f70cff72edd9c18d33",
     "spectrum.json": "76a02e1cbc423249be3b67b130c2dbf3a00a2a79eac775c9e19f047caa6ad21a",
-    "spectrum_summary.txt": "9fdf4c108237aeeddd19baab713d1c214d5a49deba1ae49515646a62777ca769",
+    "spectrum_summary.txt": "f5e5382c3483a20452ddf269dc745b863427d02fdf270c77d9596037ae091b41",
 }
 
 
