@@ -44,7 +44,7 @@ import sys
 # run on the standard library alone.
 from . import detection
 # FORMAT_VERSION stays a name of this module, where the digest script reads it
-from .config import FORMAT_VERSION, ConfigError, ExperimentConfig, header_lines, load_config
+from .config import FORMAT_VERSION, ConfigError, ExperimentConfig, fmt, header_lines, load_config
 from .detection import ImageBandCase, LoTone
 
 EXIT_OK = 0
@@ -61,15 +61,11 @@ class OutputDirError(Exception):
     """An output file cannot be written under the output directory."""
 
 
-def _g(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _emit(lines, cfg: ExperimentConfig, out_dir: str | None, filename: str, files=()):
     """Print the header and lines; under out_dir, first write the files,
     (name, text) pairs, and then filename with what is printed, so that a
     failed write, which raises OutputDirError, leaves stdout empty."""
-    text = "\n".join([f"# {h}" for h in header_lines(cfg)] + lines) + "\n"
+    text = "\n".join(header_lines(cfg) + lines) + "\n"
     if out_dir:
         for name, content in (*files, (filename, text)):
             path = os.path.join(out_dir, name)
@@ -84,8 +80,8 @@ def _emit(lines, cfg: ExperimentConfig, out_dir: str | None, filename: str, file
 
 def _report_line(tag: str, rep: detection.VarianceReport) -> str:
     case = rep.case.value if rep.case is not None else "standard"
-    return (f"{tag},{case},{_g(rep.variance)},{_g(rep.baseline)},{_g(rep.relative_db)},"
-            f"{_g(rep.case_baseline)},{_g(rep.case_relative_db)},{_g(rep.lo_flux_ratio)}")
+    return (f"{tag},{case},{fmt(rep.variance)},{fmt(rep.baseline)},{fmt(rep.relative_db)},"
+            f"{fmt(rep.case_baseline)},{fmt(rep.case_relative_db)},{fmt(rep.lo_flux_ratio)}")
 
 
 def _require_plan(cfg: ExperimentConfig, command: str):
@@ -135,7 +131,7 @@ def cmd_scan(cfg: ExperimentConfig, out_dir: str | None):
     points = detection.phase_scan(cfg.squeeze, lo_config, cfg.case, cfg.scan_points)
     lines = [f"{'phase_sum' if cfg.two_tone else 'phase'},variance,db_vs_baseline"]
     for phase, rep in points:
-        lines.append(f"{_g(phase)},{_g(rep.variance)},{_g(rep.relative_db)}")
+        lines.append(f"{fmt(phase)},{fmt(rep.variance)},{fmt(rep.relative_db)}")
     _emit(lines, cfg, out_dir, "scan.csv")
 
 
@@ -148,10 +144,10 @@ def cmd_cases(cfg: ExperimentConfig, out_dir: str | None):
         at_config = detection.blo_variance(cfg.squeeze, *cfg.tones, case)
         floor_rep = detection.blo_variance(cfg.squeeze, *floor_tones, case)
         lines.append(
-            f"{case.value}, floor {_g(floor_rep.variance)}, "
-            f"{floor_rep.relative_db:.2f} dB vs {_g(floor_rep.baseline)}, "
-            f"{floor_rep.case_relative_db:.2f} dB vs own {_g(floor_rep.case_baseline)}, "
-            f"at_config_phase {_g(at_config.variance)}"
+            f"{case.value}, floor {fmt(floor_rep.variance)}, "
+            f"{floor_rep.relative_db:.2f} dB vs {fmt(floor_rep.baseline)}, "
+            f"{floor_rep.case_relative_db:.2f} dB vs own {fmt(floor_rep.case_baseline)}, "
+            f"at_config_phase {fmt(at_config.variance)}"
         )
     _emit(lines, cfg, out_dir, "cases.txt")
 
@@ -166,7 +162,7 @@ def cmd_imbalance(cfg: ExperimentConfig, out_dir: str | None):
         rep = detection.blo_variance_unbalanced(cfg.squeeze, beta, frac * beta,
                                                 chi1, chi2, cfg.case)
         excess = rep.variance - (1.0 + frac) * base.variance
-        lines.append(f"{_g(frac)},{_g(rep.variance)},{_g(excess)},{_g(rep.relative_db)}")
+        lines.append(f"{fmt(frac)},{fmt(rep.variance)},{fmt(excess)},{fmt(rep.relative_db)}")
     _emit(lines, cfg, out_dir, "imbalance.csv")
 
 

@@ -158,11 +158,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     fp = _read(top["frequency_plan"], "frequency_plan",
                {"omega_plus_hz": float, "omega_minus_hz": float, "lo_hz": list})
-    if len(fp["lo_hz"]) > 2:
-        raise ConfigError("frequency_plan.lo_hz: expected a list of one or two frequencies")
     two_pi = 2.0 * math.pi
     # _read's errors name their key; _make prefixes only the constructors'
-    # own errors with the section
+    # own errors, the number of tones among them, with the section
     plan = _make("frequency_plan", FrequencyPlan, two_pi * fp["omega_plus_hz"],
                  two_pi * fp["omega_minus_hz"], tuple(two_pi * f for f in fp["lo_hz"]))
 
@@ -292,8 +290,14 @@ def load_config(path: str) -> ExperimentConfig:
     return parse_config(raw)
 
 
-def header_lines(cfg: ExperimentConfig) -> list[str]:
-    """The format version and the one-line canonical resolved config that
-    head every output."""
-    return [f"format_version: {FORMAT_VERSION}",
-            f"config: {json.dumps(cfg.resolved, sort_keys=True, separators=(',', ':'))}"]
+def fmt(x: float) -> str:
+    """``x`` at full round-trip precision: the number format of every output."""
+    return f"{x:.17g}"
+
+
+def header_lines(cfg: ExperimentConfig, *notes: str) -> list[str]:
+    """The comment lines that head an output: the format version, the
+    one-line canonical resolved config, then ``notes``, each after ``# ``."""
+    config = json.dumps(cfg.resolved, sort_keys=True, separators=(",", ":"))
+    return [f"# {line}" for line in (f"format_version: {FORMAT_VERSION}", f"config: {config}",
+                                     *notes)]

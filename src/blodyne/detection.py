@@ -23,12 +23,13 @@ _set = object.__setattr__
 class _Record:
     """Immutable value type with its fields in ``__slots__``.
 
-    A subclass declares ``__slots__`` (the field order). One that validates
-    its arguments defines an ``__init__`` that stores each field once, with
-    ``object.__setattr__`` or through this base's; one that validates
-    nothing keeps this base's, which takes its arguments by position or
-    name. This base stores an array (``ndim >= 1``) as a read-only view,
-    which leaves the caller's array writeable, and any other value as is.
+    A subclass declares ``__slots__`` (the field order). This base's
+    ``__init__``, which takes the fields by position or name, is the one way
+    a field is stored: a subclass that validates or converts its arguments
+    defines an ``__init__`` that passes every field to it, and one that does
+    neither keeps it. It stores an array (``ndim >= 1``) as a read-only
+    view, which leaves the caller's array writeable, and any other value as
+    is.
     From the slots it gives what ``@dataclass(frozen=True)`` gave:
     assignment and deletion raise ``AttributeError``, equality compares
     field values between records of the same class, an array by shape, dtype
@@ -50,10 +51,11 @@ class _Record:
 
     def __init__(self, *values, **named):
         names = self.__slots__
-        try:
-            values += tuple([named.pop(name) for name in names[len(values):]])
-        except KeyError:
-            named = True
+        if len(values) < len(names):
+            try:
+                values += tuple([named.pop(name) for name in names[len(values):]])
+            except KeyError:
+                named = True
         if named or len(values) != len(names):
             raise TypeError(f"{type(self).__qualname__} takes the fields {names}")
         for name, value in zip(names, values):
@@ -116,8 +118,7 @@ class SqueezeParams(_Record):
     def __init__(self, s: float, theta: float = 0.0):
         if not (math.isfinite(s) and s >= 0.0):
             raise ValueError(f"squeeze magnitude s must be finite and >= 0, got {s!r}")
-        _set(self, "s", s)
-        _set(self, "theta", _reduce_angle(theta))
+        _Record.__init__(self, s, _reduce_angle(theta))
 
 
 class ImageBandCase(enum.Enum):
@@ -148,8 +149,7 @@ class LoTone(_Record):
     def __init__(self, amplitude: float, phase: float):
         if not (math.isfinite(amplitude) and amplitude >= 0.0):
             raise ValueError(f"LO amplitude must be finite and >= 0, got {amplitude!r}")
-        _set(self, "amplitude", amplitude)
-        _set(self, "phase", _reduce_angle(phase))
+        _Record.__init__(self, amplitude, _reduce_angle(phase))
 
 
 class FrequencyPlan(_Record):
@@ -166,10 +166,9 @@ class FrequencyPlan(_Record):
 
     def __init__(self, omega_plus: float, omega_minus: float,
                  lo_frequencies: tuple[float, ...]):
-        _set(self, "omega_plus", omega_plus)
-        _set(self, "omega_minus", omega_minus)
         lo = tuple(float(f) for f in lo_frequencies)
-        _set(self, "lo_frequencies", lo)
+        # stored first: the two-tone bound below reads the detunings
+        _Record.__init__(self, omega_plus, omega_minus, lo)
         if not all(map(math.isfinite, (omega_minus, omega_plus) + lo)):
             raise ValueError(f"frequencies must be finite, got {omega_minus!r}, "
                              f"{omega_plus!r}, {lo!r}")
@@ -269,11 +268,7 @@ class VarianceReport(_Record):
             raise ValueError("baselines must be positive")
         if not math.isfinite(lo_flux_ratio):
             raise ValueError(f"lo_flux_ratio must be finite, got {lo_flux_ratio!r}")
-        _set(self, "variance", variance)
-        _set(self, "baseline", baseline)
-        _set(self, "case", case)
-        _set(self, "case_baseline", case_baseline)
-        _set(self, "lo_flux_ratio", lo_flux_ratio)
+        _Record.__init__(self, variance, baseline, case, case_baseline, lo_flux_ratio)
 
     @property
     def relative_db(self) -> float:
@@ -350,8 +345,6 @@ def blo_variance_general(p: SqueezeParams, lo1: LoTone, lo2: LoTone,
     evaluated in the cancellation-free form of :func:`blo_variance_unbalanced`
     with the phase sum shifted by -(delta1 + delta2) t (bit-identical at t = 0).
     """
-    if lo1.amplitude <= 0.0 or lo2.amplitude <= 0.0:
-        raise ValueError("both LO tone amplitudes must be > 0")
     b1, beat = lo1.amplitude, (fp.delta1 + fp.delta2) * t
     return _blo_eval(p, b1, lo2.amplitude - b1, lo1.phase, lo2.phase - beat,
                      classify_image_band_case(fp))
@@ -359,11 +352,16 @@ def blo_variance_general(p: SqueezeParams, lo1: LoTone, lo2: LoTone,
 
 def _blo_eval(p: SqueezeParams, beta_mag: float, delta_beta: float,
               chi1: float, chi2: float, case: ImageBandCase) -> float:
-    """Shared evaluator for the matched and mismatched two-tone variances.
+    """Shared evaluator of every two-tone variance, for tone amplitudes
+    beta_mag and beta_mag + delta_beta, and the one place their precondition
+    is checked: both amplitudes must be > 0.
 
     Written so that delta_beta = 0 reproduces the matched expression bit for
     bit (multiplying by (1 + 0.0) and adding 0.5 * 0.0 * (...) are exact).
     """
+    if not (beta_mag > 0.0 and delta_beta > -beta_mag):
+        raise ValueError(f"both LO tone amplitudes must be > 0, got {beta_mag!r} "
+                         f"and {beta_mag + delta_beta!r}")
     c = 0.5 * IMAGE_VACUUM_UNITS[case]
     bracket = _squeeze_bracket(p.s, 0.5 * (chi1 + chi2 - p.theta)) + c
     r = delta_beta / beta_mag
@@ -394,8 +392,6 @@ def blo_variance(p: SqueezeParams, lo1: LoTone, lo2: LoTone,
             "blo_variance expects matched tone amplitudes; use blo_variance_unbalanced "
             f"for |beta1| = {lo1.amplitude!r} != |beta2| = {lo2.amplitude!r}"
         )
-    if lo1.amplitude <= 0.0:
-        raise ValueError("LO tone amplitude must be > 0")
     variance = _blo_eval(p, lo1.amplitude, 0.0, lo1.phase, lo2.phase, case)
     return _blo_report(p, lo1.amplitude, variance, case)
 
@@ -409,17 +405,11 @@ def blo_variance_unbalanced(p: SqueezeParams, beta_mag: float, delta_beta: float
     delta_beta/|beta|; at delta_beta = 0 the result is bitwise identical to
     :func:`blo_variance`.
     """
-    if beta_mag <= 0.0:
-        raise ValueError("beta_mag must be > 0")
-    if delta_beta <= -beta_mag:
-        raise ValueError(
-            f"delta_beta = {delta_beta!r} would make the second tone amplitude non-positive"
-        )
     variance = _blo_eval(p, beta_mag, delta_beta, chi1, chi2, case)
     return _blo_report(p, beta_mag, variance, case)
 
 
-def lo_quantization_correction(p: SqueezeParams, n_tones: int = 2) -> float:
+def lo_quantization_correction(p: SqueezeParams, n_tones: int) -> float:
     """Absolute variance offset from quantizing the local oscillator.
 
     The reduced formulas treat the LO classically; the exact difference
@@ -442,17 +432,16 @@ def phase_grid(n_points: int) -> list[float]:
     return [i * step for i in range(n_points)]
 
 
-def phase_scan(p: SqueezeParams, lo_config, case: ImageBandCase | None = None,
-               n_points: int = 64):
+def phase_scan(p: SqueezeParams, lo_config, case: ImageBandCase | None, n_points: int):
     """Sweep the controllable LO phase over [0, 2*pi) on a monotone grid.
 
     ``lo_config`` is either a single :class:`LoTone` (single-tone scheme; the
     tone phase chi is swept) or a pair of tones (two-tone scheme; the phase
     sum chi1 + chi2 is swept, which is the only phase combination the
-    variance depends on); only the tone amplitudes are read. Returns a list
-    of (phase, VarianceReport). The variance minimum sits at phase = theta +
-    pi (mod 2*pi) and the maximum at theta, up to the single-tone phase
-    halving.
+    variance depends on, in image-band ``case``; None for one tone); only
+    the tone amplitudes are read. Returns a list of ``n_points`` (phase,
+    VarianceReport). The variance minimum sits at phase = theta + pi (mod
+    2*pi) and the maximum at theta, up to the single-tone phase halving.
     """
     if n_points < 2:
         raise ValueError("n_points must be >= 2")

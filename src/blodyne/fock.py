@@ -41,7 +41,7 @@ import importlib
 import math
 import sys
 
-from .detection import FrequencyPlan, ImageBandCase, SqueezeParams, _Record, _set
+from .detection import FrequencyPlan, ImageBandCase, SqueezeParams, _Record
 
 _INPUT_LEAKAGE_LIMIT = 1e-6
 
@@ -79,8 +79,7 @@ class TruncationPolicy(_Record):
     __slots__ = ("target_leakage", "max_dimension")
 
     def __init__(self, target_leakage: float = 1e-8, max_dimension: int = 100_000_000):
-        _set(self, "target_leakage", target_leakage)
-        _set(self, "max_dimension", max_dimension)
+        _Record.__init__(self, target_leakage, max_dimension)
 
     def tmss_cutoff(self, s: float) -> int:
         return tmss_cutoff_for_leakage(s, self.target_leakage)

@@ -21,7 +21,8 @@ from contextlib import closing
 
 import numpy as np
 
-from .config import FORMAT_VERSION, PROFILES, ExperimentConfig, _normal_square, header_lines
+from .config import (FORMAT_VERSION, PROFILES, ExperimentConfig, _normal_square, fmt,
+                     header_lines)
 from .detection import _Record, blo_variance, standard_heterodyne_variance
 
 
@@ -388,7 +389,7 @@ def synthesize_difference_current(model: SpectralModel, duration: float,
 
 
 def estimate_psd(rec: SynthesizedRecord, segment_length: int,
-                 overlap_fraction: float = 0.5) -> SpectrumEstimate:
+                 overlap_fraction: float) -> SpectrumEstimate:
     """Welch-averaged one-sided periodogram with a Hann window.
 
     The window power is compensated so densities are unbiased; integrating
@@ -574,14 +575,13 @@ def locate_squeezing_feature(spec: SpectrumEstimate,
 # ---------------------------------------------------------------------------
 
 
-def spectrum_csv_lines(est: SpectrumEstimate, header_lines=()):
-    """CSV lines for a spectrum estimate; floats at full round-trip precision."""
-    lines = [f"# {h}" for h in header_lines]
-    lines.append(f"# resolution_hz: {est.resolution:.17g}")
-    lines.append(f"# n_averages: {est.n_averages}")
+def spectrum_csv_lines(est: SpectrumEstimate, cfg: ExperimentConfig):
+    """CSV lines for a spectrum estimate, under the config's header and the
+    estimate's resolution and average count."""
+    lines = header_lines(cfg, f"resolution_hz: {fmt(est.resolution)}",
+                         f"n_averages: {est.n_averages}")
     lines.append("frequency_hz,psd_variance_per_hz")
-    for f, s in zip(est.frequencies, est.psd):
-        lines.append(f"{f:.17g},{s:.17g}")
+    lines += [f"{fmt(f)},{fmt(s)}" for f, s in zip(est.frequencies, est.psd)]
     return lines
 
 
@@ -615,19 +615,17 @@ def spectrum_outputs(cfg: ExperimentConfig, with_files: bool):
     )
     est = estimate_psd(rec, segment_length, sp["overlap"])
     feature = locate_squeezing_feature(est, model)
+    levels = ",".join(map(fmt, (model.center_frequency, model.noise_floor,
+                                model.dip_or_peak_level)))
     summary = ["model_center_hz,model_floor,model_level,n_averages",
-               f"{model.center_frequency:.17g},{model.noise_floor:.17g},"
-               f"{model.dip_or_peak_level:.17g},{est.n_averages}"]
-    if feature is None:
-        summary.append("feature: none")
-    else:
-        summary.append(f"feature: center_hz {feature.center:.17g} "
-                       f"depth_db {feature.depth_db:.17g}")
+               f"{levels},{est.n_averages}",
+               "feature: none" if feature is None else
+               f"feature: center_hz {fmt(feature.center)} depth_db {fmt(feature.depth_db)}"]
     if not with_files:
         return summary, ()
     payload = {"format_version": FORMAT_VERSION, "config": cfg.resolved,
                "spectrum": spectrum_to_json_dict(est)}
     return summary, (
-        ("spectrum.csv", "\n".join(spectrum_csv_lines(est, header_lines(cfg))) + "\n"),
+        ("spectrum.csv", "\n".join(spectrum_csv_lines(est, cfg)) + "\n"),
         ("spectrum.json", json.dumps(payload, sort_keys=True) + "\n"),
     )

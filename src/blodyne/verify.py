@@ -22,7 +22,7 @@ modules, so a wrapper set on ``fock.oracle_blo_run`` or on a
 import math
 
 from . import detection, fock
-from .config import ORACLE_DRAW_BETA_MIN, ExperimentConfig
+from .config import ORACLE_DRAW_BETA_MIN, ExperimentConfig, fmt
 from .detection import ImageBandCase, LoTone, SqueezeParams
 
 
@@ -45,11 +45,12 @@ def configured_point(cfg: ExperimentConfig, caps: dict) -> tuple[list, str | Non
     beta = min(t1.amplitude, caps[cfg.case])
     if beta < 1.0:
         return [], f"|beta| = {beta:g} after the cap is below 1"
-    s = cfg.squeeze.s
-    if math.tanh(s) >= 1.0:
-        return [], f"tanh(s) rounds to 1 at s = {s:g}"
-    # the squeezed pair's cutoff at the target leakage stays desk-sized
-    cutoff = fock.tmss_cutoff_for_leakage(s, cfg.oracle["target_leakage"])
+    # the squeezed pair's cutoff at the target leakage exists (fock says why
+    # not) and stays desk-sized
+    try:
+        cutoff = fock.tmss_cutoff_for_leakage(cfg.squeeze.s, cfg.oracle["target_leakage"])
+    except ValueError as exc:
+        return [], str(exc)
     if cutoff > 64:
         return [], f"the squeezed-pair cutoff {cutoff} at oracle.target_leakage exceeds 64"
     return [(cfg.squeeze, beta, t1.phase, t2.phase, cfg.case)], None
@@ -95,8 +96,7 @@ def check_lines(cfg: ExperimentConfig, tolerance: float) -> tuple[list, float]:
         measured = fock.oracle_blo_run(p, beta, chi1, chi2, case, policy=policy)
         err = oracle_error(measured, p, beta, chi1, chi2, case)
         max_err = max(max_err, err)
-        lines.append(f"{i},{case.value},{p.s:.17g},{p.theta:.17g},{beta:.17g},"
-                     f"{chi1:.17g},{chi2:.17g},{err:.17g}")
-    lines.append(f"max_relative_error: {max_err:.17g}")
-    lines.append(f"tolerance: {tolerance:.17g}")
+        numbers = ",".join(map(fmt, (p.s, p.theta, beta, chi1, chi2, err)))
+        lines.append(f"{i},{case.value},{numbers}")
+    lines += [f"max_relative_error: {fmt(max_err)}", f"tolerance: {fmt(tolerance)}"]
     return lines, max_err

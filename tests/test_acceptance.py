@@ -12,19 +12,15 @@ import pytest
 
 from blodyne import detection, fock
 from blodyne.config import parse_config
-from blodyne.detection import FrequencyPlan, ImageBandCase, LoTone
+from blodyne.detection import FrequencyPlan, ImageBandCase
 from blodyne.gaussian import (SqueezeParams, apply_two_mode_squeeze,
                               ModeLabel, quadrature_variance, vacuum_state)
 from blodyne.timeseries import (SpectralModel, estimate_psd,
                                 locate_squeezing_feature,
                                 synthesize_difference_current)
+from shared import CARRIER, analytic_blo, tone
 
-CARRIER = 2.0e15
 SEED = 20260808
-
-
-def tone(amplitude, phase):
-    return LoTone(amplitude=amplitude, phase=phase)
 
 
 def criterion(num, desc):
@@ -129,13 +125,6 @@ BETA_CAPS = {
 }
 
 
-def _analytic(p, beta, chi1, chi2, case, include_lo_term):
-    rep = detection.blo_variance(p, tone(beta, chi1), tone(beta, chi2), case)
-    if include_lo_term:
-        return rep.variance + detection.lo_quantization_correction(p, 2)
-    return rep.variance
-
-
 @criterion(5, "Fock oracle matches the two-tone variance (with the LO "
               "quantization term) within 1% over 50 random configurations; "
               "residual against the bare formula scales as 1/|b|^2")
@@ -150,7 +139,7 @@ def test_criterion_5_oracle_equivalence():
         chi1 = float(rng.uniform(0.0, 2.0 * math.pi))
         chi2 = float(rng.uniform(0.0, 2.0 * math.pi))
         measured = fock.oracle_blo_run(p, beta, chi1, chi2, case)
-        expected = _analytic(p, beta, chi1, chi2, case, include_lo_term=True)
+        expected = analytic_blo(p, beta, chi1, chi2, case)
         assert abs(measured / expected - 1.0) < 1e-2
 
     # residual against the formula without the LO quantization term falls as
@@ -161,7 +150,7 @@ def test_criterion_5_oracle_equivalence():
     residuals = []
     for beta in (5.0, 10.0, 20.0):
         measured = fock.oracle_blo_run(p, beta, chi1, chi2, case)
-        bare = _analytic(p, beta, chi1, chi2, case, include_lo_term=False)
+        bare = analytic_blo(p, beta, chi1, chi2, case, include_lo_term=False)
         residuals.append(abs(measured - bare) / bare)
     assert residuals[0] / residuals[1] == pytest.approx(4.0, rel=0.05)
     assert residuals[1] / residuals[2] == pytest.approx(4.0, rel=0.05)

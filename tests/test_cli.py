@@ -65,6 +65,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="missing"):
             load_config(path)
 
+    def test_three_tones_are_refused_by_the_plan(self, tmp_path, capsys):
+        plan = dict(BASE_CONFIG["frequency_plan"],
+                    lo_hz=[299.9999975e12, 300.0e12, 300.0000025e12])
+        path = write_config(tmp_path, {"frequency_plan": plan})
+        code, out, err = run(capsys, ["variance", "--config", path])
+        assert (code, out) == (2, "")
+        assert err == "config error: frequency_plan: expected one or two LO frequencies, got 3\n"
+
     def test_bad_json_reports_location(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{\n  'single': 1\n}")
@@ -830,6 +838,18 @@ class TestOutputs:
                                   "is 0, and the configured point is out of the oracle's "
                                   "reach: ")
 
+    def test_verify_out_of_reach_gives_the_oracle_cutoff_reason(self, tmp_path, capsys):
+        from blodyne import fock
+
+        path = write_config(tmp_path, {"squeeze": {"s": 20.0, "theta": 0.0},
+                                       "oracle": {"draws": 0}})
+        code, out, err = run(capsys, ["verify", "--config", path])
+        with pytest.raises(ValueError) as reason:
+            fock.tmss_cutoff_for_leakage(20.0, 1e-8)
+        assert code == 3 and out == ""
+        assert err.endswith(f"out of the oracle's reach: {reason.value}\n")
+        assert "tanh(s) rounds to 1" in err
+
     def test_single_tone_config(self, tmp_path, capsys):
         path = write_config(tmp_path, {
             "frequency_plan": {
@@ -1040,9 +1060,6 @@ def test_package_namespace_is_the_closed_forms():
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                             env=src_env())
     assert result.returncode == 0, result.stderr
-
-
-SINGLE_TONE_PLAN = dict(PLAN_100KHZ, lo_hz=[300.0e12])
 
 
 # modules whose import time a CLI process would pay for nothing: numpy,

@@ -19,12 +19,7 @@ from blodyne.fock import BeatPairing, TruncationPolicy
 from blodyne.gaussian import BeamSplitterSpec, GaussianState, ModeLabel, SqueezeParams
 from blodyne.timeseries import (SpectralModel, SpectrumEstimate, SqueezingFeature,
                                 SynthesizedRecord, synthesize_difference_current)
-
-CARRIER = 2.0e15
-
-
-def tone(amplitude, phase):
-    return LoTone(amplitude=amplitude, phase=phase)
+from shared import CARRIER, tone
 
 
 def dyadic_plan(d1_frac, d2_frac):
@@ -280,10 +275,29 @@ class TestUnbalanced:
             expected = 4.0 * beta**2 * 0.5 * frac**2 * (math.cosh(2 * p.s) + 0.5)
             assert np.mean(excesses) == pytest.approx(expected, rel=1e-10)
 
-    def test_nonphysical_amplitude_rejected(self):
-        with pytest.raises(ValueError, match="non-positive"):
-            blo_variance_unbalanced(SqueezeParams(s=0.1), 1.0, -1.0, 0.0, 0.0,
-                                    ImageBandCase.NO_IMAGE_BANDS)
+
+# each two-tone form given a zero tone, and the two amplitudes it reports
+_NONE, _PLAN = ImageBandCase.NO_IMAGE_BANDS, dyadic_plan(0.0, 0.0)
+ZERO_TONE_CALLS = {
+    "matched": ((blo_variance, tone(0.0, 0.1), tone(0.0, 0.2), _NONE), (0.0, 0.0)),
+    "unbalanced_first": ((blo_variance_unbalanced, 0.0, 2.0, 0.1, 0.2, _NONE), (0.0, 2.0)),
+    "unbalanced_second": ((blo_variance_unbalanced, 2.0, -2.0, 0.1, 0.2, _NONE), (2.0, 0.0)),
+    "general_first": ((blo_variance_general, tone(0.0, 0.1), tone(2.0, 0.2), _PLAN, 0.0),
+                      (0.0, 2.0)),
+    "general_second": ((blo_variance_general, tone(2.0, 0.1), tone(0.0, 0.2), _PLAN, 0.0),
+                       (2.0, 0.0)),
+    # 1 + (2^-60 - 1) is 0: the evaluator sees the difference of the amplitudes
+    "general_rounds_away": ((blo_variance_general, tone(1.0, 0.1), tone(2.0**-60, 0.2), _PLAN,
+                             0.0), (1.0, 0.0)),
+}
+
+
+@pytest.mark.parametrize("name", ZERO_TONE_CALLS)
+def test_two_tone_forms_refuse_a_zero_tone_alike(name):
+    (form, *args), amplitudes = ZERO_TONE_CALLS[name]
+    with pytest.raises(ValueError) as exc:
+        form(SqueezeParams(s=0.1), *args)
+    assert str(exc.value) == "both LO tone amplitudes must be > 0, got %r and %r" % amplitudes
 
 
 class TestPhaseScan:
@@ -323,14 +337,16 @@ class TestPhaseScan:
             assert max(values) <= v_max * (1.0 + 1e-12)
 
     def test_standard_tone_scan(self):
-        points = phase_scan(SqueezeParams(s=0.5, theta=0.0), tone(1.0, 0.0), n_points=8)
+        points = phase_scan(SqueezeParams(s=0.5, theta=0.0), tone(1.0, 0.0), None,
+                            n_points=8)
         assert len(points) == 8
         assert all(rep.case is None for _, rep in points)
 
     @pytest.mark.parametrize("n", [2, 3, 72, 1000])
     def test_grid_matches_numpy_linspace(self, n):
         # the grid is i * (2 pi / n): bit for bit the numpy grid of earlier outputs
-        points = phase_scan(SqueezeParams(s=0.5, theta=0.0), tone(1.0, 0.0), n_points=n)
+        points = phase_scan(SqueezeParams(s=0.5, theta=0.0), tone(1.0, 0.0), None,
+                            n_points=n)
         expected = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
         assert np.array_equal(np.array([ph for ph, _ in points]), expected)
 

@@ -26,17 +26,7 @@ from blodyne.gaussian import (BeamSplitterSpec, ModeLabel, SqueezeParams,
                               apply_beam_splitter, apply_displacement,
                               apply_two_mode_squeeze, vacuum_state)
 from blodyne import _kernels
-
-
-def analytic_blo(p, beta, chi1, chi2, case, include_lo_term=True):
-    rep = detection.blo_variance(
-        p,
-        LoTone(amplitude=beta, phase=chi1),
-        LoTone(amplitude=beta, phase=chi2),
-        case,
-    )
-    corr = detection.lo_quantization_correction(p, 2) if include_lo_term else 0.0
-    return rep.variance + corr
+from shared import analytic_blo
 
 
 def n_image_modes(case):
@@ -620,7 +610,7 @@ class TestPlanPairing:
 
 
 def test_oracle_takes_only_value_types_from_detection():
-    allowed = {"FrequencyPlan", "ImageBandCase", "SqueezeParams", "_Record", "_set"}
+    allowed = {"FrequencyPlan", "ImageBandCase", "SqueezeParams", "_Record"}
     for module in ("fock", "_kernels"):
         tree = ast.parse((REPO / "src" / "blodyne" / f"{module}.py").read_text(encoding="utf-8"))
         for node in ast.walk(tree):

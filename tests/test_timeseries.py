@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from blodyne import timeseries
-from blodyne.config import parse_config
+from blodyne.config import header_lines, parse_config
 from blodyne.timeseries import (_FRAME_SAMPLES, _WELCH_ROW_SAMPLES,
                                 SpectralModel, SpectrumEstimate,
                                 SynthesizedRecord, estimate_psd,
@@ -418,11 +418,14 @@ class TestEmission:
         rec = synthesize_difference_current(flat_model(), 0.002, FS_BLO, seed=1,
                                             segment_length=1024)
         est = estimate_psd(rec, 1024, 0.5)
-        lines = spectrum_csv_lines(est, header_lines=["config: {}"])
-        assert lines[0] == "# config: {}"
-        assert "frequency_hz,psd_variance_per_hz" in lines
-        header_idx = lines.index("frequency_hz,psd_variance_per_hz")
-        assert len(lines) - header_idx - 1 == est.psd.size
+        cfg = two_tone_config(PLAN_100KHZ_LO, 0.0, seed=1)
+        lines = spectrum_csv_lines(est, cfg)
+        assert lines[:2] == header_lines(cfg)
+        assert lines[2].startswith("# resolution_hz: ")
+        assert float(lines[2].split(": ")[1]) == est.resolution
+        assert lines[3:5] == [f"# n_averages: {est.n_averages}",
+                              "frequency_hz,psd_variance_per_hz"]
+        assert len(lines) - 5 == est.psd.size
 
     def test_json_schemas_round_trip(self):
         rec = synthesize_difference_current(flat_model(), 0.0005, FS_BLO, seed=1,
