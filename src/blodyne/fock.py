@@ -73,7 +73,9 @@ class TruncationPolicy(_Record):
     signal, and the LO product) would have as a dense tensor padded by one
     level per mode. The structured Grams hold far fewer amplitudes, so the
     guard bounds a notional dense size; it is applied before anything is
-    built.
+    built. It is the oracle's only size rule, applied by :func:`oracle_cutoffs`;
+    at the defaults it admits s up to 3.49 (two image bands), 3.66 (shared)
+    and 3.84 (none) with |beta| at the case's cap.
     """
 
     __slots__ = ("target_leakage", "max_dimension")
@@ -328,15 +330,10 @@ def oracle_from_grams(g_sig, g_lo, pairing: BeatPairing, fp: FrequencyPlan) -> f
     leakage above 1e-6, since the variance would no longer be trustworthy.
     """
     n_sig, n_lo = (len(g_sig) - 1) // 2, (len(g_lo) - 1) // 2
-    if n_sig != len(pairing.signal_freqs):
-        raise ValueError(
-            f"signal has {n_sig} modes but the pairing lists {len(pairing.signal_freqs)}"
-        )
-    if n_lo != len(pairing.lo_freqs):
-        raise ValueError(
-            f"LO has {n_lo} modes but the pairing lists {len(pairing.lo_freqs)}"
-        )
-    for gram, name in ((g_sig, "signal"), (g_lo, "lo")):
+    for gram, name, n_modes, freqs in ((g_sig, "signal", n_sig, pairing.signal_freqs),
+                                       (g_lo, "LO", n_lo, pairing.lo_freqs)):
+        if n_modes != len(freqs):
+            raise ValueError(f"{name} has {n_modes} modes but the pairing lists {len(freqs)}")
         nsq = gram[0][0].real
         _check_norm(nsq)
         leak = 1.0 - nsq
@@ -431,12 +428,21 @@ def _oracle_run(p: SqueezeParams, beta: float, phases: tuple, case: ImageBandCas
                 policy: TruncationPolicy | None) -> float:
     """The oracle with tones of amplitude ``beta`` at ``phases`` on the
     reference plan of ``case``, where ``None`` means one tone."""
-    policy = policy if policy is not None else TruncationPolicy()
+    n_sig, n_lo, n_images = oracle_cutoffs(p.s, beta, case, policy or TruncationPolicy())
     plan = reference_plan(case)
-    pairing = BeatPairing.for_plan(plan)
-    n_images = len(pairing.signal_freqs) - 2
-    n_sig, n_lo = policy.tmss_cutoff(p.s), policy.coherent_cutoff(beta)
-    policy.check_factors((n_sig + 1,) * 2 + (1,) * n_images, (n_lo + 1,) * len(phases))
     g_sig = signal_gram(p, n_sig, n_images)
     g_lo = coherent_product_gram([(beta, chi) for chi in phases], n_lo)
-    return oracle_from_grams(g_sig, g_lo, pairing, plan)
+    return oracle_from_grams(g_sig, g_lo, BeatPairing.for_plan(plan), plan)
+
+
+def oracle_cutoffs(s: float, beta: float, case: ImageBandCase | None,
+                   policy: TruncationPolicy) -> tuple[int, int, int]:
+    """The squeezed-pair cutoff, the LO cutoff and the image-mode count of
+    the oracle at (s, |beta|) on the reference plan of ``case`` (``None``:
+    one tone). This is the oracle's one reach rule: ValueError where tanh(s)
+    rounds to 1 or a factor exceeds the policy's guard."""
+    n_images = len(BeatPairing.for_plan(reference_plan(case)).signal_freqs) - 2
+    n_sig, n_lo = policy.tmss_cutoff(s), policy.coherent_cutoff(beta)
+    policy.check_factors((n_sig + 1,) * 2 + (1,) * n_images,
+                         (n_lo + 1,) * (1 if case is None else 2))
+    return n_sig, n_lo, n_images

@@ -157,11 +157,19 @@ class SynthesizedRecord(_Record):
     with the ``logging`` it imports, out of the ``spectrum`` process.
     The worker pays even without a free CPU: coloring in the caller's thread
     gives the same bytes, but faults each 2^16-point transform's scratch in
-    afresh from the main malloc arena (159 000 minor page faults against
-    6 000, 0.20-0.25 s more system time). On 2^24 samples that took 1.55 s
+    afresh from the main malloc arena. Each ``rfft`` or ``irfft`` call of
+    that size faults in 224 pages (about 0.9 MB of pocketfft scratch), so
+    one-thread coloring took 159 000 minor page faults against 6 000, and
+    0.20-0.25 s more system time. On 2^24 samples that took 1.55 s
     against 1.24 s at about 100% CPU, and 1.29-1.68 s against 0.76-1.01 s
     with the second CPU free (medians of 8 alternating ``wait4`` runs of
     ``spectrum`` per set, three sets, 2-vCPU x86).
+    A fresh run that serializes (about 1.66 s against a 1.00 s median,
+    wall time equal to CPU time, about 1030 involuntary context switches on
+    the caller's thread against 42-204) has had its worker placed on the
+    caller's CPU by the kernel. Pinning the two threads to different CPUs
+    removed that tail but moved the benchmark's ``wall_s`` only from 0.972
+    to 0.944 s, inside its spread, so the threads are not pinned.
     A record equals only itself, and hashes by identity. The taps must be a
     non-empty one-dimensional array of finite floats, the size at least 1,
     the sample rate finite and positive and the seed non-negative.
@@ -513,8 +521,10 @@ def locate_squeezing_feature(spec: SpectrumEstimate,
 
     Returns None when the fit gains less than ``_FEATURE_THRESHOLD`` over
     the flat floor: the equivalent number of averages times the
-    log-likelihood ratio. So does an estimate of fewer than five bins:
-    the center and level would match the one or two bins fitted exactly.
+    log-likelihood ratio. So does a fit whose level ends on its -90 dB
+    bound, a depth the data do not fix, and an estimate of fewer than five
+    bins: the center and level would match the one or two bins fitted
+    exactly.
     """
     floor = model.noise_floor
     if floor <= 0.0:
@@ -552,19 +562,20 @@ def locate_squeezing_feature(spec: SpectrumEstimate,
     # level stays above 1e-9 of the floor (-90 dB), so every P_k stays
     # positive. The steps settled within 25 iterations on dips and peaks of
     # up to 43 dB
+    lowest = 1e-9 - 1.0
     a = np.zeros(centers.size)
     for _ in range(50):
         p = 1.0 + a[:, None] * s
         gradient = np.sum(s * (y - p) / p**2, axis=1)
         information = np.sum((s / p) ** 2, axis=1)
         step = np.divide(gradient, information, out=np.zeros_like(a), where=information > 0.0)
-        previous, a = a, np.maximum(a + step, 1e-9 - 1.0)
+        previous, a = a, np.maximum(a + step, lowest)
         if np.all(np.abs(a - previous) <= 1e-12 * (1.0 + np.abs(a))):
             break
     deviation = a[:, None] * s
     gain = np.sum(y * deviation / (1.0 + deviation) - np.log1p(deviation), axis=1)
     best = int(np.argmax(gain))
-    if spec.equivalent_averages * gain[best] < _FEATURE_THRESHOLD:
+    if spec.equivalent_averages * gain[best] < _FEATURE_THRESHOLD or a[best] <= lowest:
         return None
     return SqueezingFeature(center=float(centers[best] * spec.resolution),
                             depth_db=10.0 * math.log10(1.0 + a[best]))

@@ -5,11 +5,11 @@ Each check runs :func:`blodyne.fock.oracle_blo_run` at one (squeeze, |beta|,
 chi1, chi2, case) point on the case's reference plan and compares the
 result with the matched two-tone closed form plus the LO quantization
 offset. The checks are the configured point, when the config has matched
-tones and the oracle can reach it, and then ``oracle.draws`` points drawn
-from the seed. With no check, :func:`check_points` raises ValueError
-naming why the configured point was skipped, so ``verify`` exits 3.
-:func:`check_lines` returns the CSV lines that ``blodyne.cli.cmd_verify``
-writes, which also raises the exit-4 error.
+tones and :func:`blodyne.fock.oracle_cutoffs` admits it, and then
+``oracle.draws`` points drawn from the seed. With no check,
+:func:`check_points` raises ValueError naming why the configured point was
+skipped, so ``verify`` exits 3. :func:`check_lines` returns the CSV lines
+that ``blodyne.cli.cmd_verify`` writes, which also raises the exit-4 error.
 
 Only ``verify`` imports this module, so the closed-form subcommands never
 compile it. It imports nothing from ``blodyne.cli``: under
@@ -26,17 +26,11 @@ from .config import ORACLE_DRAW_BETA_MIN, ExperimentConfig, fmt
 from .detection import ImageBandCase, LoTone, SqueezeParams
 
 
-def oracle_error(measured: float, p: SqueezeParams, beta: float, chi1: float,
-                 chi2: float, case: ImageBandCase) -> float:
-    """Relative error of an oracle variance against the closed form."""
-    rep = detection.blo_variance(p, LoTone(beta, chi1), LoTone(beta, chi2), case)
-    analytic = rep.variance + detection.lo_quantization_correction(p, n_tones=2)
-    return abs(measured / analytic - 1.0)
-
-
-def configured_point(cfg: ExperimentConfig, caps: dict) -> tuple[list, str | None]:
-    """([the configured check], None), or ([], why the oracle cannot reach
-    the configured point)."""
+def configured_point(cfg: ExperimentConfig, caps: dict,
+                     policy: fock.TruncationPolicy) -> tuple[list, str | None]:
+    """([the configured check], None), or ([], why it is skipped): the
+    closed forms need matched tones of |beta| >= 1, and the oracle's own
+    reach rule, :func:`blodyne.fock.oracle_cutoffs`, decides the rest."""
     if not cfg.two_tone:
         return [], "the config has one tone"
     t1, t2 = cfg.tones
@@ -45,21 +39,17 @@ def configured_point(cfg: ExperimentConfig, caps: dict) -> tuple[list, str | Non
     beta = min(t1.amplitude, caps[cfg.case])
     if beta < 1.0:
         return [], f"|beta| = {beta:g} after the cap is below 1"
-    # the squeezed pair's cutoff at the target leakage exists (fock says why
-    # not) and stays desk-sized
     try:
-        cutoff = fock.tmss_cutoff_for_leakage(cfg.squeeze.s, cfg.oracle["target_leakage"])
+        fock.oracle_cutoffs(cfg.squeeze.s, beta, cfg.case, policy)
     except ValueError as exc:
         return [], str(exc)
-    if cutoff > 64:
-        return [], f"the squeezed-pair cutoff {cutoff} at oracle.target_leakage exceeds 64"
     return [(cfg.squeeze, beta, t1.phase, t2.phase, cfg.case)], None
 
 
-def check_points(cfg: ExperimentConfig, caps: dict) -> list:
+def check_points(cfg: ExperimentConfig, caps: dict, policy: fock.TruncationPolicy) -> list:
     """The (squeeze, |beta|, chi1, chi2, case) of every check, in order;
     ValueError if there is none, since checking nothing is no pass."""
-    checks, skipped = configured_point(cfg, caps)
+    checks, skipped = configured_point(cfg, caps, policy)
     draws = int(cfg.oracle["draws"])
     if draws:
         # the oracle itself is pure Python; numpy only draws the points
@@ -92,9 +82,11 @@ def check_lines(cfg: ExperimentConfig, tolerance: float) -> tuple[list, float]:
     }
     lines = ["draw,case,s,theta,beta,chi1,chi2,rel_error"]
     max_err = 0.0
-    for i, (p, beta, chi1, chi2, case) in enumerate(check_points(cfg, caps)):
+    for i, (p, beta, chi1, chi2, case) in enumerate(check_points(cfg, caps, policy)):
         measured = fock.oracle_blo_run(p, beta, chi1, chi2, case, policy=policy)
-        err = oracle_error(measured, p, beta, chi1, chi2, case)
+        rep = detection.blo_variance(p, LoTone(beta, chi1), LoTone(beta, chi2), case)
+        analytic = rep.variance + detection.lo_quantization_correction(p, n_tones=2)
+        err = abs(measured / analytic - 1.0)
         max_err = max(max_err, err)
         numbers = ",".join(map(fmt, (p.s, p.theta, beta, chi1, chi2, err)))
         lines.append(f"{i},{case.value},{numbers}")

@@ -614,17 +614,22 @@ def test_usage_error_names_the_argument(capsys, argv, message):
 
 
 # verify with no draws: config overrides, and whether the configured point is
-# checked (matched tones, |beta| >= 1 after the cap, squeezed-pair cutoff <= 64)
+# checked (matched tones, |beta| >= 1 after the cap, and the oracle's reach:
+# a finite squeezed-pair cutoff and factors within oracle.max_dimension)
 VERIFY_CONFIGURED_POINTS = {
     "cutoff_61": ({"squeeze": {"s": 1.3, "theta": 0.3}}, True),
-    # the cutoff, 68, exceeds the cap of 64
-    "cutoff_above_cap": ({"squeeze": {"s": 1.35, "theta": 0.3}}, False),
-    # the cap is judged at the configured leakage: 1e-6 cuts s = 1.35 at 51,
-    # and 1e-12 cuts s = 1.3 at 92
+    # cutoff 68, well within the guard
+    "cutoff_above_cap": ({"squeeze": {"s": 1.35, "theta": 0.3}}, True),
+    # the cutoff is judged at the configured leakage: 1e-6 cuts s = 1.35 at
+    # 51, and 1e-12 cuts s = 1.3 at 92
     "leakage_1e-6_cutoff_51": ({"squeeze": {"s": 1.35, "theta": 0.3},
                                 "oracle": {"target_leakage": 1e-6}}, True),
     "leakage_1e-12_cutoff_92": ({"squeeze": {"s": 1.3, "theta": 0.3},
-                                 "oracle": {"target_leakage": 1e-12}}, False),
+                                 "oracle": {"target_leakage": 1e-12}}, True),
+    # the shared-band edge at the default guard: the padded signal at s = 3.6
+    # (cutoff 6168) is 7.6e7 amplitudes, at s = 3.7 (cutoff 7533) 1.1e8
+    "guard_edge_3.6": ({"squeeze": {"s": 3.6, "theta": 0.3}}, True),
+    "guard_edge_3.7": ({"squeeze": {"s": 3.7, "theta": 0.3}}, False),
     # tanh(s) rounds to 1: skipped, not a crash
     "tanh_rounds_to_1": ({"squeeze": {"s": 20.0, "theta": 0.0}}, False),
     "unequal_amplitudes": ({"lo_tones": [{"amplitude": 3.0, "phase": 0.2},
@@ -831,6 +836,9 @@ class TestOutputs:
             assert len(rows) == 1
             assert [float(v) for v in rows[0].split(",")[2:5:2]] == [
                 overrides["squeeze"]["s"], BASE_CONFIG["lo_tones"][0]["amplitude"]]
+            # the error follows the truncation leakage, 1e-8 by default
+            leakage = overrides.get("oracle", {}).get("target_leakage", 1e-8)
+            assert float(rows[0].split(",")[-1]) < 100.0 * leakage
         else:
             # nothing checked never passes, and stderr says why
             assert code == 3 and out == ""
@@ -838,17 +846,41 @@ class TestOutputs:
                                   "is 0, and the configured point is out of the oracle's "
                                   "reach: ")
 
-    def test_verify_out_of_reach_gives_the_oracle_cutoff_reason(self, tmp_path, capsys):
+    @pytest.mark.parametrize("s,reason", [
+        (20.0, "tanh(s) rounds to 1"),
+        (3.7, "exceeds the guard 100000000; reduce the tone amplitude or raise max_dimension"),
+    ], ids=["tanh_rounds_to_1", "guard"])
+    def test_verify_out_of_reach_gives_the_oracle_reason(self, tmp_path, capsys, s, reason):
         from blodyne import fock
+        from blodyne.detection import ImageBandCase
 
-        path = write_config(tmp_path, {"squeeze": {"s": 20.0, "theta": 0.0},
+        path = write_config(tmp_path, {"squeeze": {"s": s, "theta": 0.0},
                                        "oracle": {"draws": 0}})
         code, out, err = run(capsys, ["verify", "--config", path])
-        with pytest.raises(ValueError) as reason:
-            fock.tmss_cutoff_for_leakage(20.0, 1e-8)
+        with pytest.raises(ValueError) as refusal:
+            fock.oracle_cutoffs(s, 2.0, ImageBandCase.SHARED_IMAGE_BAND,
+                                fock.TruncationPolicy())
         assert code == 3 and out == ""
-        assert err.endswith(f"out of the oracle's reach: {reason.value}\n")
-        assert "tanh(s) rounds to 1" in err
+        assert err.endswith(f"out of the oracle's reach: {refusal.value}\n")
+        assert reason in err
+
+    def test_verify_puts_the_configured_point_ahead_of_the_draws(self, tmp_path, capsys):
+        # s = 3.0 (cutoff 1858) is row 0; the drawn rows follow, the same
+        # points as where the configured one is out of reach
+        def rows(s):
+            path = write_config(tmp_path, {"squeeze": {"s": s, "theta": 0.3},
+                                           "oracle": {"draws": 2}})
+            code, out, _ = run(capsys, ["verify", "--config", path])
+            assert code == 0
+            lines = out.splitlines()
+            return [line.split(",") for line in
+                    lines[lines.index("draw,case,s,theta,beta,chi1,chi2,rel_error") + 1 : -2]]
+
+        checked, drawn = rows(3.0), rows(20.0)
+        assert [row[0] for row in checked] == ["0", "1", "2"]
+        assert checked[0][1:5] == ["SharedImageBand", "3", "0.29999999999999999", "2"]
+        assert [row[1:] for row in checked[1:]] == [row[1:] for row in drawn]
+        assert float(checked[0][-1]) < 1e-6
 
     def test_single_tone_config(self, tmp_path, capsys):
         path = write_config(tmp_path, {

@@ -340,6 +340,16 @@ class TestFeatureLocation:
             biases.append(depth - predicted_db)
         assert abs(np.mean(biases)) < 0.1
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_level_on_the_fit_bound_gives_no_feature(self, seed):
+        # 16-sample segments on the no-image plan leave 9 bins. On these seeds
+        # the fitted level ran to its -90 dB bound, a depth the data do not
+        # fix, and was printed as one
+        cfg = two_tone_config([299.999995e12, 300.000005e12], 1.0, seed,
+                              {"segment_length": 16})
+        summary, _ = timeseries.spectrum_outputs(cfg, with_files=False)
+        assert summary[-1] == "feature: none"
+
     @staticmethod
     def assert_placed(detuning):
         # two-image plans at s 1, seeds 1-5: the center within 2 bins and the
