@@ -89,16 +89,16 @@ class TruncationPolicy(_Record):
     def coherent_cutoff(self, amplitude: float) -> int:
         return coherent_cutoff(amplitude)
 
-    def check_factors(self, *factor_dims) -> None:
-        """Raise ValueError where one factor, given by its per-mode
-        dimensions, exceeds the guard once padded."""
-        for dims in factor_dims:
+    def check_factors(self, signal_dims, lo_dims=()) -> None:
+        """Raise ValueError where the signal or the LO product, by its per-mode
+        dimensions, exceeds the guard once padded, naming what mends that."""
+        for name, dims, remedy in (
+                ("signal", signal_dims, "lower squeeze.s, raise oracle.target_leakage"),
+                ("LO", lo_dims, "lower the tone amplitude")):
             total = math.prod(int(d) + 1 for d in dims)
             if total > self.max_dimension:
-                raise ValueError(
-                    f"state dimension {total} exceeds the guard {self.max_dimension}; "
-                    "reduce the tone amplitude or raise max_dimension"
-                )
+                raise ValueError(f"{name} state dimension {total} exceeds the guard "
+                                 f"{self.max_dimension}; {remedy} or raise oracle.max_dimension")
 
 
 def tmss_cutoff_for_leakage(s: float, eps: float) -> int:

@@ -318,11 +318,11 @@ _FRAME_SAMPLES = 1 << 16
 # rate (about 20 resolvable feature positions, however many bins), had these
 # 99% / 99.9% quantiles and maximum:
 # - 129 bins (2^16 samples, 256-sample segments), seeds 0-1999 at overlap
-#   0.5: 13.4 / 17.2 / 18.2; seeds 0-999 at overlaps 0, 0.75 and 0.9: at
-#   most 13.7 / 18.9 / 20.2;
+#   0.5: 13.5 / 17.2 / 18.3; seeds 0-999 at overlaps 0, 0.75 and 0.9: at
+#   most 13.7 / 19.0 / 20.2;
 # - 1025 bins (2^19 samples, 2048-sample segments), seeds 0-999: 13.3 /
-#   17.3 / 19.3; at 2^14 samples (15 averages), seeds 0-999: 13.6 / 21.3 /
-#   22.0; at 2^13 (7 averages), seeds 0-599: 13.6 / 16.5 / 18.1.
+#   17.3 / 19.6; at 2^14 samples (15 averages), seeds 0-999: 13.6 / 21.3 /
+#   22.1; at 2^13 (7 averages), seeds 0-599: 13.5 / 16.5 / 18.1.
 # The gain is not chi-square: neighbouring Hann bins correlate. A width of
 # 10 kHz has five times the positions, and its quantiles were 16.1 / 20.6 /
 # 22.1 (500 seeds at 1025 bins)
@@ -509,22 +509,22 @@ def locate_squeezing_feature(spec: SpectrumEstimate,
 
     The floor F, the width and the profile are the model's; the center
     c >= 0 and the level F + A are free. Bin k is expected at
-    P_k = F + A shape_k(c), with shape_k(c) the unit profile at c averaged
-    over the bin's cell (:meth:`SpectralModel.cell_means`), and (c, A)
-    maximize the Whittle log-likelihood -sum_k [log P_k + P^_k / P_k]
-    (Whittle, 1953; Percival and Walden, 1993, ch. 6). A matched filter on
-    the bin grid, normalized by the kernel energy that falls on fitted
-    bins, picks the candidate center; c is then refined in quarter bins
-    within two bins of it, each with A by Fisher scoring. DC is a center
-    like any other. The DC and Nyquist bins hold half the one-sided density
-    and are left out of the fit.
+    P_k = F + A K(k - c), with K the unit profile seen through the Hann
+    window: its means over eighth-bin cells, circularly convolved with the
+    window's power response. For a feature at DC or well away from it, that
+    is the estimate's own expectation (Welch, 1967). (c, A) maximize the
+    Whittle log-likelihood -sum_k [w_k log P_k + P^_k / P_k] (Whittle, 1953;
+    Percival and Walden, 1993, ch. 6) over every bin: the DC and Nyquist
+    bins hold half the one-sided density and vary twice as much, so their
+    weight w_k is 1/2, and every other bin's 1. A matched filter on the bin
+    grid, normalized by its kernel's energy, picks the candidate center; c
+    is refined in quarter bins within two bins of it, A by Fisher scoring.
 
     Returns None when the fit gains less than ``_FEATURE_THRESHOLD`` over
     the flat floor: the equivalent number of averages times the
     log-likelihood ratio. So does a fit whose level ends on its -90 dB
     bound, a depth the data do not fix, and an estimate of fewer than five
-    bins: the center and level would match the one or two bins fitted
-    exactly.
+    bins, whose center and level the fit could match to the bins exactly.
     """
     floor = model.noise_floor
     if floor <= 0.0:
@@ -532,32 +532,32 @@ def locate_squeezing_feature(spec: SpectrumEstimate,
     n = spec.psd.size
     if n < 5:
         return None
+    # K at eighth-bin offsets around the circle of m points, offset 0 first,
+    # through the window estimate_psd applies to its 2 (n - 1) samples
+    m = 16 * (n - 1)
+    offsets = np.fft.fftfreq(m, 8.0 / m) * spec.resolution
     unit = SpectralModel(0.0, model.squeezing_bandwidth, 0.0, 1.0, model.profile)
-
-    def shapes(offsets):
-        # the unit profile over the cells of bins `offsets` bins from its center
-        return unit.cell_means((offsets - 0.5) * spec.resolution,
-                               (offsets + 0.5) * spec.resolution)
-
-    # the matched filter: for each center j on the bin grid, the kernel's sum
-    # against the relative deviation, and its energy, over the fitted bins
-    # alone. The profiles are symmetric, so both correlations are
-    # convolutions, and the transform holds the whole of each, so none wraps
-    y = spec.psd / floor
-    fitted = np.ones(n)
-    fitted[0] = fitted[-1] = 0.0
-    kernel = shapes(np.arange(1.0 - n, n))
-    size = 1 << (3 * n - 3).bit_length()
-    sums = np.fft.irfft(np.fft.rfft(np.stack(((y - 1.0) * fitted, fitted)), size)
-                        * np.fft.rfft(np.stack((kernel, kernel**2)), size), size)
-    match, energy = sums[:, n - 1 : 2 * n - 1]
-    # a center whose kernel reaches no fitted bin (a flat_top narrower than
-    # half a bin, at DC) has no energy, which the FFT leaves as rounding noise
+    means = unit.cell_means(offsets - spec.resolution / 16, offsets + spec.resolution / 16)
+    window = 0.5 - 0.5 * np.cos(math.pi * np.arange(2 * n - 2) / (n - 1))
+    response = np.abs(np.fft.fft(window, m)) ** 2
+    kernel = np.fft.irfft(np.fft.rfft(means) * np.fft.rfft(response), m) / response.sum()
+    # the far tail rounds a hair below zero, where a tall peak would make P_k < 0
+    np.maximum(kernel, 0.0, out=kernel)
+    weight = np.concatenate(([0.5], np.ones(n - 2), [0.5]))
+    y = spec.psd / (floor * weight)
+    # the matched filter: for each center on the bin grid, the kernel's weighted
+    # sum against the relative deviation, and its energy. K is symmetric and
+    # periodic in 2 (n - 1) bins, so both are circular convolutions that long
+    whole = kernel[::8]
+    match, energy = np.fft.irfft(np.fft.rfft(np.stack((weight * (y - 1.0), weight)), whole.size)
+                                 * np.fft.rfft(np.stack((whole, whole**2))), whole.size)[:, :n]
+    # where the energy is the FFT's rounding noise (everywhere, for a flat_top
+    # a few subnormal hertz wide), the score is 0
     score = np.divide(match**2, energy, out=np.zeros(n), where=energy > 1e-12 * energy.max())
-    centers = int(np.argmax(score)) + np.arange(-8, 9) / 4.0
-    centers = centers[centers >= 0.0]
-    s = shapes(np.arange(1.0, n - 1) - centers[:, None])
-    y = y[1:-1]
+    # the candidate centers in eighth bins, a quarter bin apart
+    centers = 8 * int(np.argmax(score)) + np.arange(-16, 17, 2)
+    centers = centers[centers >= 0]
+    s = kernel[(8 * np.arange(n) - centers[:, None]) % m]
     # a = A / F for each center, by Fisher scoring from the flat floor. The
     # level stays above 1e-9 of the floor (-90 dB), so every P_k stays
     # positive. The steps settled within 25 iterations on dips and peaks of
@@ -566,18 +566,18 @@ def locate_squeezing_feature(spec: SpectrumEstimate,
     a = np.zeros(centers.size)
     for _ in range(50):
         p = 1.0 + a[:, None] * s
-        gradient = np.sum(s * (y - p) / p**2, axis=1)
-        information = np.sum((s / p) ** 2, axis=1)
+        gradient = np.sum(weight * s * (y - p) / p**2, axis=1)
+        information = np.sum(weight * (s / p) ** 2, axis=1)
         step = np.divide(gradient, information, out=np.zeros_like(a), where=information > 0.0)
         previous, a = a, np.maximum(a + step, lowest)
         if np.all(np.abs(a - previous) <= 1e-12 * (1.0 + np.abs(a))):
             break
     deviation = a[:, None] * s
-    gain = np.sum(y * deviation / (1.0 + deviation) - np.log1p(deviation), axis=1)
+    gain = np.sum(weight * (y * deviation / (1.0 + deviation) - np.log1p(deviation)), axis=1)
     best = int(np.argmax(gain))
     if spec.equivalent_averages * gain[best] < _FEATURE_THRESHOLD or a[best] <= lowest:
         return None
-    return SqueezingFeature(center=float(centers[best] * spec.resolution),
+    return SqueezingFeature(center=float(centers[best] / 8.0 * spec.resolution),
                             depth_db=10.0 * math.log10(1.0 + a[best]))
 
 

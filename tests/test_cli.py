@@ -750,9 +750,9 @@ class TestOutputs:
         assert depth == pytest.approx(-3.0103, abs=0.5)
 
     def test_spectrum_with_three_bins_finds_no_feature(self, tmp_path, capsys):
-        # a segment of 4 samples gives 3 bins. The fit leaves out DC and
-        # Nyquist, and its center and level would match the one bin left
-        # exactly, wherever the center went, so it reports none
+        # a segment of 4 samples gives 3 bins. A center and a level fitted
+        # to so few bins would match them wherever the center went, so the
+        # fit reports none for any estimate of fewer than five bins
         path = write_config(tmp_path, {"frequency_plan": PLAN_100KHZ,
                                        "spectrum": {"segment_length": 4}})
         code, out, _ = run(capsys, ["spectrum", "--config", path])
@@ -848,7 +848,9 @@ class TestOutputs:
 
     @pytest.mark.parametrize("s,reason", [
         (20.0, "tanh(s) rounds to 1"),
-        (3.7, "exceeds the guard 100000000; reduce the tone amplitude or raise max_dimension"),
+        # the squeezed pair alone is over the guard, which no tone amplitude mends
+        (3.7, "signal state dimension 113552450 exceeds the guard 100000000; lower squeeze.s, "
+              "raise oracle.target_leakage or raise oracle.max_dimension"),
     ], ids=["tanh_rounds_to_1", "guard"])
     def test_verify_out_of_reach_gives_the_oracle_reason(self, tmp_path, capsys, s, reason):
         from blodyne import fock
@@ -908,7 +910,7 @@ PLAN_100KHZ = {
 # of them, from record synthesis through Welch estimation to emission, fails
 # here. Pinned with the schema blodyne.spectrum_estimate/4: filters on
 # cell-averaged targets, frames of 2^16 samples, and a feature located by a
-# likelihood fit of the model's profile.
+# likelihood fit of the model's profile seen through the Hann window.
 GOLDEN_SPECTRUM = {
     "frequency_plan": PLAN_100KHZ,
     "squeeze": {"s": 0.8, "theta": 0.3},
@@ -917,11 +919,11 @@ GOLDEN_SPECTRUM = {
     "spectrum": {"duration_s": 0.03125, "segment_length": 1024, "overlap": 0.5},
 }
 GOLDEN_SPECTRUM_SHA256 = {
-    "stdout": "71fb9d2bde4e2dffb8d98d390fe765b329c420bc1fbc7eeb3379971a48e62d8f",
+    "stdout": "fce38ca45394f95117326a665d5b0a08fd2b9513a41fe31b12d4a12351fcfcae",
     "spectrum.csv": "0c54fc48781cd2edc86b7c3c0c722a5a01085e31535a4da779a4853f4285d626",
     "spectrum.json": "7a22cc673b1b8db52f383ba38f8bf0e8afde8e9f0b432cdce90100350c67b848",
     # the summary file holds exactly what stdout printed
-    "spectrum_summary.txt": "71fb9d2bde4e2dffb8d98d390fe765b329c420bc1fbc7eeb3379971a48e62d8f",
+    "spectrum_summary.txt": "fce38ca45394f95117326a665d5b0a08fd2b9513a41fe31b12d4a12351fcfcae",
 }
 
 
@@ -938,10 +940,10 @@ GOLDEN_SPECTRUM_ONE_TONE = {
                  "duration_s": 0.00390625},
 }
 GOLDEN_SPECTRUM_ONE_TONE_SHA256 = {
-    "stdout": "f5e5382c3483a20452ddf269dc745b863427d02fdf270c77d9596037ae091b41",
+    "stdout": "f3da331054de242a85c8b62f1c49d31c9888c00cd4e753f9cb908dec7e931667",
     "spectrum.csv": "83e447ddcfc21e1df0b22d1cbfd985bc24a862e0e728d0f70cff72edd9c18d33",
     "spectrum.json": "76a02e1cbc423249be3b67b130c2dbf3a00a2a79eac775c9e19f047caa6ad21a",
-    "spectrum_summary.txt": "f5e5382c3483a20452ddf269dc745b863427d02fdf270c77d9596037ae091b41",
+    "spectrum_summary.txt": "f3da331054de242a85c8b62f1c49d31c9888c00cd4e753f9cb908dec7e931667",
 }
 
 

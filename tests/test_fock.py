@@ -117,11 +117,13 @@ class TestTruncationPolicy:
         policy = TruncationPolicy(max_dimension=1000)
         # padded by one level per mode, 10^3 sits at the bound
         policy.check_factors((9, 9, 9))
-        with pytest.raises(ValueError, match="state dimension 1100 exceeds"):
+        with pytest.raises(ValueError, match="^signal state dimension 1100 exceeds the "
+                                             "guard 1000; lower squeeze.s"):
             policy.check_factors((9, 9, 10))
         # the second factor alone, 32^2 = 1024, is over; the product of the
         # two factors is never formed
-        with pytest.raises(ValueError, match="state dimension 1024 exceeds"):
+        with pytest.raises(ValueError, match="^LO state dimension 1024 exceeds the guard "
+                                             "1000; lower the tone amplitude"):
             policy.check_factors((9, 9, 9), (31, 31))
         policy.check_factors((9, 9, 9), (30, 30))
 

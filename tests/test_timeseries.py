@@ -290,6 +290,33 @@ def located_feature(cfg):
 
 
 PLAN_100KHZ_LO = [299.9999951e12, 300.0000049e12]
+# tones 10 kHz inside the signal modes: the dip at 10 kHz, a fifth of its width
+PLAN_10KHZ_LO = [299.99999501e12, 300.00000499e12]
+# tones on the signal modes, no image bands: the dip at DC
+NO_IMAGE_LO = [299.999995e12, 300.000005e12]
+
+
+def expected_welch_psd(rec, segment_length):
+    """The exact mean of ``estimate_psd`` on a synthesized record, from its
+    taps h alone: sum_tau r_h(tau) r_w(tau) exp(-2 pi i k tau / L), with
+    r_h and r_w the autocorrelations of the taps and of the Hann window,
+    the lags folded mod L, scaled as the estimate scales its periodograms
+    and halved at DC and Nyquist. It shares no step with the fit's kernel."""
+    size = 1 << (2 * rec.taps.size).bit_length()
+    # the whole linear autocorrelation, negative lags at the end
+    r_h = np.fft.irfft(np.abs(np.fft.rfft(rec.taps, size)) ** 2, size)
+    window = 0.5 - 0.5 * np.cos(2.0 * math.pi * np.arange(segment_length) / segment_length)
+    lags = np.arange(1 - segment_length, segment_length)
+    folded = np.zeros(segment_length)
+    np.add.at(folded, lags % segment_length,
+              r_h[lags] * np.correlate(window, window, "full"))
+    psd = np.fft.rfft(folded).real * 2.0 / (rec.sample_rate * float(np.sum(window**2)))
+    psd[[0, -1]] /= 2.0
+    return psd
+
+
+def predicted_db(model):
+    return 10.0 * math.log10(model.dip_or_peak_level / model.noise_floor)
 
 
 class TestFeatureLocation:
@@ -329,26 +356,64 @@ class TestFeatureLocation:
         # on average over these seeds, and seed 1 by +0.43 dB
         biases = []
         for seed in range(1, 11):
-            cfg = two_tone_config([299.999995e12, 300.000005e12], 1.0, seed)
+            cfg = two_tone_config(NO_IMAGE_LO, 1.0, seed)
             model, center, depth = located_feature(cfg)
             assert model.center_frequency == 0.0
-            predicted_db = 10.0 * math.log10(model.dip_or_peak_level / model.noise_floor)
-            assert predicted_db == pytest.approx(-8.686, abs=1e-3)
+            predicted = predicted_db(model)
+            assert predicted == pytest.approx(-8.686, abs=1e-3)
             resolution = cfg.spectrum["sample_rate_hz"] / cfg.spectrum["segment_length"]
             assert abs(center) <= 2.0 * resolution, seed
-            assert depth == pytest.approx(predicted_db, abs=0.5), seed
-            biases.append(depth - predicted_db)
+            assert depth == pytest.approx(predicted, abs=0.5), seed
+            biases.append(depth - predicted)
         assert abs(np.mean(biases)) < 0.1
 
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_level_on_the_fit_bound_gives_no_feature(self, seed):
-        # 16-sample segments on the no-image plan leave 9 bins. On these seeds
-        # the fitted level ran to its -90 dB bound, a depth the data do not
-        # fix, and was printed as one
-        cfg = two_tone_config([299.999995e12, 300.000005e12], 1.0, seed,
-                              {"segment_length": 16})
-        summary, _ = timeseries.spectrum_outputs(cfg, with_files=False)
-        assert summary[-1] == "feature: none"
+    def test_sixteen_sample_segments_read_the_dc_dip(self, seed):
+        # 16-sample segments on the no-image plan leave 9 bins of 131 kHz, so
+        # the 50 kHz dip at DC is under half a bin wide. A fit whose bins were
+        # the target's cell means ran the level to its -90 dB bound on these
+        # seeds and printed none
+        model, center, depth = located_feature(
+            two_tone_config(NO_IMAGE_LO, 1.0, seed, {"segment_length": 16}))
+        assert center == 0.0
+        assert depth == pytest.approx(predicted_db(model), abs=1.5)
+
+    def test_level_on_the_fit_bound_gives_no_feature(self):
+        # the profile itself at the bins, with its level at 0: the center bin
+        # reads 0, below anything the profile seen through the window
+        # reaches, so the level runs to its -90 dB bound, a depth the data
+        # do not fix
+        freqs = np.fft.rfftfreq(2048, 1.0 / FS_BLO)
+        model = SpectralModel(center_frequency=freqs[100], squeezing_bandwidth=5e4,
+                              noise_floor=8.0, dip_or_peak_level=0.0)
+        est = SpectrumEstimate(freqs, model.psd(freqs), FS_BLO / 2048, 100, 100.0)
+        assert est.psd[100] == 0.0
+        assert locate_squeezing_feature(est, model) is None
+
+    @pytest.mark.parametrize("lo_hz,s,segment_length", [
+        (NO_IMAGE_LO, 1.0, 2048), (NO_IMAGE_LO, 3.0, 2048), (NO_IMAGE_LO, 5.0, 2048),
+        (NO_IMAGE_LO, 1.0, 64), (NO_IMAGE_LO, 1.0, 16),
+        (PLAN_10KHZ_LO, 1.0, 2048), (PLAN_100KHZ_LO, 1.0, 2048), (PLAN_100KHZ_LO, 1.0, 64),
+    ], ids=["dc_s1", "dc_s3", "dc_s5", "dc_segment_64", "dc_segment_16", "10khz", "100khz",
+            "100khz_segment_64"])
+    def test_fit_reads_the_exact_expected_estimate(self, lo_hz, s, segment_length):
+        # fed the estimate's own mean, with no noise, the fit returns the
+        # model. A fit whose bins were the target's cell means read the s 5
+        # dip at DC (-43.40 dB) as -33.37 dB, the s 1 one (-8.69 dB) as
+        # -14.46 dB at 64-sample segments, and misplaced it at 16
+        cfg = two_tone_config(lo_hz, s, 1, {"segment_length": segment_length})
+        model = SpectralModel.for_config(cfg)
+        rec = synthesize_difference_current(model, cfg.spectrum["duration_s"], FS_BLO,
+                                            seed=1, segment_length=segment_length)
+        # as many averages as the record has segments without overlap
+        averages = rec.size // segment_length
+        est = SpectrumEstimate(np.fft.rfftfreq(segment_length, 1.0 / FS_BLO),
+                               expected_welch_psd(rec, segment_length),
+                               FS_BLO / segment_length, averages, float(averages))
+        feat = locate_squeezing_feature(est, model)
+        assert feat is not None
+        assert abs(feat.center - model.center_frequency) <= 0.25 * est.resolution
+        assert feat.depth_db == pytest.approx(predicted_db(model), abs=0.01)
 
     @staticmethod
     def assert_placed(detuning):
@@ -361,8 +426,7 @@ class TestFeatureLocation:
             assert model.center_frequency == pytest.approx(detuning, abs=1.0)
             resolution = cfg.spectrum["sample_rate_hz"] / cfg.spectrum["segment_length"]
             assert abs(center - detuning) <= 2.0 * resolution, seed
-            predicted_db = 10.0 * math.log10(model.dip_or_peak_level / model.noise_floor)
-            assert depth == pytest.approx(predicted_db, abs=0.5), seed
+            assert depth == pytest.approx(predicted_db(model), abs=0.5), seed
 
     def test_feature_near_dc_keeps_its_center(self):
         # a 50 kHz wide dip at 20 kHz reaches DC with its flank, yet is not
